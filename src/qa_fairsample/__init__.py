@@ -45,6 +45,7 @@ from .evolve import (
     AnnealSchedule,
     ConvergenceReport,
     EvolutionResult,
+    accuracy_failure,
     apply_hamiltonian,
     convergence_check,
     default_steps,

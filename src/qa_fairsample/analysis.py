@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .embed import BROKEN_CHAIN, Embedding, apply_embedding, lift_state, project_state
 from .errors import UndefinedRatioError
-from .evolve import DRIFT_BUDGET, AnnealSchedule, EvolutionResult, evolve_many
+from .evolve import AnnealSchedule, EvolutionResult, accuracy_failure, evolve_many
 from .model import (
     GroundManifold,
     IsingModel,
@@ -257,7 +257,8 @@ def _se_record(
     partition: FairnessPartition,
     gap: float | None = None,
 ) -> SweepRecord:
-    if result.norm_drift > DRIFT_BUDGET:
+    failure = accuracy_failure(result)
+    if failure is not None:
         return SweepRecord(
             model=label,
             parameter=parameter,
@@ -268,8 +269,7 @@ def _se_record(
             gap_ratio=gap,
             excited_weight=None,
             norm_drift=result.norm_drift,
-            error=f"norm drift {result.norm_drift:.3e} exceeds the "
-            f"{DRIFT_BUDGET:.0e} budget",
+            error=failure,
         )
     return SweepRecord(
         model=label,

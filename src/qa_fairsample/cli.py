@@ -119,6 +119,7 @@ def cmd_anneal(args) -> int:
             "tau": result.tau,
             "steps": result.steps,
             "norm_drift": result.norm_drift,
+            "error_estimate": result.error_estimate,
             "norm_squared": result.norm_squared,
             "probabilities": per_config,
             "folded": {c.to_bitstring(): p * scale for c, p in folded.items()},
@@ -269,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anneal", help="integrate the annealing dynamics")
     p.add_argument("model")
     p.add_argument("--tau", type=float, required=True, help="total annealing time")
-    p.add_argument("--steps", type=int, default=None, help="override the step policy")
+    p.add_argument("--steps", type=int, default=None,
+                   help="CFM4 steps over [0, tau] (default: max(50, ceil(5*tau))); "
+                        "a run at half as many steps gives the error estimate")
     p.add_argument("--embedding", default=None, help="apply this embedding first")
     p.add_argument("--jf", type=float, default=None, help="chain strength")
     p.add_argument("--s-set", type=int, nargs="+", default=None,
@@ -304,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a bundled experiment preset to CSV")
     p.add_argument("figure", choices=("fig2", "fig3a", "fig3b"))
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=None,
+                   help="CFM4 steps per SE row (default: the anneal step policy)")
     p.add_argument("--source", default="matsuda5")
     p.add_argument("--embedded", default="matsuda5_embedded")
     p.set_defaults(handler=cmd_reproduce)

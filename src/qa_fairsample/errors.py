@@ -14,7 +14,7 @@ class EmbeddingError(FairSamplingError):
 
 
 class IntegrationAccuracyError(FairSamplingError):
-    """Norm drift of the integrated state exceeded the accuracy budget.
+    """Norm drift or step-doubling error estimate exceeded the accuracy budget.
 
     The completed (renormalized) result is attached so callers that only
     need a diagnostic can still inspect it.

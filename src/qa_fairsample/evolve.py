@@ -3,24 +3,43 @@
 The Hamiltonian interpolates linearly between the transverse-field driver and
 the diagonal target,
 
-    H(t) = -(1 - t/tau) * sum_i X_i + (t/tau) * H_0,      hbar = 1,
+    H(s) = -(1 - s) * sum_i X_i + s * H_0,      s = t/tau,      hbar = 1,
 
 and the state starts in the driver ground state (uniform superposition).
-Integration uses classical fixed-step RK4 on the full 2^N state vector, with
-the Hamiltonian applied matrix-free: the diagonal term scales each amplitude
-by its configuration energy, and the driver term sums the amplitudes of all
-single-spin-flip neighbors through precomputed per-spin index columns.
 
-Batches of same-size models evolve together as rows of one array; every
-operation is row-independent, so results are bitwise identical whether models
-run alone, batched, or chunked (the QA_FAIRSAMPLE_THREADS environment
-variable caps the chunk width used by sweeps).
+Integration uses the fourth-order commutator-free Magnus scheme CFM4 (Blanes &
+Moan, Appl. Numer. Math. 56, 1519 (2006)). Because H is linear in s, a step
+of length dt is two exponentials,
+
+    psi <- exp(-i dt/2 H(s_b)) exp(-i dt/2 H(s_a)) psi,
+
+at schedule values s_a, s_b mixed from the two Gauss nodes of the step, so
+the step size follows how fast H changes rather than how large it is. Each
+exponential acts on the state through a truncated Taylor series (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)): it is split into substeps short
+enough that a norm bound of the substep's exponent stays below THETA, and
+each substep sums terms until that row's own largest term falls below
+TAYLOR_TOL. The Hamiltonian is applied matrix-free: the diagonal term scales
+each amplitude by its configuration energy, and the driver term adds the
+amplitudes of all single-spin-flip neighbors through reshaped views of the
+state.
+
+A unitary step keeps the norm whatever its error, so the accuracy guard is
+step doubling: every run also integrates at half the step count, and the
+change in the final probabilities, divided by the fourth-order Richardson
+factor (15 for an even step count), estimates the error of the full run.
+
+Batches of same-size models evolve together as rows of one array. Every
+operation is row-independent, and each row keeps its own substep count and
+its own stopping point, so results are bitwise identical whether models run
+alone, batched, or chunked (the QA_FAIRSAMPLE_THREADS environment variable
+caps the chunk width used by sweeps).
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,19 +49,42 @@ import numpy as np
 from .errors import IntegrationAccuracyError, ModelTooLargeError
 from .model import MAX_SPINS, IsingModel, SpinConfiguration, energy_table
 
-# Maximum tolerated |1 - norm^2| of the final state at default steps.
+# Maximum tolerated norm drift |1 - norm^2| and step-doubling error estimate
+# of the final probabilities.
 DRIFT_BUDGET = 1e-6
 
 CHUNK_ENV_VAR = "QA_FAIRSAMPLE_THREADS"
 
+# Largest norm bound of one Taylor substep's exponent, and the magnitude
+# below which a row's Taylor terms stop.
+THETA = 4.0
+TAYLOR_TOL = 1e-15
+
+# CFM4: Gauss nodes of the unit step and the weights mixing H at them.
+_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_ALPHA1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
+_ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+
+
+def _check_tau(tau) -> None:
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+        raise ValueError(f"tau must be a real number, got {tau!r}")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+
 
 def default_steps(tau: float) -> int:
-    """Step count giving dt = min(0.005, tau/1000).
+    """Step count max(50, ceil(5 * tau)), i.e. dt = min(0.2, tau/50).
 
-    dt = 0.005 keeps the RK4 norm drift of the shipped toy models below the
-    1e-6 budget even at tau = 1000 (dt = 0.01 overshoots it by ~15x).
+    The CFM4 error at a fixed dt peaks at intermediate tau (about 25-110 for
+    the bundled models), where dt = 0.5 overshoots the 1e-6 budget six-fold.
+    At dt <= 0.2 the step-doubling estimate of the bundled models stays at or
+    below 1e-7 over the whole fig2 grid (tau in [1, 1000]), and that of the
+    15-spin instances of the perfbench wide-state workload at or below 1e-7
+    for tau in [2, 60]. Larger or stronger-coupled models may need more.
     """
-    return max(1000, math.ceil(200.0 * tau))
+    _check_tau(tau)
+    return max(50, math.ceil(5.0 * tau))
 
 
 @dataclass(frozen=True)
@@ -57,8 +99,9 @@ class AnnealSchedule:
     steps: int
 
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        _check_tau(self.tau)
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -77,6 +120,9 @@ class EvolutionResult:
 
     ``final_probabilities`` is renormalized; ``norm_squared`` is the raw
     squared norm before renormalization and ``norm_drift`` = |1 - norm_squared|.
+    ``error_estimate`` is the step-doubling estimate of the largest error in
+    ``final_probabilities`` (infinite for a single step of nonzero length,
+    which has no coarser run to compare with).
     """
 
     final_probabilities: Mapping[SpinConfiguration, float]
@@ -84,6 +130,7 @@ class EvolutionResult:
     tau: float
     steps: int
     norm_squared: float
+    error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -96,6 +143,19 @@ class ConvergenceReport:
     flagged: bool
 
 
+def accuracy_failure(result: EvolutionResult) -> str | None:
+    """Why a result misses the accuracy budget, or None if it meets it.
+
+    Written as ``not (x <= budget)`` so that NaN fails too.
+    """
+    if result.norm_drift <= DRIFT_BUDGET and result.error_estimate <= DRIFT_BUDGET:
+        return None
+    return (
+        f"norm drift {result.norm_drift:.3e} and step-doubling error estimate "
+        f"{result.error_estimate:.3e}: over the {DRIFT_BUDGET:.0e} budget"
+    )
+
+
 def initial_state(num_spins: int) -> np.ndarray:
     """Uniform superposition 2^(-N/2) on every configuration: the driver ground state."""
     if num_spins > MAX_SPINS:
@@ -106,28 +166,39 @@ def initial_state(num_spins: int) -> np.ndarray:
     return np.full(dim, dim ** -0.5, dtype=np.complex128)
 
 
-@functools.lru_cache(maxsize=32)
-def _flip_columns(num_spins: int) -> tuple[np.ndarray, ...]:
-    """Per-spin index arrays: column i maps configuration c to c with spin i flipped."""
-    indices = np.arange(1 << num_spins, dtype=np.intp)
-    columns = []
-    for i in range(num_spins):
-        col = indices ^ (1 << i)
-        col.setflags(write=False)
-        columns.append(col)
-    return tuple(columns)
+class _Kernel:
+    """H(s) applied matrix-free, in place, to the rows of a fixed buffer.
 
-
-def _flip_sum(y: np.ndarray, columns: tuple[np.ndarray, ...]) -> np.ndarray:
-    """sum_i y[..., flip spin i], accumulated in fixed spin order.
-
-    Plain elementwise adds keep the floating-point order identical for every
-    batch width, which a reduction over a gathered axis does not guarantee.
+    Spin i's flip reverses the middle axis of the view
+    y.reshape(rows, 2**(N-1-i), 2, 2**i). The views of the two buffers are
+    built once. The flip sum accumulates by plain elementwise adds in fixed
+    spin order, which keeps the floating-point order identical for every
+    batch width, as a reduction over a gathered axis would not.
     """
-    acc = y[..., columns[0]]
-    for col in columns[1:]:
-        acc += y[..., col]
-    return acc
+
+    def __init__(self, rows: int, num_spins: int):
+        dim = 1 << num_spins
+        self.state = np.empty((rows, dim), dtype=np.complex128)
+        self._flips = np.empty_like(self.state)
+        self._views = []
+        for i in range(num_spins):
+            shape = (rows, dim >> (i + 1), 2, 1 << i)
+            self._views.append(
+                (self._flips.reshape(shape), self.state.reshape(shape)[:, :, ::-1, :])
+            )
+
+    def apply(self, diag: np.ndarray, drive) -> None:
+        """state <- diag * state - drive * sum_i X_i state, row by row.
+
+        diag holds s * energies and drive is 1 - s; either may be scaled per row.
+        """
+        (out, flipped), *rest = self._views
+        np.copyto(out, flipped)
+        for out, flipped in rest:
+            np.add(out, flipped, out=out)
+        np.multiply(self.state, diag, out=self.state)
+        np.multiply(self._flips, drive, out=self._flips)
+        np.subtract(self.state, self._flips, out=self.state)
 
 
 def apply_hamiltonian(model: IsingModel, s: float, psi: np.ndarray) -> np.ndarray:
@@ -138,8 +209,10 @@ def apply_hamiltonian(model: IsingModel, s: float, psi: np.ndarray) -> np.ndarra
         raise ValueError(
             f"state has dimension {psi.shape}, model needs {e.shape}"
         )
-    columns = _flip_columns(model.num_spins)
-    return (s * e) * psi - (1.0 - s) * _flip_sum(psi, columns)
+    kernel = _Kernel(1, model.num_spins)
+    kernel.state[0] = psi
+    kernel.apply(s * e, 1.0 - s)
+    return kernel.state[0]
 
 
 def _chunk_width(count: int) -> int:
@@ -152,35 +225,71 @@ def _chunk_width(count: int) -> int:
     return min(width, count)
 
 
-def _rk4_probabilities(
-    tables: np.ndarray, num_spins: int, tau: float, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate a batch of diagonal tables; returns (|psi|^2 rows, norm^2 rows)."""
-    columns = _flip_columns(num_spins)
-    dim = 1 << num_spins
-    batch = tables.shape[0]
-    psi = np.full((batch, dim), dim ** -0.5, dtype=np.complex128)
+def _exp_step(
+    kernel: _Kernel,
+    psi: np.ndarray,
+    tables: np.ndarray,
+    s: float,
+    h: float,
+    emax: np.ndarray,
+) -> None:
+    """psi <- exp(-i h H(s)) psi per row, in place, by truncated Taylor series.
+
+    Row r takes m_r substeps, where ((1-s) N + s max|E_r|) h / m_r <= THETA
+    bounds the norm of each substep's exponent. A row's series stops once
+    the largest real or imaginary part of its own latest term is below
+    TAYLOR_TOL; rows that have stopped keep their sum unchanged.
+    """
+    num_spins = psi.shape[1].bit_length() - 1
+    bound = (1.0 - s) * num_spins + s * emax
+    substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
+    h_sub = (h / substeps)[:, None]
+    diag = (s * tables) * h_sub
+    drive = (1.0 - s) * h_sub
+    term = kernel.state
+    for j in range(int(substeps.max())):
+        active = substeps > j
+        np.copyto(term, psi)
+        k = 0
+        while active.any():
+            k += 1
+            kernel.apply(diag, drive)
+            np.multiply(term, -1j / k, out=term)
+            np.add(psi, term, out=psi, where=active[:, None])
+            active &= np.abs(term.view(np.float64)).max(axis=1) >= TAYLOR_TOL
+
+
+def _cfm4_weights(tables: np.ndarray, tau: float, steps: int) -> np.ndarray:
+    """|psi|^2 rows after integrating a batch of diagonal tables with CFM4.
+
+    The schedule values s_a, s_b of a step lie inside it, at t/tau plus 1/6
+    and 5/6 of dt/tau, so 0 <= s <= 1 throughout.
+    """
+    rows, dim = tables.shape
+    num_spins = dim.bit_length() - 1
+    psi = np.tile(initial_state(num_spins), (rows, 1))
     dt = tau / steps
-
-    def rhs(s, y):
-        # -i H(s) y; each output row depends only on its own input row.
-        return -1j * ((s * tables) * y - (1.0 - s) * _flip_sum(y, columns))
-
     if dt > 0.0:
+        kernel = _Kernel(rows, num_spins)
+        emax = np.abs(tables).max(axis=1)
         for k in range(steps):
-            t = k * dt
-            s0 = t / tau
-            s_half = (t + 0.5 * dt) / tau
-            s1 = (t + dt) / tau
-            k1 = rhs(s0, psi)
-            k2 = rhs(s_half, psi + (0.5 * dt) * k1)
-            k3 = rhs(s_half, psi + (0.5 * dt) * k2)
-            k4 = rhs(s1, psi + dt * k3)
-            psi += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            s1 = (k * dt + _NODES[0] * dt) / tau
+            s2 = (k * dt + _NODES[1] * dt) / tau
+            s_a = 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2)
+            s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
+            _exp_step(kernel, psi, tables, s_a, 0.5 * dt, emax)
+            _exp_step(kernel, psi, tables, s_b, 0.5 * dt, emax)
+    return np.abs(psi) ** 2
 
-    weights = np.abs(psi) ** 2
-    norm_sq = weights.sum(axis=1)
-    return weights, norm_sq
+
+def _final_weights(tables: np.ndarray, tau: float, steps: int) -> np.ndarray:
+    width = _chunk_width(len(tables))
+    return np.concatenate(
+        [
+            _cfm4_weights(tables[start : start + width], tau, steps)
+            for start in range(0, len(tables), width)
+        ]
+    )
 
 
 def evolve_many(
@@ -191,9 +300,11 @@ def evolve_many(
 ) -> list[EvolutionResult]:
     """Evolve several same-size models under one schedule as a single batch.
 
-    With ``enforce_drift`` the call raises IntegrationAccuracyError if any
-    row's norm drift exceeds the budget; sweeps disable it and handle drift
-    row by row. All results are attached to the raised error.
+    Each row also runs at ceil(steps/2) steps for its error estimate. With
+    ``enforce_drift`` the call raises IntegrationAccuracyError if any row's
+    norm drift or error estimate is over the budget, or not finite; sweeps
+    disable it and handle failures row by row. All results are attached to
+    the raised error.
     """
     if not models:
         return []
@@ -206,23 +317,22 @@ def evolve_many(
         )
 
     tables = np.stack([energy_table(m) for m in models])
-    width = _chunk_width(len(models))
-    weight_rows = []
-    norm_rows = []
-    for start in range(0, len(models), width):
-        w, n = _rk4_probabilities(
-            tables[start : start + width], num_spins, schedule.tau, schedule.steps
-        )
-        weight_rows.append(w)
-        norm_rows.append(n)
-    weights = np.concatenate(weight_rows)
-    norm_sq = np.concatenate(norm_rows)
+    weights = _final_weights(tables, schedule.tau, schedule.steps)
+    norm_sq = weights.sum(axis=1)
+    probs = weights / norm_sq[:, None]
+    coarse_steps = (schedule.steps + 1) // 2
+    if coarse_steps < schedule.steps:
+        coarse = _final_weights(tables, schedule.tau, coarse_steps)
+        coarse /= coarse.sum(axis=1)[:, None]
+        richardson = (schedule.steps / coarse_steps) ** 4 - 1.0
+        estimates = np.abs(probs - coarse).max(axis=1) / richardson
+    else:
+        estimates = np.full(len(models), 0.0 if schedule.tau == 0.0 else math.inf)
 
     results = []
-    for w, n2 in zip(weights, norm_sq):
-        probs = w / n2
+    for p, n2, est in zip(probs, norm_sq, estimates):
         mapping = {
-            SpinConfiguration(c, num_spins): float(p) for c, p in enumerate(probs)
+            SpinConfiguration(c, num_spins): float(x) for c, x in enumerate(p)
         }
         results.append(
             EvolutionResult(
@@ -231,19 +341,17 @@ def evolve_many(
                 tau=schedule.tau,
                 steps=schedule.steps,
                 norm_squared=float(n2),
+                error_estimate=float(est),
             )
         )
 
     if enforce_drift:
-        bad = [r for r in results if r.norm_drift > DRIFT_BUDGET]
-        if bad:
-            worst = max(r.norm_drift for r in bad)
-            err = IntegrationAccuracyError(
-                f"norm drift {worst:.3e} exceeds the {DRIFT_BUDGET:.0e} budget; "
-                f"rerun with more steps (e.g. {2 * schedule.steps})",
+        failures = [f for f in map(accuracy_failure, results) if f is not None]
+        if failures:
+            raise IntegrationAccuracyError(
+                f"{failures[0]}; rerun with more steps (e.g. {2 * schedule.steps})",
                 result=results if len(results) > 1 else results[0],
             )
-            raise err
     return results
 
 

@@ -1,4 +1,4 @@
-"""Integrator module: matrix-free Hamiltonian application and RK4 evolution."""
+"""Integrator module: matrix-free Hamiltonian application and CFM4 evolution."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 import qa_fairsample as qf
 from qa_fairsample.errors import IntegrationAccuracyError, ModelTooLargeError
 
-from conftest import dense_annealing_hamiltonian
+from conftest import dense_anneal_probabilities, dense_annealing_hamiltonian
 
 
 def cfg(bits, n):
@@ -61,21 +61,47 @@ def test_apply_half_weight_on_basis_state():
     assert out[0b00] == 0.0
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_apply_matches_dense_oracle(seed):
-    rng = np.random.default_rng(200 + seed)
+def _random_model(rng):
     n = int(rng.integers(2, 5))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     couplings = tuple(
         (i, j, float(rng.choice([-1.0, 1.0]))) for i, j in pairs if rng.random() < 0.8
     )
     fields = tuple(float(h) for h in rng.choice([0.0, 0.5, -0.5], size=n))
-    model = qf.IsingModel(n, couplings, fields)
+    return qf.IsingModel(n, couplings, fields)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_matches_dense_oracle(seed):
+    rng = np.random.default_rng(200 + seed)
+    model = _random_model(rng)
+    n = model.num_spins
     s = float(rng.uniform(0.0, 1.0))
     dim = 1 << n
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     dense = dense_annealing_hamiltonian(model, s)
     assert np.allclose(qf.apply_hamiltonian(model, s, psi), dense @ psi, atol=1e-12)
+
+
+def _gather_flip_sum(psi):
+    # reference kernel: gather each spin's flipped column, add in spin order
+    n = psi.size.bit_length() - 1
+    indices = np.arange(psi.size)
+    acc = psi[indices ^ 1]
+    for i in range(1, n):
+        acc += psi[indices ^ (1 << i)]
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_apply_matches_gather_kernel_bitwise(n):
+    rng = np.random.default_rng(300 + n)
+    couplings = tuple((i, i + 1, float(rng.normal())) for i in range(n - 1))
+    model = qf.IsingModel(n, couplings, tuple(float(h) for h in rng.normal(size=n)))
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    s = 0.3
+    expected = (s * qf.energy_table(model)) * psi - (1.0 - s) * _gather_flip_sum(psi)
+    assert np.array_equal(qf.apply_hamiltonian(model, s, psi), expected)
 
 
 def test_apply_rejects_dimension_mismatch(toy_source):
@@ -93,11 +119,41 @@ def test_schedule_validation():
         qf.AnnealSchedule(tau=1.0, steps=0)
 
 
-def test_default_step_policy():
-    assert qf.default_steps(1000.0) == 200000
-    assert qf.default_steps(1.0) == 1000
-    assert qf.AnnealSchedule.for_tau(0.0).steps == 1000
+@pytest.mark.parametrize(
+    "tau, steps",
+    [
+        (float("nan"), 10),
+        (float("inf"), 10),
+        (True, 10),
+        (1.0, True),
+        (1.0, 10.0),
+        (1.0, 2.5),
+    ],
+)
+def test_schedule_rejects_nonfinite_tau_and_noninteger_steps(tau, steps):
+    with pytest.raises(ValueError):
+        qf.AnnealSchedule(tau=tau, steps=steps)
+
+
+@pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+def test_step_policy_rejects_nonfinite_tau(tau):
+    with pytest.raises(ValueError):
+        qf.AnnealSchedule.for_tau(tau)
+    with pytest.raises(ValueError):
+        qf.default_steps(tau)
+
+
+def test_default_step_policy(toy_source):
+    assert qf.default_steps(1000.0) == 5000
+    assert qf.default_steps(1.0) == 50
+    assert qf.AnnealSchedule.for_tau(0.0).steps == 50
     assert qf.AnnealSchedule.for_tau(10.0, steps=50).steps == 50
+    # the policy resolves the toy anneal; a tenth of its steps trips the estimate
+    resolved = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(100.0))
+    assert resolved.error_estimate <= 1e-6
+    with pytest.raises(IntegrationAccuracyError) as excinfo:
+        qf.evolve(toy_source, qf.AnnealSchedule(tau=100.0, steps=resolved.steps // 10))
+    assert excinfo.value.result.error_estimate > 1e-6
 
 
 # -------------------------------------------------------------- evolution
@@ -145,12 +201,77 @@ def test_short_time_against_matrix_exponential(toy_source):
 
 
 def test_norm_drift_raises_with_result_attached(toy_source):
-    schedule = qf.AnnealSchedule(tau=200.0, steps=600)
+    # CFM4 is unitary, so on an under-resolved schedule the norm holds and
+    # the step-doubling estimate must trip instead
+    schedule = qf.AnnealSchedule(tau=200.0, steps=40)
     with pytest.raises(IntegrationAccuracyError) as excinfo:
         qf.evolve(toy_source, schedule)
     attached = excinfo.value.result
     assert attached is not None
-    assert attached.norm_drift > 1e-6
+    assert attached.norm_drift <= 1e-6
+    assert attached.error_estimate > 1e-6
+    assert "error estimate" in str(excinfo.value)
+    # the trip is real: the attached probabilities are off by more than 1e-6
+    resolved = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(200.0))
+    error = max(
+        abs(p - resolved.final_probabilities[c])
+        for c, p in attached.final_probabilities.items()
+    )
+    assert error > 1e-6
+
+
+@pytest.mark.parametrize(
+    "drift, estimate",
+    [(float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0), (0.0, 2e-6)],
+)
+def test_accuracy_guard_rejects_nan_and_overruns(drift, estimate):
+    result = qf.EvolutionResult({}, drift, 1.0, 1, 1.0 - drift, estimate)
+    assert qf.accuracy_failure(result) is not None
+
+
+def test_accuracy_guard_accepts_budget():
+    result = qf.EvolutionResult({}, 1e-6, 1.0, 1, 1.0 - 1e-6, 1e-6)
+    assert qf.accuracy_failure(result) is None
+
+
+def test_single_step_has_no_estimate(toy_source):
+    # a single step has no coarser run to compare with
+    result = qf.evolve_many(
+        (toy_source,), qf.AnnealSchedule(tau=1e-3, steps=1), enforce_drift=False
+    )[0]
+    assert result.error_estimate == float("inf")
+    with pytest.raises(IntegrationAccuracyError):
+        qf.evolve(toy_source, qf.AnnealSchedule(tau=1e-3, steps=1))
+
+
+def _probability_vector(result, n):
+    return np.array([result.final_probabilities[cfg(b, n)] for b in range(1 << n)])
+
+
+@pytest.mark.parametrize("tau", [1.0, 10.0, 100.0])
+def test_default_policy_matches_dense_oracle(tau):
+    # bound fixed in advance: the accuracy budget the guard promises
+    rng = np.random.default_rng(int(tau))
+    for _ in range(2):
+        model = _random_model(rng)
+        n = model.num_spins
+        result = qf.evolve(model, qf.AnnealSchedule.for_tau(tau))
+        oracle = dense_anneal_probabilities(model, tau, max(200, int(20 * tau)))
+        assert np.abs(_probability_vector(result, n) - oracle).max() <= 1e-6
+
+
+def test_estimate_covers_true_error_when_underresolved():
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        model = _random_model(rng)
+        n = model.num_spins
+        result = qf.evolve_many(
+            (model,), qf.AnnealSchedule(tau=10.0, steps=10), enforce_drift=False
+        )[0]
+        oracle = dense_anneal_probabilities(model, 10.0, 200)
+        true_error = np.abs(_probability_vector(result, n) - oracle).max()
+        assert result.error_estimate > 1e-6
+        assert result.error_estimate >= true_error
 
 
 def test_inversion_symmetry_of_probabilities(toy_source):
@@ -215,6 +336,18 @@ def test_invalid_chunk_width(monkeypatch, toy_source):
     monkeypatch.setenv("QA_FAIRSAMPLE_THREADS", "0")
     with pytest.raises(ValueError):
         qf.evolve_many((toy_source,), qf.AnnealSchedule(tau=1.0, steps=10))
+
+
+def test_rows_with_different_substeps_stay_independent(embedded_models):
+    # an under-resolved schedule gives each row its own substep count and
+    # Taylor stopping point
+    models = [embedded_models[jf].model for jf in (0.5, 1.0, 1.5)]
+    schedule = qf.AnnealSchedule(tau=40.0, steps=4)
+    batch = qf.evolve_many(models, schedule, enforce_drift=False)
+    for model, b in zip(models, batch):
+        (alone,) = qf.evolve_many((model,), schedule, enforce_drift=False)
+        assert b.final_probabilities == alone.final_probabilities
+        assert b.error_estimate == alone.error_estimate
 
 
 def test_batch_requires_same_size(toy_source, embedded_models):
