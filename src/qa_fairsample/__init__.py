@@ -22,8 +22,6 @@ from .analysis import (
     write_sweep_csv,
 )
 from .embed import (
-    BROKEN_CHAIN,
-    BrokenChain,
     EmbeddedModel,
     Embedding,
     EmbeddingReport,
@@ -56,11 +54,11 @@ from .evolve import (
 from .model import (
     GroundManifold,
     IsingModel,
+    ProbabilityVector,
     SpinConfiguration,
     energy,
     energy_table,
     enumerate_ground_states,
-    ground_connectivity,
     hamming_distance,
     load_model,
 )

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .embed import BROKEN_CHAIN, Embedding, apply_embedding, lift_state, project_state
+from .embed import Embedding, apply_embedding, lift_state
 from .errors import UndefinedRatioError
 from .evolve import AnnealSchedule, EvolutionResult, accuracy_failure, evolve_many
 from .model import (
@@ -67,13 +68,23 @@ class FairnessPartition:
         s_indices: Sequence[int],
         c_indices: Sequence[int] | None = None,
     ) -> "FairnessPartition":
-        classes = inversion_classes(manifold)
-        reps = [group[0] for group in classes]
-        s = tuple(reps[i] for i in s_indices)
+        reps = [group[0] for group in inversion_classes(manifold)]
+
+        def rep(i) -> SpinConfiguration:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ValueError(f"class index {i!r} is not an integer")
+            if not 0 <= i < len(reps):
+                raise ValueError(
+                    f"class index {i} is outside 0..{len(reps) - 1} "
+                    f"({len(reps)} inversion classes)"
+                )
+            return reps[i]
+
+        s = tuple(rep(i) for i in s_indices)
         if c_indices is None:
             c = tuple(r for i, r in enumerate(reps) if i not in set(s_indices))
         else:
-            c = tuple(reps[i] for i in c_indices)
+            c = tuple(rep(i) for i in c_indices)
         return cls(s_set=s, c_set=c)
 
 
@@ -200,14 +211,44 @@ def gap_ratio(
     )
 
 
+def _fold_manifold(
+    probabilities: Mapping[SpinConfiguration, float],
+    manifold: GroundManifold,
+    embedding: Embedding | None,
+) -> tuple[dict[SpinConfiguration, float], float]:
+    """Fold the entries of a distribution that project onto manifold configs.
+
+    Consensus projection maps intact configurations one-to-one onto logical
+    ones with project(lift(g)) == g, so the entries that fold onto g are
+    exactly the one at lift(g) (g itself without an embedding): d lookups,
+    not a pass over all 2^M entries. The ground weight is summed in
+    ascending physical bits, the order of a bits-indexed distribution.
+    """
+    lifted = sorted(
+        (g if embedding is None else lift_state(g, embedding), g)
+        for g in manifold.configs
+    )
+    first = next(iter(probabilities), None)
+    if first is not None and first.num_spins != lifted[0][0].num_spins:
+        raise ValueError(
+            f"distribution over {first.num_spins} spins does not match the "
+            f"{lifted[0][0].num_spins} spins the manifold lifts to"
+        )
+    logical: dict[SpinConfiguration, float] = {}
+    ground_weight = 0.0
+    for config, g in lifted:
+        p = probabilities.get(config)
+        if p is not None:
+            logical[g] = p
+            ground_weight += p
+    return fold_by_inversion(logical), 1.0 - ground_weight
+
+
 def fold_ground_probabilities(
     probabilities: Mapping[SpinConfiguration, float], manifold: GroundManifold
 ) -> tuple[dict[SpinConfiguration, float], float]:
     """Fold a measurement distribution onto ground classes; rest is excited weight."""
-    ground = {c: p for c, p in probabilities.items() if c in manifold.configs}
-    folded = fold_by_inversion(ground)
-    excited = 1.0 - sum(ground.values())
-    return folded, excited
+    return _fold_manifold(probabilities, manifold, None)
 
 
 def project_and_fold(
@@ -220,15 +261,7 @@ def project_and_fold(
     Broken-chain weight counts as excited and is never redistributed, as do
     intact projections landing outside the source manifold.
     """
-    logical: dict[SpinConfiguration, float] = {}
-    ground_weight = 0.0
-    for config, p in probabilities.items():
-        projected = project_state(config, embedding)
-        if projected is BROKEN_CHAIN or projected not in source_manifold.configs:
-            continue
-        logical[projected] = logical.get(projected, 0.0) + p
-        ground_weight += p
-    return fold_by_inversion(logical), 1.0 - ground_weight
+    return _fold_manifold(probabilities, source_manifold, embedding)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import numpy as np
 from .analysis import (
     FairnessPartition,
     fairness_ratio,
-    fold_ground_probabilities,
     project_and_fold,
     sweep_chain_strength,
     sweep_tau,
@@ -25,15 +24,16 @@ from .analysis import (
 )
 from .data import resolve_embedding_path, resolve_model_path
 from .embed import (
-    BROKEN_CHAIN,
+    Embedding,
     apply_embedding,
+    identity_embedding,
+    lift_state,
     load_embedding,
-    project_state,
     verify_embedding,
 )
 from .errors import FairSamplingError, IntegrationAccuracyError
 from .evolve import AnnealSchedule, evolve
-from .model import GroundManifold, enumerate_ground_states, load_model
+from .model import GroundManifold, IsingModel, enumerate_ground_states, load_model
 from .pt import (
     PerturbationSetup,
     first_order_matrix,
@@ -61,6 +61,16 @@ def _partition(args, manifold: GroundManifold) -> FairnessPartition:
     return FairnessPartition.from_class_indices(manifold, s_indices, c_indices)
 
 
+def _target(args, source: IsingModel) -> tuple[IsingModel, Embedding]:
+    """The model to run and the embedding that maps it back onto the source."""
+    if not args.embedding:
+        return source, identity_embedding(source)
+    embedding = load_embedding(
+        resolve_embedding_path(args.embedding), chain_strength=args.jf
+    )
+    return apply_embedding(source, embedding).model, embedding
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -79,40 +89,18 @@ def cmd_anneal(args) -> int:
     source = load_model(resolve_model_path(args.model))
     source_manifold = enumerate_ground_states(source)
     partition = _partition(args, source_manifold)
-
-    if args.embedding:
-        embedding = load_embedding(
-            resolve_embedding_path(args.embedding), chain_strength=args.jf
-        )
-        embedded = apply_embedding(source, embedding)
-        target = embedded.model
-    else:
-        embedding = None
-        target = source
+    target, embedding = _target(args, source)
 
     schedule = AnnealSchedule.for_tau(args.tau, args.steps)
     result = evolve(target, schedule)
 
     scale = result.norm_squared if args.no_renormalize else 1.0
-    per_config: dict[str, float] = {}
-    if embedding is None:
-        folded, excited = fold_ground_probabilities(
-            result.final_probabilities, source_manifold
-        )
-        for c in source_manifold.configs:
-            per_config[c.to_bitstring()] = result.final_probabilities[c] * scale
-    else:
-        folded, excited = project_and_fold(
-            result.final_probabilities, embedding, source_manifold
-        )
-        accum: dict[str, float] = {}
-        for c, p in result.final_probabilities.items():
-            projected = project_state(c, embedding)
-            if projected is BROKEN_CHAIN or projected not in source_manifold.configs:
-                continue
-            key = projected.to_bitstring()
-            accum[key] = accum.get(key, 0.0) + p * scale
-        per_config = accum
+    probs = result.final_probabilities
+    folded, excited = project_and_fold(probs, embedding, source_manifold)
+    per_config = {
+        c.to_bitstring(): probs[lift_state(c, embedding)] * scale
+        for c in source_manifold.configs
+    }
 
     _print_json(
         {
@@ -145,25 +133,11 @@ def cmd_pt(args) -> int:
     source = load_model(resolve_model_path(args.model))
     source_manifold = enumerate_ground_states(source)
     partition = _partition(args, source_manifold)
-
-    if args.embedding:
-        embedding = load_embedding(
-            resolve_embedding_path(args.embedding), chain_strength=args.jf
-        )
-        embedded = apply_embedding(source, embedding)
-        target = embedded.model
-    else:
-        embedding = None
-        target = source
+    target, embedding = _target(args, source)
 
     setup = PerturbationSetup.from_model(target)
     result = perturbative_probabilities(setup)
-    if embedding is None:
-        folded, _ = fold_ground_probabilities(result.probabilities, setup.manifold)
-    else:
-        folded, _ = project_and_fold(
-            result.probabilities, embedding, source_manifold
-        )
+    folded, _ = project_and_fold(result.probabilities, embedding, source_manifold)
 
     payload = {
         "resolved_order": result.resolved_order,

@@ -3,33 +3,17 @@
 Each logical spin maps to an ordered chain of physical spins bound by
 ferromagnetic couplings of strength +J_F along consecutive pairs. Projection
 back to the logical system is consensus-only: a physical configuration whose
-chain members disagree is reported as BrokenChain and never repaired.
+chain members disagree projects to None and is never repaired.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from .errors import EmbeddingError
 from .model import IsingModel, SpinConfiguration, enumerate_ground_states
-
-
-class BrokenChain:
-    """Marker for a physical configuration whose chains disagree internally."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "BrokenChain"
-
-
-BROKEN_CHAIN = BrokenChain()
 
 
 @dataclass(frozen=True)
@@ -61,9 +45,9 @@ class Embedding:
             raise EmbeddingError(
                 f"expected {self.num_logical} chains, got {len(chains)}"
             )
-        if self.chain_strength <= 0.0:
+        if not 0.0 < self.chain_strength < math.inf:
             raise EmbeddingError(
-                f"chain strength must be positive, got {self.chain_strength}"
+                f"chain strength must be positive and finite, got {self.chain_strength}"
             )
         flattened = [p for chain in chains for p in chain]
         if any(len(chain) == 0 for chain in chains):
@@ -171,11 +155,11 @@ def lift_state(config: SpinConfiguration, embedding: Embedding) -> SpinConfigura
 
 def project_state(
     config: SpinConfiguration, embedding: Embedding
-) -> SpinConfiguration | BrokenChain:
+) -> SpinConfiguration | None:
     """Consensus projection of a physical configuration onto the logical system.
 
-    Returns BROKEN_CHAIN when any chain's members disagree; broken states are
-    never repaired or re-attributed.
+    Returns None when any chain's members disagree; broken states are never
+    repaired or re-attributed.
     """
     if config.num_spins != embedding.num_physical:
         raise ValueError("configuration does not match the embedding")
@@ -184,7 +168,7 @@ def project_state(
         first = (config.bits >> chain[0]) & 1
         for p in chain[1:]:
             if (config.bits >> p) & 1 != first:
-                return BROKEN_CHAIN
+                return None
         bits |= first << i
     return SpinConfiguration(bits, embedding.num_logical)
 
@@ -223,8 +207,8 @@ def verify_embedding(embedded: EmbeddedModel) -> EmbeddingReport:
     projected = [
         project_state(c, embedded.embedding) for c in embedded_manifold.configs
     ]
-    unbroken = all(p is not BROKEN_CHAIN for p in projected)
-    intact = [p for p in projected if p is not BROKEN_CHAIN]
+    unbroken = all(p is not None for p in projected)
+    intact = [p for p in projected if p is not None]
     bijective = (
         unbroken
         and len(set(intact)) == len(intact)
@@ -253,9 +237,9 @@ def embedding_from_dict(data: dict, chain_strength: float | None = None) -> Embe
             file_strength, (int, float)
         ):
             raise ValueError("chain_strength in file must be a number or null")
-        if file_strength <= 0:
+        if not 0 < file_strength < math.inf:
             raise EmbeddingError(
-                f"chain_strength in file must be positive, got {file_strength}"
+                f"chain_strength in file must be positive and finite, got {file_strength}"
             )
     if chain_strength is None:
         if file_strength is None:

@@ -42,12 +42,12 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import IntegrationAccuracyError, ModelTooLargeError
-from .model import MAX_SPINS, IsingModel, SpinConfiguration, energy_table
+from .model import MAX_SPINS, IsingModel, ProbabilityVector, energy_table
 
 # Maximum tolerated norm drift |1 - norm^2| and step-doubling error estimate
 # of the final probabilities.
@@ -118,14 +118,15 @@ class AnnealSchedule:
 class EvolutionResult:
     """Final-time measurement distribution of one annealing run.
 
-    ``final_probabilities`` is renormalized; ``norm_squared`` is the raw
+    ``final_probabilities`` is renormalized, a read-only mapping over the
+    bits-indexed array ``final_probabilities.vector``; ``norm_squared`` is the raw
     squared norm before renormalization and ``norm_drift`` = |1 - norm_squared|.
     ``error_estimate`` is the step-doubling estimate of the largest error in
     ``final_probabilities`` (infinite for a single step of nonzero length,
     which has no coarser run to compare with).
     """
 
-    final_probabilities: Mapping[SpinConfiguration, float]
+    final_probabilities: ProbabilityVector
     norm_drift: float
     tau: float
     steps: int
@@ -331,12 +332,9 @@ def evolve_many(
 
     results = []
     for p, n2, est in zip(probs, norm_sq, estimates):
-        mapping = {
-            SpinConfiguration(c, num_spins): float(x) for c, x in enumerate(p)
-        }
         results.append(
             EvolutionResult(
-                final_probabilities=mapping,
+                final_probabilities=ProbabilityVector(p),
                 norm_drift=float(abs(1.0 - n2)),
                 tau=schedule.tau,
                 steps=schedule.steps,
@@ -365,9 +363,10 @@ def convergence_check(model: IsingModel, schedule: AnnealSchedule) -> Convergenc
     base = evolve_many((model,), schedule, enforce_drift=False)[0]
     doubled_schedule = AnnealSchedule(tau=schedule.tau, steps=2 * schedule.steps)
     doubled = evolve_many((model,), doubled_schedule, enforce_drift=False)[0]
-    diff = max(
-        abs(base.final_probabilities[c] - doubled.final_probabilities[c])
-        for c in base.final_probabilities
+    diff = float(
+        np.abs(
+            base.final_probabilities.vector - doubled.final_probabilities.vector
+        ).max()
     )
     flagged = not math.isfinite(diff) or diff > 1e-6
     return ConvergenceReport(

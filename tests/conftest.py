@@ -44,6 +44,37 @@ def brute_ground_bits(model: qf.IsingModel) -> tuple[float, list[int]]:
     return e0, [b for b, e in enumerate(energies) if e <= e0 + 1e-12 * max(1.0, abs(e0))]
 
 
+def consensus_project_and_fold(probabilities, chains, manifold):
+    """Independent fold oracle: project every entry by chain consensus.
+
+    Walks all entries of ``probabilities`` in their own order, projecting
+    each configuration onto the logical system (members of every chain must
+    agree, else the entry is a broken chain) and keeping those that land in
+    ``manifold``. Returns the inversion-folded ground classes and
+    1 - (ground weight summed in entry order).
+    """
+    num_logical = len(chains)
+    logical = {}
+    ground_weight = 0.0
+    for config, p in probabilities.items():
+        bits = 0
+        for i, chain in enumerate(chains):
+            values = {(config.bits >> q) & 1 for q in chain}
+            if len(values) != 1:
+                break
+            bits |= values.pop() << i
+        else:
+            projected = qf.SpinConfiguration(bits, num_logical)
+            if projected in manifold.configs:
+                logical[projected] = logical.get(projected, 0.0) + p
+                ground_weight += p
+    folded = {}
+    for config, p in logical.items():
+        rep = min(config, config.inverted())
+        folded[rep] = folded.get(rep, 0.0) + p
+    return folded, 1.0 - ground_weight
+
+
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _ID = np.eye(2)

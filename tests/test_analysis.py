@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.errors import UndefinedRatioError
 
-from conftest import FIXTURE_MODELS
+from conftest import FIXTURE_MODELS, consensus_project_and_fold
 
 
 def cfg(bits, n):
@@ -49,6 +52,102 @@ def test_project_and_fold_uniform(toy_manifold, embedded_models):
     assert excited == pytest.approx(58.0 / 64.0)
 
 
+def test_fold_rejects_distribution_of_other_size(toy_manifold, embedded_models):
+    logical = qf.ProbabilityVector([1.0 / 32.0] * 32)
+    physical = qf.ProbabilityVector([1.0 / 64.0] * 64)
+    with pytest.raises(ValueError, match="does not match"):
+        qf.project_and_fold(logical, embedded_models[1.0].embedding, toy_manifold)
+    with pytest.raises(ValueError, match="does not match"):
+        qf.fold_ground_probabilities(physical, toy_manifold)
+
+
+@st.composite
+def embedded_instances(draw):
+    """A random model with N <= 4 and a chain embedding of it.
+
+    Chains have 1-3 members drawn from a random permutation of the physical
+    spins, so lifting is not monotone in bits.
+    """
+    n = draw(st.integers(1, 4))
+    couplings = tuple(
+        (i, j, draw(st.sampled_from((-1.0, 1.0))))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    )
+    fields = tuple(draw(st.sampled_from((-1.0, 0.0, 0.0, 1.0))) for _ in range(n))
+    model = qf.IsingModel(n, couplings, fields)
+    lengths = [draw(st.integers(1, 3)) for _ in range(n)]
+    order = draw(st.permutations(range(sum(lengths))))
+    chains = tuple(
+        tuple(order[sum(lengths[:i]) : sum(lengths[: i + 1])]) for i in range(n)
+    )
+    assignment = tuple(
+        ((i, j), (draw(st.sampled_from(chains[i])), draw(st.sampled_from(chains[j]))))
+        for i, j, _ in couplings
+    )
+    return model, qf.Embedding(n, chains, 1.0, assignment)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_instances(), SEEDS)
+def test_fold_matches_consensus_oracle_on_vectors(instance, seed):
+    model, embedding = instance
+    manifold = qf.enumerate_ground_states(model)
+    rng = np.random.default_rng(seed)
+    physical = rng.random(1 << embedding.num_physical)
+    probs = qf.ProbabilityVector(physical / physical.sum())
+    assert qf.project_and_fold(probs, embedding, manifold) == (
+        consensus_project_and_fold(probs, embedding.chains, manifold)
+    )
+    logical = rng.random(1 << model.num_spins)
+    probs = qf.ProbabilityVector(logical / logical.sum())
+    identity = tuple((i,) for i in range(model.num_spins))
+    assert qf.fold_ground_probabilities(probs, manifold) == (
+        consensus_project_and_fold(probs, identity, manifold)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_instances(), SEEDS)
+def test_fold_matches_consensus_oracle_on_sparse_dicts(instance, seed):
+    model, embedding = instance
+    manifold = qf.enumerate_ground_states(model)
+    rng = np.random.default_rng(seed)
+    m = embedding.num_physical
+    ground = [qf.lift_state(g, embedding).bits for g in manifold.configs]
+    # a random part of the lifted manifold, each of its configs with one
+    # member of every long chain flipped (a broken chain), and random others
+    keys = {b for b in ground if rng.random() < 0.7}
+    keys |= {
+        b ^ (1 << chain[0]) for b in ground for chain in embedding.chains if len(chain) > 1
+    }
+    keys |= set(rng.integers(0, 1 << m, size=6).tolist())
+    probs = {qf.SpinConfiguration(b, m): float(rng.random()) for b in sorted(keys)}
+    if any(len(chain) > 1 for chain in embedding.chains):
+        assert any(qf.project_state(c, embedding) is None for c in probs)
+    assert qf.project_and_fold(probs, embedding, manifold) == (
+        consensus_project_and_fold(probs, embedding.chains, manifold)
+    )
+
+
+def test_probability_vector_view():
+    probs = qf.ProbabilityVector([0.1, 0.2, 0.3, 0.4])
+    assert probs.num_spins == 2 and len(probs) == 4
+    assert probs[cfg(2, 2)] == 0.3
+    assert list(probs) == [cfg(b, 2) for b in range(4)]
+    assert cfg(0, 3) not in probs
+    with pytest.raises(KeyError):
+        probs[cfg(0, 1)]
+    with pytest.raises(ValueError):
+        probs.vector[0] = 1.0
+    with pytest.raises(ValueError):
+        qf.ProbabilityVector([0.5, 0.25, 0.25])
+
+
 # ------------------------------------------------------------- partition
 
 
@@ -56,6 +155,14 @@ def test_partition_from_indices_defaults(toy_manifold):
     partition = qf.default_partition(toy_manifold)
     assert [c.bits for c in partition.s_set] == [0]
     assert [c.bits for c in partition.c_set] == [3, 12]
+
+
+@pytest.mark.parametrize("index", [3, -1, True, 1.0])
+def test_partition_rejects_bad_class_index(toy_manifold, index):
+    with pytest.raises(ValueError, match=f"class index {index!r}"):
+        qf.FairnessPartition.from_class_indices(toy_manifold, (index,))
+    with pytest.raises(ValueError, match=f"class index {index!r}"):
+        qf.FairnessPartition.from_class_indices(toy_manifold, (0,), (index,))
 
 
 def test_partition_validation(toy_manifold):

@@ -50,6 +50,34 @@ def test_solve_missing_file(capsys, tmp_path):
     assert err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"num_spins": true, "couplings": []}',
+        '{"num_spins": 2, "couplings": [[0.5, 1, 1.0]]}',
+        '{"num_spins": 2, "couplings": [[0, 1, NaN]]}',
+        '{"num_spins": 2, "couplings": [[0, 1, 1e400]]}',
+        '{"num_spins": 2, "couplings": [[0, 1, 1.0]], "fields": [NaN, 0.0]}',
+        '{"num_spins": 2, "couplings": [[0, 1, 1.0]], "fields": [1e400, 0.0]}',
+    ],
+    ids=[
+        "bool-num-spins",
+        "fractional-index",
+        "nan-coupling",
+        "overflow-coupling",
+        "nan-field",
+        "overflow-field",
+    ],
+)
+def test_solve_rejects_invalid_model_values(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert "must be" in err
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["solve", "matsuda5", "--nope"])
@@ -202,6 +230,16 @@ def test_pt_custom_partition(capsys):
     assert payload["ratio_PS_PC"] == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "partition", [("--s-set", "5"), ("--s-set", "-1", "--c-set", "0")]
+)
+def test_pt_rejects_class_index_out_of_range(capsys, partition):
+    code, out, err = run(capsys, "pt", "matsuda5", *partition)
+    assert code == 2
+    assert out == ""
+    assert f"class index {partition[1]} is outside 0..2" in err
+
+
 def test_pt_deterministic_output(capsys):
     _, first, _ = run(capsys, "pt", "matsuda5", "--dump-matrix")
     _, second, _ = run(capsys, "pt", "matsuda5", "--dump-matrix")
@@ -221,6 +259,14 @@ def test_embed_subcommand(capsys):
     assert len(payload["model"]["couplings"]) == 9
     assert payload["report"]["bijective"] is True
     assert payload["report"]["embedded_energy"] == -5.0
+
+
+@pytest.mark.parametrize("jf", ["nan", "inf"])
+def test_embed_rejects_non_finite_chain_strength(capsys, jf):
+    code, out, err = run(capsys, "embed", "matsuda5", "matsuda5_embedded", "--jf", jf)
+    assert code == 2
+    assert out == ""
+    assert "chain strength must be positive and finite" in err
 
 
 # ---------------------------------------------------------------- reproduce

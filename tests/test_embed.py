@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import qa_fairsample as qf
-from qa_fairsample.embed import BROKEN_CHAIN
 from qa_fairsample.errors import EmbeddingError
 
 
@@ -68,12 +67,7 @@ def test_project_intact_and_broken_chain(toy_template):
     # all six physical spins up -> all five logical spins up
     assert qf.project_state(cfg(0b111111, 6), toy_template) == cfg(0b11111, 5)
     # last chain member flipped -> broken
-    assert qf.project_state(cfg(0b011111, 6), toy_template) is BROKEN_CHAIN
-
-
-def test_broken_chain_is_a_singleton():
-    assert qf.BrokenChain() is BROKEN_CHAIN
-    assert repr(BROKEN_CHAIN) == "BrokenChain"
+    assert qf.project_state(cfg(0b011111, 6), toy_template) is None
 
 
 @pytest.mark.parametrize("jf", [0.5, 1.0, 1.5])
@@ -83,7 +77,7 @@ def test_projection_bijective_on_manifold(toy_source, toy_template, jf):
     source_manifold = qf.enumerate_ground_states(toy_source)
     embedded_manifold = qf.enumerate_ground_states(embedded.model)
     projected = [qf.project_state(c, embedding) for c in embedded_manifold.configs]
-    assert BROKEN_CHAIN not in projected
+    assert None not in projected
     assert len(set(projected)) == len(projected)
     assert set(projected) == set(source_manifold.configs)
 
@@ -161,6 +155,9 @@ def test_embedding_structural_validation(toy_template):
         toy_template.with_chain_strength(-1.0)
     with pytest.raises(EmbeddingError):
         toy_template.with_chain_strength(0.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(EmbeddingError):
+            toy_template.with_chain_strength(value)
     with pytest.raises(EmbeddingError):
         qf.Embedding(2, ((0,), (2,)), 1.0, ())  # gap in physical indices
     with pytest.raises(EmbeddingError):

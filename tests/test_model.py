@@ -145,6 +145,13 @@ def test_coupling_validation():
         qf.IsingModel(3, ((0, 3, 1.0),))
     with pytest.raises(ValueError):
         qf.IsingModel(3, ((0, 1, 1.0), (0, 1, -1.0)))
+    for bad in ((0.5, 1, 1.0), (0, True, 1.0), (0, 1, float("nan")), (0, 1, "1")):
+        with pytest.raises(ValueError):
+            qf.IsingModel(3, (bad,))
+    with pytest.raises(ValueError):
+        qf.IsingModel(True, ())
+    with pytest.raises(ValueError):
+        qf.IsingModel(2, (), fields=(float("inf"), 0.0))
 
 
 def test_fields_length_validation():
@@ -181,35 +188,6 @@ def test_hamming_distance_examples():
 def test_hamming_distance_size_mismatch():
     with pytest.raises(ValueError):
         qf.hamming_distance(cfg(0, 2), cfg(0, 3))
-
-
-# ----------------------------------------------------------- adjacency
-
-
-def test_ground_connectivity_two_spin():
-    manifold = qf.enumerate_ground_states(qf.IsingModel(2, ((0, 1, 1.0),)))
-    assert qf.ground_connectivity(manifold, 1) == {}
-    adj = qf.ground_connectivity(manifold, 2)
-    assert adj[cfg(0, 2)] == (cfg(3, 2),)
-    assert adj[cfg(3, 2)] == (cfg(0, 2),)
-
-
-def test_ground_connectivity_embedded_distance_one_empty(embedded_models):
-    manifold = qf.enumerate_ground_states(embedded_models[1.0].model)
-    assert qf.ground_connectivity(manifold, 1) == {}
-
-
-def test_ground_connectivity_source_distance_one(toy_manifold):
-    adj = qf.ground_connectivity(toy_manifold, 1)
-    pairs = {
-        tuple(sorted((a.bits, b.bits))) for a, nbrs in adj.items() for b in nbrs
-    }
-    assert pairs == {(3, 19), (12, 28)}
-
-
-def test_ground_connectivity_rejects_bad_distance(toy_manifold):
-    with pytest.raises(ValueError):
-        qf.ground_connectivity(toy_manifold, 3)
 
 
 # ----------------------------------------------------------------- I/O

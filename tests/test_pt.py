@@ -49,10 +49,15 @@ def test_first_order_source_nonzero(toy_source):
     assert np.abs(qf.first_order_matrix(setup).entries).max() == 1.0
 
 
-def test_driver_element(toy_source):
-    setup = setup_for(toy_source)
-    assert setup.driver_element(cfg(31, 5), cfg(30, 5)) == -1.0
-    assert setup.driver_element(cfg(31, 5), cfg(28, 5)) == 0.0
+def test_first_order_source_single_flip_pairs(toy_source):
+    m = qf.first_order_matrix(setup_for(toy_source))
+    pairs = {
+        (ca.bits, cb.bits)
+        for a, ca in enumerate(m.basis)
+        for b, cb in enumerate(m.basis)
+        if a < b and m.entries[a, b] == -1.0
+    }
+    assert pairs == {(3, 19), (12, 28)}
 
 
 # ---------------------------------------------------------- second order
