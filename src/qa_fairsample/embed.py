@@ -13,7 +13,15 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from .errors import EmbeddingError
-from .model import IsingModel, SpinConfiguration, enumerate_ground_states
+from .model import IsingModel, SpinConfiguration, _integer, enumerate_ground_states
+
+
+def _index(value, what: str) -> int:
+    """An integer that is not a bool; anything else is an EmbeddingError."""
+    try:
+        return _integer(value, what)
+    except ValueError as exc:
+        raise EmbeddingError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -32,10 +40,14 @@ class Embedding:
     coupling_assignment: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def __post_init__(self):
-        chains = tuple(tuple(int(p) for p in chain) for chain in self.chains)
+        object.__setattr__(self, "num_logical", _index(self.num_logical, "num_logical"))
+        chains = tuple(
+            tuple(_index(p, "chain member") for p in chain) for chain in self.chains
+        )
         object.__setattr__(self, "chains", chains)
+        what = "coupling assignment index"
         assignment = tuple(
-            ((int(i), int(j)), (int(p), int(q)))
+            ((_index(i, what), _index(j, what)), (_index(p, what), _index(q, what)))
             for (i, j), (p, q) in self.coupling_assignment
         )
         object.__setattr__(self, "coupling_assignment", assignment)

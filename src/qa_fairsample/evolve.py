@@ -24,6 +24,17 @@ each amplitude by its configuration energy, and the driver term adds the
 amplitudes of all single-spin-flip neighbors through reshaped views of the
 state.
 
+Without fields every energy table is inversion symmetric, E(c) == E(~c).
+H(s) then commutes with the global spin flip and the uniform start state is
+flip symmetric, so psi(c) == psi(~c) at every step. When every row of a
+batch has such a table, only the half of the state with bit N-1 clear is
+integrated. Spin N-1's flip reads that half reversed, and the final weights
+are rebuilt from it and its mirror image. Each kept amplitude goes through
+the same floating-point operations in the same order as in the full space,
+each row's Taylor stopping test reads the same largest term, and the norm
+sums run over the rebuilt rows, so results are bitwise identical to
+integrating all 2^N amplitudes at half the memory and kernel work.
+
 A unitary step keeps the norm whatever its error, so the accuracy guard is
 step doubling: every run also integrates at half the step count, and the
 change in the final probabilities, divided by the fourth-order Richardson
@@ -175,18 +186,29 @@ class _Kernel:
     built once. The flip sum accumulates by plain elementwise adds in fixed
     spin order, which keeps the floating-point order identical for every
     batch width, as a reduction over a gathered axis would not.
+
+    With ``half`` the buffers hold only the inversion-symmetric sector: the
+    2^(N-1) amplitudes with bit N-1 clear of a state with psi(c) == psi(~c).
+    Spins 0..N-2 flip within that half as above, and spin N-1's flip is the
+    reversed half, since psi(c ^ 2^(N-1)) = psi(~c ^ 2^(N-1)) =
+    half[2^(N-1) - 1 - c]. It is added last, so each kept amplitude sees
+    the same operations in the same order as in the full space.
     """
 
-    def __init__(self, rows: int, num_spins: int):
-        dim = 1 << num_spins
+    def __init__(self, rows: int, num_spins: int, half: bool = False):
+        self.num_spins = num_spins
+        sector = num_spins - 1 if half else num_spins
+        dim = 1 << sector
         self.state = np.empty((rows, dim), dtype=np.complex128)
         self._flips = np.empty_like(self.state)
         self._views = []
-        for i in range(num_spins):
+        for i in range(sector):
             shape = (rows, dim >> (i + 1), 2, 1 << i)
             self._views.append(
                 (self._flips.reshape(shape), self.state.reshape(shape)[:, :, ::-1, :])
             )
+        if half:
+            self._views.append((self._flips, self.state[:, ::-1]))
 
     def apply(self, diag: np.ndarray, drive) -> None:
         """state <- diag * state - drive * sum_i X_i state, row by row.
@@ -241,8 +263,7 @@ def _exp_step(
     the largest real or imaginary part of its own latest term is below
     TAYLOR_TOL; rows that have stopped keep their sum unchanged.
     """
-    num_spins = psi.shape[1].bit_length() - 1
-    bound = (1.0 - s) * num_spins + s * emax
+    bound = (1.0 - s) * kernel.num_spins + s * emax
     substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
     h_sub = (h / substeps)[:, None]
     diag = (s * tables) * h_sub
@@ -264,14 +285,19 @@ def _cfm4_weights(tables: np.ndarray, tau: float, steps: int) -> np.ndarray:
     """|psi|^2 rows after integrating a batch of diagonal tables with CFM4.
 
     The schedule values s_a, s_b of a step lie inside it, at t/tau plus 1/6
-    and 5/6 of dt/tau, so 0 <= s <= 1 throughout.
+    and 5/6 of dt/tau, so 0 <= s <= 1 throughout. When every table equals
+    its reverse (no fields), only the half with bit N-1 clear is integrated
+    and each row is rebuilt from it and its mirror image.
     """
     rows, dim = tables.shape
     num_spins = dim.bit_length() - 1
-    psi = np.tile(initial_state(num_spins), (rows, 1))
+    half = np.array_equal(tables, tables[:, ::-1])
+    if half:
+        tables = tables[:, : dim // 2]
+    psi = np.tile(initial_state(num_spins)[: tables.shape[1]], (rows, 1))
     dt = tau / steps
     if dt > 0.0:
-        kernel = _Kernel(rows, num_spins)
+        kernel = _Kernel(rows, num_spins, half)
         emax = np.abs(tables).max(axis=1)
         for k in range(steps):
             s1 = (k * dt + _NODES[0] * dt) / tau
@@ -280,7 +306,8 @@ def _cfm4_weights(tables: np.ndarray, tau: float, steps: int) -> np.ndarray:
             s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
             _exp_step(kernel, psi, tables, s_a, 0.5 * dt, emax)
             _exp_step(kernel, psi, tables, s_b, 0.5 * dt, emax)
-    return np.abs(psi) ** 2
+    weights = np.abs(psi) ** 2
+    return np.concatenate([weights, weights[:, ::-1]], axis=1) if half else weights
 
 
 def _final_weights(tables: np.ndarray, tau: float, steps: int) -> np.ndarray:

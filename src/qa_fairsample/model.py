@@ -218,9 +218,6 @@ class GroundManifold:
     def bits_set(self) -> frozenset[int]:
         return frozenset(c.bits for c in self.configs)
 
-    def __contains__(self, config: SpinConfiguration) -> bool:
-        return config in self.configs
-
 
 def energy(model: IsingModel, config: SpinConfiguration) -> float:
     """Energy -sum_ij J_ij s_i s_j - sum_i h_i s_i of one configuration."""

@@ -3,16 +3,21 @@
 The expensive tau=1000 integrations run once per session and are reused by
 the acceptance tests. Oracle helpers here deliberately avoid the package's
 own vectorized code paths: energies come from a plain Python loop and dense
-Hamiltonians from Kronecker products.
+Hamiltonians from Kronecker products. A full-width copy of the CFM4
+integrator, which never uses inversion symmetry, lets the package's
+half-space results be compared with it bit for bit.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
 
 import qa_fairsample as qf
 from qa_fairsample.data import toy_embedding_path, toy_source_path
+from qa_fairsample.evolve import _ALPHA1, _ALPHA2, _NODES, THETA, TAYLOR_TOL
 
 STANDARD_JFS = (0.5, 1.0, 1.5)
 
@@ -144,6 +149,78 @@ def dense_anneal_probabilities(model: qf.IsingModel, tau: float, steps: int) -> 
     coarse = _midpoint_probabilities(model, tau, steps)
     fine = _midpoint_probabilities(model, tau, 2 * steps)
     return (4.0 * fine - coarse) / 3.0
+
+
+class FullSpaceKernel:
+    """The full-width flip-sum kernel: one reshape view per spin, spin order 0..N-1."""
+
+    def __init__(self, rows: int, num_spins: int):
+        dim = 1 << num_spins
+        self.state = np.empty((rows, dim), dtype=np.complex128)
+        self._flips = np.empty_like(self.state)
+        self._views = []
+        for i in range(num_spins):
+            shape = (rows, dim >> (i + 1), 2, 1 << i)
+            self._views.append(
+                (self._flips.reshape(shape), self.state.reshape(shape)[:, :, ::-1, :])
+            )
+
+    def apply(self, diag: np.ndarray, drive) -> None:
+        (out, flipped), *rest = self._views
+        np.copyto(out, flipped)
+        for out, flipped in rest:
+            np.add(out, flipped, out=out)
+        np.multiply(self.state, diag, out=self.state)
+        np.multiply(self._flips, drive, out=self._flips)
+        np.subtract(self.state, self._flips, out=self.state)
+
+
+def _full_space_exp_step(kernel, psi, tables, s, h, emax) -> None:
+    num_spins = psi.shape[1].bit_length() - 1
+    bound = (1.0 - s) * num_spins + s * emax
+    substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
+    h_sub = (h / substeps)[:, None]
+    diag = (s * tables) * h_sub
+    drive = (1.0 - s) * h_sub
+    term = kernel.state
+    for j in range(int(substeps.max())):
+        active = substeps > j
+        np.copyto(term, psi)
+        k = 0
+        while active.any():
+            k += 1
+            kernel.apply(diag, drive)
+            np.multiply(term, -1j / k, out=term)
+            np.add(psi, term, out=psi, where=active[:, None])
+            active &= np.abs(term.view(np.float64)).max(axis=1) >= TAYLOR_TOL
+
+
+def full_space_cfm4_weights(tables: np.ndarray, tau: float, steps: int) -> np.ndarray:
+    """Drop-in oracle for ``evolve._cfm4_weights`` that always integrates all 2^N amplitudes."""
+    rows, dim = tables.shape
+    num_spins = dim.bit_length() - 1
+    psi = np.tile(qf.initial_state(num_spins), (rows, 1))
+    dt = tau / steps
+    if dt > 0.0:
+        kernel = FullSpaceKernel(rows, num_spins)
+        emax = np.abs(tables).max(axis=1)
+        for k in range(steps):
+            s1 = (k * dt + _NODES[0] * dt) / tau
+            s2 = (k * dt + _NODES[1] * dt) / tau
+            s_a = 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2)
+            s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
+            _full_space_exp_step(kernel, psi, tables, s_a, 0.5 * dt, emax)
+            _full_space_exp_step(kernel, psi, tables, s_b, 0.5 * dt, emax)
+    return np.abs(psi) ** 2
+
+
+def full_space_evolve_many(models, schedule) -> list[qf.EvolutionResult]:
+    """``evolve_many`` without the accuracy guard, run on the full-space oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        # qa_fairsample.evolve names the function, so fetch the module itself
+        module = importlib.import_module("qa_fairsample.evolve")
+        patch.setattr(module, "_cfm4_weights", full_space_cfm4_weights)
+        return qf.evolve_many(models, schedule, enforce_drift=False)
 
 
 @pytest.fixture(scope="session")

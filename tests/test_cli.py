@@ -269,6 +269,31 @@ def test_embed_rejects_non_finite_chain_strength(capsys, jf):
     assert "chain strength must be positive and finite" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("chains", [[0], [1], [2], [3], [4, 5.7]]),
+        ("chains", [[0], [1], [2], [3], [4, 5.0]]),
+        ("num_logical", True),
+        ("coupling_assignment", [[[0, 1], [0, 1.5]]]),
+    ],
+)
+@pytest.mark.parametrize("command", ["embed", "anneal"])
+def test_embedding_file_non_integer_index_exits_2(capsys, tmp_path, command, key, value):
+    data = json.loads(toy_embedding_path().read_text())
+    data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    if command == "embed":
+        argv = ("embed", "matsuda5", str(bad), "--jf", "1.0")
+    else:
+        argv = ("anneal", "matsuda5", "--embedding", str(bad), "--jf", "1.0", "--tau", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be an integer" in err
+
+
 # ---------------------------------------------------------------- reproduce
 
 

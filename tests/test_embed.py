@@ -173,6 +173,28 @@ def test_embedding_structural_validation(toy_template):
         )  # duplicate assignment
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, ((0,), (1.7,)), 1.0, ()),  # fractional chain member
+        (2, ((0,), (True,)), 1.0, ()),  # bool chain member
+        (True, ((0,),), 1.0, ()),  # bool num_logical
+        (2.0, ((0,), (1,)), 1.0, ()),  # float num_logical
+        (2, ((0,), (1,)), 1.0, (((0, 1.0), (0, 1)),)),  # float logical index
+        (2, ((0,), (1,)), 1.0, (((0, 1), (False, 1)),)),  # bool physical index
+    ],
+)
+def test_embedding_rejects_non_integer_indices(args):
+    with pytest.raises(EmbeddingError, match="must be an integer"):
+        qf.Embedding(*args)
+
+
+def test_embedding_keeps_integer_indices_as_int():
+    embedding = qf.Embedding(np.int64(2), ((np.int64(1),), (0,)), 1, ())
+    assert type(embedding.num_logical) is int
+    assert type(embedding.chains[0][0]) is int
+
+
 def test_load_embedding_placeholder(tmp_path):
     from qa_fairsample.data import toy_embedding_path
 

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.errors import IntegrationAccuracyError, ModelTooLargeError
 
-from conftest import dense_anneal_probabilities, dense_annealing_hamiltonian
+from conftest import (
+    dense_anneal_probabilities,
+    dense_annealing_hamiltonian,
+    full_space_evolve_many,
+)
 
 
 def cfg(bits, n):
@@ -282,6 +288,24 @@ def test_inversion_symmetry_of_probabilities(toy_source):
         assert abs(p - p_flip) <= 1e-8
 
 
+def test_zero_field_probabilities_exactly_inversion_symmetric(
+    toy_source, embedded_models
+):
+    rng = np.random.default_rng(11)
+    couplings = tuple(
+        (i, j, float(rng.choice((-1.0, 1.0))))
+        for i in range(11)
+        for j in range(i + 1, 11)
+        if rng.random() < 0.3
+    )
+    random11 = qf.IsingModel(11, couplings)
+    schedule = qf.AnnealSchedule.for_tau(3.0)
+    for model in (toy_source, embedded_models[1.0].model, random11):
+        (result,) = qf.evolve_many((model,), schedule, enforce_drift=False)
+        vector = result.final_probabilities.vector
+        assert (vector == vector[::-1]).all()
+
+
 def test_probabilities_renormalized(toy_source):
     result = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(5.0))
     assert sum(result.final_probabilities.values()) == pytest.approx(1.0, abs=1e-12)
@@ -363,3 +387,72 @@ def test_runs_are_deterministic(toy_source):
     second = qf.evolve(toy_source, schedule)
     assert first.final_probabilities == second.final_probabilities
     assert first.norm_drift == second.norm_drift
+
+
+# ------------------------------------------------ half-space sector
+
+
+def _assert_bitwise_equal(results, oracle):
+    assert len(results) == len(oracle)
+    for got, want in zip(results, oracle):
+        assert (got.final_probabilities.vector == want.final_probabilities.vector).all()
+        assert got.norm_squared == want.norm_squared
+        assert got.norm_drift == want.norm_drift
+        assert got.error_estimate == want.error_estimate
+
+
+@st.composite
+def same_size_batches(draw):
+    """One to three random models of one size N <= 7, each with or without fields."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    values = st.floats(-2.0, 2.0)
+    models = []
+    for _ in range(draw(st.integers(1, 3))):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        couplings = tuple((i, j, draw(values)) for i, j in sorted(chosen))
+        fields = tuple(draw(values) for _ in range(n)) if draw(st.booleans()) else ()
+        models.append(qf.IsingModel(n, couplings, fields))
+    return models
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    same_size_batches(),
+    st.sampled_from((0.0, 0.5, 3.0, 12.0)),
+    st.sampled_from((None, 2)),  # 2 steps: several Taylor substeps per exponential
+)
+def test_half_space_matches_full_space_bitwise(models, tau, steps):
+    schedule = qf.AnnealSchedule.for_tau(tau, steps)
+    results = qf.evolve_many(models, schedule, enforce_drift=False)
+    _assert_bitwise_equal(results, full_space_evolve_many(models, schedule))
+
+
+@pytest.mark.parametrize("fields", [(), (0.0,), (0.5,)])
+def test_single_spin_matches_full_space_bitwise(fields):
+    model = qf.IsingModel(1, (), fields)
+    schedule = qf.AnnealSchedule.for_tau(3.0)
+    results = qf.evolve_many((model,), schedule, enforce_drift=False)
+    _assert_bitwise_equal(results, full_space_evolve_many((model,), schedule))
+
+
+def _mixed_batch(toy_source):
+    fielded = qf.IsingModel(5, toy_source.couplings, (0.5, 0.0, 0.0, -0.25, 0.0))
+    scaled = qf.IsingModel(5, tuple((i, j, 1.5 * J) for i, j, J in toy_source.couplings))
+    return (toy_source, fielded, scaled)
+
+
+@pytest.mark.parametrize("steps", [None, 4])
+def test_mixed_batch_matches_full_space_bitwise(toy_source, steps):
+    models = _mixed_batch(toy_source)
+    schedule = qf.AnnealSchedule.for_tau(12.0, steps)
+    results = qf.evolve_many(models, schedule, enforce_drift=False)
+    _assert_bitwise_equal(results, full_space_evolve_many(models, schedule))
+
+
+def test_chunked_mixed_batch_matches_full_space_bitwise(monkeypatch, toy_source):
+    models = _mixed_batch(toy_source)
+    schedule = qf.AnnealSchedule.for_tau(12.0)
+    oracle = full_space_evolve_many(models, schedule)
+    monkeypatch.setenv("QA_FAIRSAMPLE_THREADS", "1")
+    _assert_bitwise_equal(qf.evolve_many(models, schedule, enforce_drift=False), oracle)
