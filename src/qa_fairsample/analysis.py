@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .embed import Embedding, apply_embedding, lift_state
 from .errors import UndefinedRatioError
 from .evolve import AnnealSchedule, EvolutionResult, accuracy_failure, evolve_many
@@ -27,9 +29,14 @@ from .model import (
     SpinConfiguration,
     energy_table,
     enumerate_ground_states,
-    hamming_distance,
 )
-from .pt import PerturbationSetup, fold_by_inversion, perturbative_probabilities
+from .pt import (
+    PerturbationSetup,
+    config_bits,
+    fold_by_inversion,
+    perturbative_probabilities,
+    second_order_links,
+)
 
 
 def inversion_classes(
@@ -37,7 +44,8 @@ def inversion_classes(
 ) -> tuple[tuple[SpinConfiguration, ...], ...]:
     """Ground configs grouped into inversion classes, ordered by representative.
 
-    The representative of a class is its smallest bits value.
+    The representative of a class is min(c, ~c) for its members c; with
+    fields it can be an inversion outside the manifold.
     """
     groups: dict[SpinConfiguration, list[SpinConfiguration]] = {}
     for c in manifold.configs:
@@ -68,7 +76,8 @@ class FairnessPartition:
         s_indices: Sequence[int],
         c_indices: Sequence[int] | None = None,
     ) -> "FairnessPartition":
-        reps = [group[0] for group in inversion_classes(manifold)]
+        # folding keys a class by min(c, ~c), which need not be a ground state
+        reps = [min(g[0], g[0].inverted()) for g in inversion_classes(manifold)]
 
         def rep(i) -> SpinConfiguration:
             if isinstance(i, bool) or not isinstance(i, numbers.Integral):
@@ -133,10 +142,12 @@ class GapReport:
     """Mean energy gaps of the intermediates mediating second-order connections.
 
     For each ground state g the mediating intermediates are the excited
-    configurations one flip from g and one flip from some other ground state;
-    their gaps E_k - E_0 are exactly the denominators of the second-order
-    effective matrix. States with no mediating intermediate are excluded from
-    the set means and listed.
+    configurations one flip from g and one flip from some other ground state.
+    They are read from ``second_order_links``, the table the second-order
+    effective matrix is built from, so their gaps E_k - E_0 are its
+    denominators by construction. ``per_pair`` lists the gaps of each pair
+    at distance 2 by ascending spin; states with no mediating intermediate
+    are excluded from the set means and listed.
     """
 
     per_state: dict[SpinConfiguration, float]
@@ -152,45 +163,38 @@ def gap_ratio(
 ) -> GapReport:
     if manifold.degeneracy < 2:
         raise ValueError("gap analysis needs a degenerate manifold")
-    table = energy_table(model)
-    e0 = manifold.energy
-    man_bits = manifold.bits_set()
-
-    per_pair: dict[tuple[SpinConfiguration, SpinConfiguration], tuple[float, ...]] = {}
     configs = manifold.configs
-    for a in range(len(configs)):
-        for b in range(a + 1, len(configs)):
-            if hamming_distance(configs[a], configs[b]) != 2:
-                continue
-            gaps = []
-            for i in range(model.num_spins):
-                k = configs[a].bits ^ (1 << i)
-                if k in man_bits:
-                    continue
-                if (k ^ configs[b].bits).bit_count() == 1:
-                    gaps.append(float(table[k] - e0))
-            if gaps:
-                per_pair[(configs[a], configs[b])] = tuple(gaps)
-    if not per_pair:
-        raise ValueError("no second-order connections inside the manifold")
+    d = len(configs)
+    flips, _, neighbours = second_order_links(
+        manifold, config_bits(configs), model.num_spins
+    )
+    gaps = energy_table(model)[flips] - manifold.energy
 
+    # (a, i, b) with a < b: the excited flip i of a is one flip from b, so
+    # a and b differ on spin i and one other
+    a, i, j = np.nonzero(neighbours > np.arange(d)[:, None, None])
+    if not a.size:
+        raise ValueError("no second-order connections inside the manifold")
+    b = neighbours[a, i, j]
+    order = np.lexsort((i, b, a))
+    a, b, i = a[order], b[order], i[order]
+    starts = np.flatnonzero(np.diff(a * d + b, prepend=-1)).tolist()
+    ends = starts[1:] + [len(a)]
+    pair_gaps = gaps[a, i].tolist()
+    a, b = a.tolist(), b.tolist()
+    per_pair: dict[tuple[SpinConfiguration, SpinConfiguration], tuple[float, ...]] = {
+        (configs[a[lo]], configs[b[lo]]): tuple(pair_gaps[lo:hi])
+        for lo, hi in zip(starts, ends)
+    }
+
+    # a flip mediates when it reaches a ground state other than its own
+    mediating = (neighbours >= 0).sum(axis=2) >= 2
     per_state: dict[SpinConfiguration, float] = {}
     excluded = []
-    for g in configs:
-        gaps = []
-        for i in range(model.num_spins):
-            k = g.bits ^ (1 << i)
-            if k in man_bits:
-                continue
-            mediates = any(
-                (k ^ other.bits).bit_count() == 1
-                for other in configs
-                if other.bits != g.bits
-            )
-            if mediates:
-                gaps.append(float(table[k] - e0))
-        if gaps:
-            per_state[g] = sum(gaps) / len(gaps)
+    for g, row, use in zip(configs, gaps.tolist(), mediating.tolist()):
+        state_gaps = [gap for gap, m in zip(row, use) if m]
+        if state_gaps:
+            per_state[g] = sum(state_gaps) / len(state_gaps)
         else:
             excluded.append(g)
 

@@ -237,13 +237,18 @@ def energy_table(model: IsingModel) -> np.ndarray:
     """Energies of all 2^N configurations, indexed by bits value (read-only)."""
     idx = np.arange(1 << model.num_spins, dtype=np.int64)
     table = np.zeros(idx.shape, dtype=np.float64)
+    # J*s_i*s_j is exactly -J where bits i and j differ and J where they
+    # agree. It depends on the low j+1 bits only, so one period of 2^(j+1)
+    # entries is computed and subtracted from every period of the table.
     for i, j, J in model.couplings:
-        si = 2.0 * ((idx >> i) & 1) - 1.0
-        sj = 2.0 * ((idx >> j) & 1) - 1.0
-        table -= J * si * sj
+        low = idx[: 2 << j]
+        periods = table.reshape(-1, low.size)
+        periods -= np.where(((low >> i) ^ (low >> j)) & 1, -J, J)
     for i, h in enumerate(model.fields):
         if h:
-            table -= h * (2.0 * ((idx >> i) & 1) - 1.0)
+            low = idx[: 2 << i]
+            periods = table.reshape(-1, low.size)
+            periods -= np.where((low >> i) & 1, h, -h)
     table.setflags(write=False)
     return table
 

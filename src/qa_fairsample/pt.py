@@ -12,6 +12,12 @@ decides the outcome, where k runs over excited configurations one flip away
 from both m and n. Asymptotic sampling probabilities are the squared
 components of the eigenvector for the minimal eigenvalue of the effective
 matrix in the resolved subspace.
+
+Both effective matrices are built with array operations on bits values.
+The intermediates k of W come from one table, ``second_order_links``, which
+the gap analysis reads too, so the gaps it reports are the denominators of W
+by construction. Every entry is summed in the order of the per-config sum
+(intermediates by ascending spin), so results are bitwise those of that sum.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .model import (
     SpinConfiguration,
     energy_table,
     enumerate_ground_states,
-    hamming_distance,
     load_model,
 )
 
@@ -72,15 +77,48 @@ class PTResult:
     folded_probabilities: dict[SpinConfiguration, float]
 
 
+def config_bits(configs: Sequence[SpinConfiguration]) -> np.ndarray:
+    """Bits values of configurations as an int64 array, in the given order."""
+    return np.fromiter((c.bits for c in configs), dtype=np.int64, count=len(configs))
+
+
+def _index_in(sorted_bits: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Position of each bits value in an ascending array, -1 where absent."""
+    pos = np.searchsorted(sorted_bits, bits)
+    return np.where(np.take(sorted_bits, pos, mode="clip") == bits, pos, -1)
+
+
+def second_order_links(
+    manifold: GroundManifold, basis: np.ndarray, num_spins: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The second-order intermediates of a basis, as arrays.
+
+    ``basis`` holds distinct ground-manifold bits values in ascending order.
+    Returns ``(flips, excited, neighbours)``:
+
+    - ``flips[a, i] = basis[a] ^ 2^i``, shape (d, N);
+    - ``excited[a, i]`` is true when that flip lies outside the manifold;
+    - ``neighbours[a, i, j]`` is the basis index of ``flips[a, i] ^ 2^j``,
+      or -1 when that config is not in the basis or the flip is not excited;
+      shape (d, N, N). ``neighbours[a, i, i] == a`` for every excited flip.
+
+    An excited flip k links a to b exactly when b is among its neighbours,
+    and then <a|V|k><k|V|b> = (-1)(-1) = 1. Memory is O(d*N^2).
+    """
+    spins = 1 << np.arange(num_spins, dtype=np.int64)
+    flips = basis[:, None] ^ spins
+    excited = _index_in(config_bits(manifold.configs), flips) < 0
+    neighbours = _index_in(basis, flips[:, :, None] ^ spins)
+    neighbours[~excited] = -1
+    return flips, excited, neighbours
+
+
 def first_order_matrix(setup: PerturbationSetup) -> EffectiveMatrix:
     """P1 V P1: entry (m, n) is -1 iff the configs differ by one flip, else 0."""
     configs = setup.manifold.configs
-    d = len(configs)
-    entries = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a + 1, d):
-            if hamming_distance(configs[a], configs[b]) == 1:
-                entries[a, b] = entries[b, a] = -1.0
+    bits = config_bits(configs)
+    x = bits[:, None] ^ bits
+    entries = np.where((x != 0) & ((x & (x - 1)) == 0), -1.0, 0.0)
     entries.setflags(write=False)
     return EffectiveMatrix(order=1, basis=configs, entries=entries)
 
@@ -92,30 +130,37 @@ def second_order_matrix(
     """P2 W P2 over the given configs (defaults to the whole manifold).
 
     Intermediates k are excluded from the manifold by the Q projector, so
-    every denominator E_0 - E_k is strictly negative; only configs one flip
-    from both endpoints contribute, which keeps the sum at O(d*N) terms.
+    every denominator E_0 - E_k is strictly negative. Only the N flips of
+    each basis config can contribute, so W is built from the (d, N) table of
+    ``second_order_links``: one reciprocal per excited flip, added into W in
+    the order of the per-config sum, which gives bitwise the same entries.
+    Repeated or unsorted subspace configs are computed once and gathered
+    into the given order.
     """
     basis = tuple(subspace) if subspace is not None else setup.manifold.configs
     man_bits = setup.manifold.bits_set()
     for c in basis:
         if c.bits not in man_bits:
             raise ValueError(f"{c!r} is not a ground-manifold configuration")
-    table = energy_table(setup.model)
-    e0 = setup.manifold.energy
-    n = setup.model.num_spins
-    d = len(basis)
-    entries = np.zeros((d, d))
-    for a, ca in enumerate(basis):
-        for b, cb in enumerate(basis):
-            acc = 0.0
-            for i in range(n):
-                k = ca.bits ^ (1 << i)
-                if k in man_bits:
-                    continue
-                if (k ^ cb.bits).bit_count() == 1:
-                    # <ca|V|k><k|V|cb> = (-1)(-1) = 1
-                    acc += 1.0 / (e0 - table[k])
-            entries[a, b] = acc
+    bits, order = np.unique(config_bits(basis), return_inverse=True)
+    flips, excited, neighbours = second_order_links(
+        setup.manifold, bits, setup.model.num_spins
+    )
+    denominators = setup.manifold.energy - energy_table(setup.model)[flips]
+    weights = np.divide(1.0, denominators, out=np.zeros(flips.shape), where=excited)
+    # The per-config sum adds the terms of entry (a, b) by ascending spin i.
+    # The diagonal has one term per excited flip of a, summed in sequence
+    # along the row. A pair at distance 2 differs on two spins i, j and has
+    # at most one term from each; the triples with i < j add one and those
+    # with i > j the other, so neither pass repeats a pair. No other pair
+    # has a term.
+    a, i, j = np.nonzero(neighbours >= 0)
+    b = neighbours[a, i, j]
+    entries = np.zeros((len(bits), len(bits)))
+    np.fill_diagonal(entries, np.cumsum(weights, axis=1)[:, -1])
+    for term in (i < j, i > j):
+        entries[a[term], b[term]] += weights[a[term], i[term]]
+    entries = entries[np.ix_(order, order)]
     entries.setflags(write=False)
     return EffectiveMatrix(order=2, basis=basis, entries=entries)
 

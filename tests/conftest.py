@@ -5,7 +5,9 @@ the acceptance tests. Oracle helpers here deliberately avoid the package's
 own vectorized code paths: energies come from a plain Python loop and dense
 Hamiltonians from Kronecker products. A full-width copy of the CFM4
 integrator, which never uses inversion symmetry, lets the package's
-half-space results be compared with it bit for bit.
+half-space results be compared with it bit for bit. Per-config loop versions
+of the energy table, the effective PT matrices and the gap analysis do the
+same for the package's array versions.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import qa_fairsample as qf
+from qa_fairsample.analysis import _partition_side
 from qa_fairsample.data import toy_embedding_path, toy_source_path
 from qa_fairsample.evolve import _ALPHA1, _ALPHA2, _NODES, THETA, TAYLOR_TOL
 
@@ -78,6 +81,115 @@ def consensus_project_and_fold(probabilities, chains, manifold):
         rep = min(config, config.inverted())
         folded[rep] = folded.get(rep, 0.0) + p
     return folded, 1.0 - ground_weight
+
+
+def loop_energy_table(model: qf.IsingModel) -> np.ndarray:
+    """Energy table built from one +-1 float spin array per coupled spin."""
+    idx = np.arange(1 << model.num_spins, dtype=np.int64)
+    table = np.zeros(idx.shape, dtype=np.float64)
+    for i, j, J in model.couplings:
+        si = 2.0 * ((idx >> i) & 1) - 1.0
+        sj = 2.0 * ((idx >> j) & 1) - 1.0
+        table -= J * si * sj
+    for i, h in enumerate(model.fields):
+        if h:
+            table -= h * (2.0 * ((idx >> i) & 1) - 1.0)
+    return table
+
+
+def loop_first_order_entries(manifold: qf.GroundManifold) -> np.ndarray:
+    """P1 V P1 by testing every pair of ground configs for one flip."""
+    configs = manifold.configs
+    d = len(configs)
+    entries = np.zeros((d, d))
+    for a in range(d):
+        for b in range(a + 1, d):
+            if (configs[a].bits ^ configs[b].bits).bit_count() == 1:
+                entries[a, b] = entries[b, a] = -1.0
+    return entries
+
+
+def loop_second_order_entries(model, manifold, basis) -> np.ndarray:
+    """P2 W P2 over ``basis``, one sum over intermediates per entry."""
+    table = loop_energy_table(model)
+    e0 = manifold.energy
+    man_bits = manifold.bits_set()
+    d = len(basis)
+    entries = np.zeros((d, d))
+    for a, ca in enumerate(basis):
+        for b, cb in enumerate(basis):
+            acc = 0.0
+            for i in range(model.num_spins):
+                k = ca.bits ^ (1 << i)
+                if k in man_bits:
+                    continue
+                if (k ^ cb.bits).bit_count() == 1:
+                    acc += 1.0 / (e0 - table[k])
+            entries[a, b] = acc
+    return entries
+
+
+def loop_gap_ratio(model, manifold, partition) -> qf.GapReport:
+    """``gap_ratio`` with every intermediate found by walking all pairs."""
+    if manifold.degeneracy < 2:
+        raise ValueError("gap analysis needs a degenerate manifold")
+    table = loop_energy_table(model)
+    e0 = manifold.energy
+    man_bits = manifold.bits_set()
+
+    per_pair = {}
+    configs = manifold.configs
+    for a in range(len(configs)):
+        for b in range(a + 1, len(configs)):
+            if (configs[a].bits ^ configs[b].bits).bit_count() != 2:
+                continue
+            gaps = []
+            for i in range(model.num_spins):
+                k = configs[a].bits ^ (1 << i)
+                if k in man_bits:
+                    continue
+                if (k ^ configs[b].bits).bit_count() == 1:
+                    gaps.append(float(table[k] - e0))
+            if gaps:
+                per_pair[(configs[a], configs[b])] = tuple(gaps)
+    if not per_pair:
+        raise ValueError("no second-order connections inside the manifold")
+
+    per_state = {}
+    excluded = []
+    for g in configs:
+        gaps = []
+        for i in range(model.num_spins):
+            k = g.bits ^ (1 << i)
+            if k in man_bits:
+                continue
+            mediates = any(
+                (k ^ other.bits).bit_count() == 1
+                for other in configs
+                if other.bits != g.bits
+            )
+            if mediates:
+                gaps.append(float(table[k] - e0))
+        if gaps:
+            per_state[g] = sum(gaps) / len(gaps)
+        else:
+            excluded.append(g)
+
+    side_gaps = {"S": [], "C": []}
+    for g, mean_gap in per_state.items():
+        side_gaps[_partition_side(g, partition)].append(mean_gap)
+    if not side_gaps["S"] or not side_gaps["C"]:
+        raise ValueError("a partition set has no state with mediating intermediates")
+    delta_s = sum(side_gaps["S"]) / len(side_gaps["S"])
+    delta_c = sum(side_gaps["C"]) / len(side_gaps["C"])
+    return qf.GapReport(
+        per_state=per_state,
+        per_pair=per_pair,
+        delta_e_s=delta_s,
+        delta_e_c=delta_c,
+        ratio=delta_s / delta_c,
+        excluded=tuple(excluded),
+    )
 
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -157,6 +157,22 @@ def test_partition_from_indices_defaults(toy_manifold):
     assert [c.bits for c in partition.c_set] == [3, 12]
 
 
+def test_partition_names_classes_as_folding_does():
+    # ground bits 3 and 11: the class of 11 is named by its inversion 4,
+    # which is excited, because folding keys it by min(c, ~c)
+    model = qf.IsingModel(
+        4, ((0, 1, 1.0), (1, 2, -1.0), (2, 3, 1.0), (0, 3, 1.0)),
+        fields=(0.5, 0.0, -0.25, 0.0),
+    )
+    manifold = qf.enumerate_ground_states(model)
+    assert [c.bits for c in manifold.configs] == [3, 11]
+    partition = qf.default_partition(manifold)
+    assert [c.bits for c in partition.s_set] == [3]
+    assert [c.bits for c in partition.c_set] == [4]
+    folded = qf.fold_by_inversion({c: 0.5 for c in manifold.configs})
+    assert qf.fairness_ratio(folded, partition) == 1.0
+
+
 @pytest.mark.parametrize("index", [3, -1, True, 1.0])
 def test_partition_rejects_bad_class_index(toy_manifold, index):
     with pytest.raises(ValueError, match=f"class index {index!r}"):

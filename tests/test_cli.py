@@ -1,6 +1,7 @@
 """CLI: subcommand behavior, exit codes, deterministic output."""
 
 import json
+import math
 
 import pytest
 
@@ -238,6 +239,24 @@ def test_pt_rejects_class_index_out_of_range(capsys, partition):
     assert code == 2
     assert out == ""
     assert f"class index {partition[1]} is outside 0..2" in err
+
+
+FIELDED_PAIR_MODEL = (
+    '{"num_spins": 4, "couplings": [[0, 1, 1], [1, 2, -1], [2, 3, 1], [0, 3, 1]], '
+    '"fields": [0.5, 0, -0.25, 0]}'
+)
+
+
+@pytest.mark.parametrize("command", [("pt",), ("anneal", "--tau", "5")])
+def test_fielded_model_whose_inversions_are_excited(capsys, tmp_path, command):
+    # ground bits 3 and 11; the inversion 4 of 11 is excited and names its class
+    path = tmp_path / "fielded.json"
+    path.write_text(FIELDED_PAIR_MODEL)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert sorted(payload["folded"]) == ["0010", "1100"]
+    assert math.isfinite(payload["ratio_PS_PC"])
 
 
 def test_pt_deterministic_output(capsys):

@@ -4,11 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.data import toy_embedding_path, toy_source_path
 
-from conftest import FIXTURE_MODELS, dense_driver, dense_target
+from conftest import (
+    FIXTURE_MODELS,
+    dense_driver,
+    dense_target,
+    loop_energy_table,
+    loop_first_order_entries,
+    loop_gap_ratio,
+    loop_second_order_entries,
+)
 
 
 def cfg(bits, n):
@@ -220,6 +230,105 @@ def test_brute_force_diagonalization_oracle(name, lam):
     overlaps = exact_ground_overlaps(model, lam)
     for config, p in result.probabilities.items():
         assert abs(overlaps[config.bits] - p) <= 5.0 * lam
+
+
+# ------------------------------- array layer against the per-config loops
+
+VALUES = st.one_of(
+    st.sampled_from((-1.0, 0.0, 1.0)),
+    st.fractions(-3, 3, max_denominator=6).map(float),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def loop_instances(draw):
+    """A random N <= 9 model: +-1, rational or real couplings, maybe fields."""
+    n = draw(st.integers(1, 9))
+    couplings = tuple(
+        (i, j, draw(VALUES))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    )
+    fields = tuple(draw(VALUES) for _ in range(n)) if draw(st.booleans()) else ()
+    return qf.IsingModel(n, couplings, fields)
+
+
+def gap_outcome(gap_fn, model, manifold, partition):
+    """Every GapReport field, with dict items in order, or the ValueError."""
+    try:
+        r = gap_fn(model, manifold, partition)
+    except ValueError as exc:
+        return str(exc)
+    return (
+        list(r.per_state.items()),
+        list(r.per_pair.items()),
+        r.delta_e_s,
+        r.delta_e_c,
+        r.ratio,
+        r.excluded,
+    )
+
+
+def assert_matches_loops(model, subspace, s_count):
+    """Table, W1, W (whole manifold and subspace) and gap report, bitwise."""
+    manifold = qf.enumerate_ground_states(model)
+    setup = qf.PerturbationSetup(model, manifold)
+    assert qf.energy_table(model).tobytes() == loop_energy_table(model).tobytes()
+    assert (
+        qf.first_order_matrix(setup).entries.tobytes()
+        == loop_first_order_entries(manifold).tobytes()
+    )
+    for basis in (manifold.configs, subspace):
+        w = qf.second_order_matrix(setup, basis)
+        assert w.basis == tuple(basis)
+        assert w.entries.tobytes() == (
+            loop_second_order_entries(model, manifold, basis).tobytes()
+        )
+    reps = sorted({min(c, c.inverted()) for c in manifold.configs})
+    if len(reps) > 1:
+        k = min(s_count, len(reps) - 1)
+        partition = qf.FairnessPartition(s_set=reps[:k], c_set=reps[k:])
+    else:
+        partition = qf.FairnessPartition(s_set=reps, c_set=(reps[0].flip(0),))
+    assert gap_outcome(qf.gap_ratio, model, manifold, partition) == (
+        gap_outcome(loop_gap_ratio, model, manifold, partition)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(loop_instances(), st.data())
+def test_array_layer_matches_per_config_loops(model, data):
+    manifold = qf.enumerate_ground_states(model)
+    assume(manifold.degeneracy <= 128)
+    # a permuted subspace, repeats allowed
+    subspace = data.draw(st.lists(st.sampled_from(manifold.configs), max_size=12))
+    s_count = data.draw(st.integers(1, max(1, manifold.degeneracy // 2)))
+    assert_matches_loops(model, subspace, s_count)
+
+
+def test_array_layer_matches_loops_on_a_wide_manifold():
+    # three frustrated triangles of unequal strength: d = 6^3 = 216
+    couplings = tuple(
+        (3 * t + i, 3 * t + j, -(1.0 + 0.25 * t))
+        for t in range(3)
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    model = qf.IsingModel(9, couplings)
+    manifold = qf.enumerate_ground_states(model)
+    assert manifold.degeneracy == 216
+    assert_matches_loops(model, manifold.configs[::-7], 3)
+
+
+def test_array_layer_without_second_order_connections():
+    # ground states 0000 and 1111 are four flips apart
+    model = qf.IsingModel(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+    manifold = qf.enumerate_ground_states(model)
+    partition = qf.FairnessPartition(s_set=(cfg(0, 4),), c_set=(cfg(1, 4),))
+    with pytest.raises(ValueError, match="no second-order connections"):
+        qf.gap_ratio(model, manifold, partition)
+    assert_matches_loops(model, manifold.configs[::-1], 1)
 
 
 # ------------------------------------------------------ reference matrix
