@@ -4,15 +4,14 @@ The expensive tau=1000 integrations run once per session and are reused by
 the acceptance tests. Oracle helpers here deliberately avoid the package's
 own vectorized code paths: energies come from a plain Python loop and dense
 Hamiltonians from Kronecker products. A full-width copy of the CFM4
-integrator, which never uses inversion symmetry, lets the package's
-half-space results be compared with it bit for bit. Per-config loop versions
+integrator, which never uses inversion symmetry and runs the step-doubling
+estimate as a separate integration, lets the package's half-space and fused
+results be compared with it bit for bit. Per-config loop versions
 of the energy table, the effective PT matrices and the gap analysis do the
 same for the package's array versions.
 """
 
 from __future__ import annotations
-
-import importlib
 
 import numpy as np
 import pytest
@@ -308,7 +307,7 @@ def _full_space_exp_step(kernel, psi, tables, s, h, emax) -> None:
 
 
 def full_space_cfm4_weights(tables: np.ndarray, tau: float, steps: int) -> np.ndarray:
-    """Drop-in oracle for ``evolve._cfm4_weights`` that always integrates all 2^N amplitudes."""
+    """|psi|^2 rows of one CFM4 run that always integrates all 2^N amplitudes."""
     rows, dim = tables.shape
     num_spins = dim.bit_length() - 1
     psi = np.tile(qf.initial_state(num_spins), (rows, 1))
@@ -327,12 +326,36 @@ def full_space_cfm4_weights(tables: np.ndarray, tau: float, steps: int) -> np.nd
 
 
 def full_space_evolve_many(models, schedule) -> list[qf.EvolutionResult]:
-    """``evolve_many`` without the accuracy guard, run on the full-space oracle."""
-    with pytest.MonkeyPatch.context() as patch:
-        # qa_fairsample.evolve names the function, so fetch the module itself
-        module = importlib.import_module("qa_fairsample.evolve")
-        patch.setattr(module, "_cfm4_weights", full_space_cfm4_weights)
-        return qf.evolve_many(models, schedule, enforce_drift=False)
+    """``evolve_many`` without the accuracy guard, from separate full-space runs.
+
+    The fine run at ``steps`` and the coarse run at ceil(steps/2) are two
+    independent integrations, normalised and compared as ``evolve_many``
+    does, with the fourth-order Richardson factor.
+    """
+    tables = np.stack([qf.energy_table(m) for m in models])
+    tau, steps = schedule.tau, schedule.steps
+    fine = full_space_cfm4_weights(tables, tau, steps)
+    norm_sq = fine.sum(axis=1)
+    probs = fine / norm_sq[:, None]
+    coarse_steps = (steps + 1) // 2
+    if coarse_steps < steps:
+        coarse = full_space_cfm4_weights(tables, tau, coarse_steps)
+        coarse /= coarse.sum(axis=1)[:, None]
+        richardson = (steps / coarse_steps) ** 4 - 1.0
+        estimates = np.abs(probs - coarse).max(axis=1) / richardson
+    else:
+        estimates = np.full(len(models), 0.0 if tau == 0.0 else np.inf)
+    return [
+        qf.EvolutionResult(
+            final_probabilities=qf.ProbabilityVector(p),
+            norm_drift=float(abs(1.0 - n2)),
+            tau=tau,
+            steps=steps,
+            norm_squared=float(n2),
+            error_estimate=float(est),
+        )
+        for p, n2, est in zip(probs, norm_sq, estimates)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Integrator module: matrix-free Hamiltonian application and CFM4 evolution."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,6 +334,21 @@ def test_convergence_tau_zero(toy_source):
     assert not report.flagged
 
 
+@pytest.mark.parametrize("tau, steps", [(5.0, 50), (40.0, 7), (1000.0, 10), (3.0, 1)])
+def test_convergence_matches_two_separate_runs(toy_source, tau, steps):
+    # one run at 2*steps carries the steps run as its coarse rows
+    base, doubled = (
+        qf.evolve_many((toy_source,), qf.AnnealSchedule(tau, n), enforce_drift=False)[0]
+        for n in (steps, 2 * steps)
+    )
+    diff = np.abs(
+        base.final_probabilities.vector - doubled.final_probabilities.vector
+    ).max()
+    report = qf.convergence_check(toy_source, qf.AnnealSchedule(tau, steps))
+    assert report.max_probability_difference == diff
+    assert report.flagged == (not diff <= 1e-6)
+
+
 # ------------------------------------------------------------- batching
 
 
@@ -372,6 +389,20 @@ def test_rows_with_different_substeps_stay_independent(embedded_models):
         (alone,) = qf.evolve_many((model,), schedule, enforce_drift=False)
         assert b.final_probabilities == alone.final_probabilities
         assert b.error_estimate == alone.error_estimate
+
+
+@pytest.mark.parametrize("steps", [3, 5])
+def test_odd_step_estimate_uses_its_richardson_factor(toy_source, steps):
+    # ceil(n/2) coarse steps: the factor is (n/m)^4 - 1, not 15
+    coarse_steps = (steps + 1) // 2
+    fine, coarse = (
+        qf.evolve_many((toy_source,), qf.AnnealSchedule(4.0, n), enforce_drift=False)[0]
+        for n in (steps, coarse_steps)
+    )
+    diff = np.abs(
+        fine.final_probabilities.vector - coarse.final_probabilities.vector
+    ).max()
+    assert fine.error_estimate == diff / ((steps / coarse_steps) ** 4 - 1.0)
 
 
 def test_batch_requires_same_size(toy_source, embedded_models):
@@ -434,6 +465,44 @@ def test_single_spin_matches_full_space_bitwise(fields):
     schedule = qf.AnnealSchedule.for_tau(3.0)
     results = qf.evolve_many((model,), schedule, enforce_drift=False)
     _assert_bitwise_equal(results, full_space_evolve_many((model,), schedule))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    same_size_batches(),
+    st.sampled_from((0.0, 0.5, 3.0, 12.0)),
+    st.sampled_from((1, 2, 3, 4, 5, 7, None)),
+)
+def test_fused_coarse_rows_match_separate_runs_bitwise(models, tau, steps):
+    schedule = qf.AnnealSchedule.for_tau(tau, steps)
+    results = qf.evolve_many(models, schedule, enforce_drift=False)
+    _assert_bitwise_equal(results, full_space_evolve_many(models, schedule))
+
+
+@pytest.mark.parametrize("steps", [3, 4])
+def test_active_span_shrinking_from_both_ends_keeps_rows_bitwise(
+    monkeypatch, toy_source, steps
+):
+    # weak, strong, weak: in the shared slot rows 0..2 run fine and 3..5
+    # coarse, and the weak rows stop first, so the span of rows still
+    # summing loses rows at both of its ends
+    models = [
+        qf.IsingModel(5, tuple((i, j, f * J) for i, j, J in toy_source.couplings))
+        for f in (0.25, 3.0, 0.5)
+    ]
+    module = importlib.import_module("qa_fairsample.evolve")
+    spans = []
+    rows = module._Kernel.rows
+
+    def recording_rows(kernel, lo, hi):
+        spans.append((kernel.state.shape[0], lo, hi))
+        return rows(kernel, lo, hi)
+
+    monkeypatch.setattr(module._Kernel, "rows", recording_rows)
+    schedule = qf.AnnealSchedule(tau=40.0, steps=steps)
+    results = qf.evolve_many(models, schedule, enforce_drift=False)
+    assert any(width == 6 and 0 < lo and hi < 6 for width, lo, hi in spans)
+    _assert_bitwise_equal(results, full_space_evolve_many(models, schedule))
 
 
 def _mixed_batch(toy_source):
