@@ -44,7 +44,6 @@ from .evolve import (
     ConvergenceReport,
     EvolutionResult,
     accuracy_failure,
-    apply_hamiltonian,
     convergence_check,
     default_steps,
     evolve,
@@ -56,10 +55,8 @@ from .model import (
     IsingModel,
     ProbabilityVector,
     SpinConfiguration,
-    energy,
     energy_table,
     enumerate_ground_states,
-    hamming_distance,
     load_model,
 )
 from .pt import (

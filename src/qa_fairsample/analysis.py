@@ -32,7 +32,6 @@ from .model import (
 )
 from .pt import (
     PerturbationSetup,
-    config_bits,
     fold_by_inversion,
     perturbative_probabilities,
     second_order_links,
@@ -165,9 +164,7 @@ def gap_ratio(
         raise ValueError("gap analysis needs a degenerate manifold")
     configs = manifold.configs
     d = len(configs)
-    flips, _, neighbours = second_order_links(
-        manifold, config_bits(configs), model.num_spins
-    )
+    flips, _, neighbours = second_order_links(manifold, model.num_spins)
     gaps = energy_table(model)[flips] - manifold.energy
 
     # (a, i, b) with a < b: the excited flip i of a is one flip from b, so
@@ -326,21 +323,20 @@ def sweep_tau(
     embeddings: Sequence[tuple[str, Embedding]],
     taus: Sequence[float],
     *,
-    partition: FairnessPartition | None = None,
     steps: int | None = None,
 ) -> list[SweepRecord]:
     """Annealing-time sweep over the source model and its embedded variants.
 
     Row order is deterministic: for each tau (ascending), the source row
-    first, then one row per embedding in the given order.
+    first, then one row per embedding in the given order. Ratios use the
+    default partition of the source manifold.
     """
     if not taus:
         raise ValueError("tau grid must be non-empty")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be strictly ascending")
     source_manifold = enumerate_ground_states(source)
-    if partition is None:
-        partition = default_partition(source_manifold)
+    partition = default_partition(source_manifold)
     embedded = [(label, apply_embedding(source, e)) for label, e in embeddings]
 
     records = []
@@ -383,12 +379,13 @@ def sweep_chain_strength(
     tau: float = 1000.0,
     steps: int | None = None,
     methods: Sequence[str] = ("PT", "SE"),
-    partition: FairnessPartition | None = None,
 ) -> list[SweepRecord]:
     """Chain-strength sweep: PT and direct-evolution rows per J_F, plus gap ratios.
 
     Rows come out grouped by J_F in the given order, PT before SE, with the
-    gap ratio repeated on both rows of each J_F.
+    gap ratio repeated on both rows of each J_F. Ratios use the default
+    partition of the source manifold, lifted through the chains for the gap
+    ratio.
     """
     if any(jf <= 0 for jf in chain_strengths):
         raise ValueError("every chain strength must be positive")
@@ -396,8 +393,7 @@ def sweep_chain_strength(
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     source_manifold = enumerate_ground_states(source)
-    if partition is None:
-        partition = default_partition(source_manifold)
+    partition = default_partition(source_manifold)
 
     variants = []
     for jf in chain_strengths:

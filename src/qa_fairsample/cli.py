@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -35,14 +34,13 @@ from .errors import FairSamplingError, IntegrationAccuracyError
 from .evolve import AnnealSchedule, evolve
 from .model import GroundManifold, IsingModel, enumerate_ground_states, load_model
 from .pt import (
+    STANDARD_CHAIN_STRENGTHS,
     PerturbationSetup,
     first_order_matrix,
     perturbative_probabilities,
     second_order_matrix,
     validate_toy_model,
 )
-
-STANDARD_CHAIN_STRENGTHS = (0.5, 1.0, 1.5)
 
 
 def fig2_tau_grid() -> list[float]:
@@ -64,6 +62,8 @@ def _partition(args, manifold: GroundManifold) -> FairnessPartition:
 def _target(args, source: IsingModel) -> tuple[IsingModel, Embedding]:
     """The model to run and the embedding that maps it back onto the source."""
     if not args.embedding:
+        if args.jf is not None:
+            raise ValueError("--jf needs --embedding: it sets the chain strength")
         return source, identity_embedding(source)
     embedding = load_embedding(
         resolve_embedding_path(args.embedding), chain_strength=args.jf
@@ -164,8 +164,10 @@ def cmd_pt(args) -> int:
     return 0
 
 
-def _run_validation(source_path: Path, embedded_path: Path) -> int:
-    report = validate_toy_model(source_path, embedded_path, STANDARD_CHAIN_STRENGTHS)
+def cmd_validate(args) -> int:
+    source_path = resolve_model_path(args.source)
+    embedded_path = resolve_embedding_path(args.embedded)
+    report = validate_toy_model(source_path, embedded_path)
     for clause in report.clauses:
         status = "PASS" if clause.passed else "FAIL"
         print(f"{status}  {clause.name}: {clause.detail}")
@@ -186,16 +188,10 @@ def _run_validation(source_path: Path, embedded_path: Path) -> int:
     return 0 if ok else 3
 
 
-def cmd_validate(args) -> int:
-    return _run_validation(
-        resolve_model_path(args.source), resolve_embedding_path(args.embedded)
-    )
-
-
 def cmd_reproduce(args) -> int:
     source_path = resolve_model_path(args.source)
     embedded_path = resolve_embedding_path(args.embedded)
-    report = validate_toy_model(source_path, embedded_path, STANDARD_CHAIN_STRENGTHS)
+    report = validate_toy_model(source_path, embedded_path)
     if not report.passed:
         for clause in report.failures():
             print(f"FAIL  {clause.name}: {clause.detail}", file=sys.stderr)
@@ -248,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CFM4 steps over [0, tau] (default: max(50, ceil(5*tau))); "
                         "a run at half as many steps gives the error estimate")
     p.add_argument("--embedding", default=None, help="apply this embedding first")
-    p.add_argument("--jf", type=float, default=None, help="chain strength")
+    p.add_argument("--jf", type=float, default=None,
+                   help="chain strength of --embedding")
     p.add_argument("--s-set", type=int, nargs="+", default=None,
                    help="class indices forming the S set (default: 0)")
     p.add_argument("--c-set", type=int, nargs="+", default=None,

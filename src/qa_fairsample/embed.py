@@ -103,12 +103,15 @@ class EmbeddedModel:
     source: IsingModel
 
 
-def identity_embedding(model: IsingModel, chain_strength: float = 1.0) -> Embedding:
-    """Trivial embedding: every chain has length one, couplings map to themselves."""
+def identity_embedding(model: IsingModel) -> Embedding:
+    """Trivial embedding: every chain has length one, couplings map to themselves.
+
+    It has no chain bonds, so its chain strength is a placeholder 1.0.
+    """
     return Embedding(
         num_logical=model.num_spins,
         chains=tuple((i,) for i in range(model.num_spins)),
-        chain_strength=chain_strength,
+        chain_strength=1.0,
         coupling_assignment=tuple(
             ((i, j), (i, j)) for i, j, _ in model.couplings
         ),

@@ -52,17 +52,14 @@ exponential length, substep count and stopping point. Each Taylor term
 applies the kernel to the contiguous span of rows still summing; rows that
 have stopped inside it are computed and discarded, rows outside it are
 skipped, and neither changes what any other row computes. So results are
-bitwise identical whether models run alone, batched, or chunked, and with
-or without the coarse rows beside them (the QA_FAIRSAMPLE_THREADS
-environment variable caps the chunk width used by sweeps; a chunk of w
-models holds 2w rows).
+bitwise identical whether models run alone or batched, and with or without
+the coarse rows beside them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,8 +71,6 @@ from .model import MAX_SPINS, IsingModel, ProbabilityVector, energy_table
 # Maximum tolerated norm drift |1 - norm^2| and step-doubling error estimate
 # of the final probabilities.
 DRIFT_BUDGET = 1e-6
-
-CHUNK_ENV_VAR = "QA_FAIRSAMPLE_THREADS"
 
 # Largest norm bound of one Taylor substep's exponent, and the magnitude
 # below which a row's Taylor terms stop.
@@ -257,30 +252,6 @@ class _Kernel:
         np.subtract(self.state, self._flips, out=self.state)
 
 
-def apply_hamiltonian(model: IsingModel, s: float, psi: np.ndarray) -> np.ndarray:
-    """Apply H(s) = -(1-s) sum_i X_i + s H_0 to a state vector, matrix-free."""
-    e = energy_table(model)
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != e.shape:
-        raise ValueError(
-            f"state has dimension {psi.shape}, model needs {e.shape}"
-        )
-    kernel = _Kernel.allocate(1, model.num_spins)
-    kernel.state[0] = psi
-    kernel.apply(s * e, 1.0 - s)
-    return kernel.state[0]
-
-
-def _chunk_width(count: int) -> int:
-    raw = os.environ.get(CHUNK_ENV_VAR)
-    if raw is None:
-        return count
-    width = int(raw)
-    if width < 1:
-        raise ValueError(f"{CHUNK_ENV_VAR} must be a positive integer, got {raw!r}")
-    return min(width, count)
-
-
 def _exp_step(
     kernel: _Kernel,
     psi: np.ndarray,
@@ -384,17 +355,6 @@ def _cfm4_weights(
     return weights[:rows], weights[rows:]
 
 
-def _final_weights(
-    tables: np.ndarray, tau: float, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    width = _chunk_width(len(tables))
-    chunks = [
-        _cfm4_weights(tables[start : start + width], tau, steps)
-        for start in range(0, len(tables), width)
-    ]
-    return tuple(np.concatenate(runs) for runs in zip(*chunks))
-
-
 def _probabilities(
     models: Sequence[IsingModel], tau: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -408,7 +368,7 @@ def _probabilities(
             f"{num_spins} spins exceeds the size guard of {MAX_SPINS}"
         )
     tables = np.stack([energy_table(m) for m in models])
-    fine, coarse = _final_weights(tables, tau, steps)
+    fine, coarse = _cfm4_weights(tables, tau, steps)
     norm_sq = fine.sum(axis=1)
     return fine / norm_sq[:, None], coarse / coarse.sum(axis=1)[:, None], norm_sq
 

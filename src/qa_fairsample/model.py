@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,16 +41,6 @@ class SpinConfiguration:
                 f"bits {self.bits} out of range for {self.num_spins} spins"
             )
 
-    def spin(self, i: int) -> int:
-        """Spin value at site i, +1 (up) or -1 (down)."""
-        return 1 if (self.bits >> i) & 1 else -1
-
-    def spins(self) -> tuple[int, ...]:
-        return tuple(self.spin(i) for i in range(self.num_spins))
-
-    def flip(self, i: int) -> "SpinConfiguration":
-        return SpinConfiguration(self.bits ^ (1 << i), self.num_spins)
-
     def inverted(self) -> "SpinConfiguration":
         """Global spin flip."""
         mask = (1 << self.num_spins) - 1
@@ -67,13 +58,6 @@ class SpinConfiguration:
 
     def __repr__(self):
         return f"SpinConfiguration({self.to_bitstring()})"
-
-
-def hamming_distance(a: SpinConfiguration, b: SpinConfiguration) -> int:
-    """Number of spins on which two configurations of the same system differ."""
-    if a.num_spins != b.num_spins:
-        raise ValueError("configurations belong to different system sizes")
-    return (a.bits ^ b.bits).bit_count()
 
 
 class ProbabilityVector(Mapping):
@@ -194,9 +178,6 @@ class IsingModel:
             h.is_integer() for h in self.fields
         )
 
-    def config(self, bits: int) -> SpinConfiguration:
-        return SpinConfiguration(bits, self.num_spins)
-
     def to_dict(self) -> dict:
         out = {
             "num_spins": self.num_spins,
@@ -209,27 +190,28 @@ class IsingModel:
 
 @dataclass(frozen=True)
 class GroundManifold:
-    """All minimum-energy configurations of a model, ordered by bits value."""
+    """All minimum-energy configurations of a model, in ascending bits order.
+
+    The PT and gap analysis look configs up by binary search on their bits
+    values, so the order is checked here: bits strictly ascending, one spin
+    count for all configs, and ``degeneracy == len(configs)``.
+    """
 
     energy: float
     configs: tuple[SpinConfiguration, ...]
     degeneracy: int
 
-    def bits_set(self) -> frozenset[int]:
-        return frozenset(c.bits for c in self.configs)
-
-
-def energy(model: IsingModel, config: SpinConfiguration) -> float:
-    """Energy -sum_ij J_ij s_i s_j - sum_i h_i s_i of one configuration."""
-    if config.num_spins != model.num_spins:
-        raise ValueError("configuration does not match the model size")
-    e = 0.0
-    for i, j, J in model.couplings:
-        e -= J * config.spin(i) * config.spin(j)
-    for i, h in enumerate(model.fields):
-        if h:
-            e -= h * config.spin(i)
-    return e
+    def __post_init__(self):
+        configs = self.configs
+        if self.degeneracy != len(configs):
+            raise ValueError(
+                f"degeneracy {self.degeneracy} does not match {len(configs)} configs"
+            )
+        if len({c.num_spins for c in configs}) > 1:
+            raise ValueError("ground configs must all have the same spin count")
+        bits = [c.bits for c in configs]
+        if not all(map(operator.lt, bits, bits[1:])):
+            raise ValueError("ground configs must be in strictly ascending bits order")
 
 
 @functools.lru_cache(maxsize=128)

@@ -11,7 +11,7 @@ inversion doublet), the second-order effective matrix
 decides the outcome, where k runs over excited configurations one flip away
 from both m and n. Asymptotic sampling probabilities are the squared
 components of the eigenvector for the minimal eigenvalue of the effective
-matrix in the resolved subspace.
+matrix, projected onto the minimal first-order eigenspace when W decides.
 
 Both effective matrices are built with array operations on bits values.
 The intermediates k of W come from one table, ``second_order_links``, which
@@ -45,6 +45,12 @@ DEGENERACY_TOL = 1e-9
 
 # Permutation matching is brute force; beyond this the factorial blows up.
 _MAX_PERMUTATION_DIM = 8
+
+# Entrywise tolerance of a permutation match against the closed form.
+_MATCH_TOL = 1e-9
+
+# Chain strengths at which the bundled data files are validated.
+STANDARD_CHAIN_STRENGTHS = (0.5, 1.0, 1.5)
 
 
 @dataclass(frozen=True)
@@ -89,25 +95,27 @@ def _index_in(sorted_bits: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 
 def second_order_links(
-    manifold: GroundManifold, basis: np.ndarray, num_spins: int
+    manifold: GroundManifold, num_spins: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The second-order intermediates of a basis, as arrays.
+    """The second-order intermediates of a ground manifold, as arrays.
 
-    ``basis`` holds distinct ground-manifold bits values in ascending order.
-    Returns ``(flips, excited, neighbours)``:
+    Configs are indexed by their position in ``manifold.configs``, whose bits
+    values are strictly ascending. Returns ``(flips, excited, neighbours)``:
 
-    - ``flips[a, i] = basis[a] ^ 2^i``, shape (d, N);
+    - ``flips[a, i] = configs[a].bits ^ 2^i``, shape (d, N);
     - ``excited[a, i]`` is true when that flip lies outside the manifold;
-    - ``neighbours[a, i, j]`` is the basis index of ``flips[a, i] ^ 2^j``,
-      or -1 when that config is not in the basis or the flip is not excited;
-      shape (d, N, N). ``neighbours[a, i, i] == a`` for every excited flip.
+    - ``neighbours[a, i, j]`` is the manifold index of ``flips[a, i] ^ 2^j``,
+      or -1 when that config is not in the manifold or the flip is not
+      excited; shape (d, N, N). ``neighbours[a, i, i] == a`` for every
+      excited flip.
 
     An excited flip k links a to b exactly when b is among its neighbours,
     and then <a|V|k><k|V|b> = (-1)(-1) = 1. Memory is O(d*N^2).
     """
+    basis = config_bits(manifold.configs)
     spins = 1 << np.arange(num_spins, dtype=np.int64)
     flips = basis[:, None] ^ spins
-    excited = _index_in(config_bits(manifold.configs), flips) < 0
+    excited = _index_in(basis, flips) < 0
     neighbours = _index_in(basis, flips[:, :, None] ^ spins)
     neighbours[~excited] = -1
     return flips, excited, neighbours
@@ -123,30 +131,20 @@ def first_order_matrix(setup: PerturbationSetup) -> EffectiveMatrix:
     return EffectiveMatrix(order=1, basis=configs, entries=entries)
 
 
-def second_order_matrix(
-    setup: PerturbationSetup,
-    subspace: Sequence[SpinConfiguration] | None = None,
-) -> EffectiveMatrix:
-    """P2 W P2 over the given configs (defaults to the whole manifold).
+def second_order_matrix(setup: PerturbationSetup) -> EffectiveMatrix:
+    """P2 W P2 over the whole ground manifold, in the manifold's order.
 
     Intermediates k are excluded from the manifold by the Q projector, so
     every denominator E_0 - E_k is strictly negative. Only the N flips of
-    each basis config can contribute, so W is built from the (d, N) table of
-    ``second_order_links``: one reciprocal per excited flip, added into W in
-    the order of the per-config sum, which gives bitwise the same entries.
-    Repeated or unsorted subspace configs are computed once and gathered
-    into the given order.
+    each ground config can contribute, so W is built from the (d, N) table
+    of ``second_order_links``: one reciprocal per excited flip, added into W
+    in the order of the per-config sum, which gives bitwise the same entries.
     """
-    basis = tuple(subspace) if subspace is not None else setup.manifold.configs
-    man_bits = setup.manifold.bits_set()
-    for c in basis:
-        if c.bits not in man_bits:
-            raise ValueError(f"{c!r} is not a ground-manifold configuration")
-    bits, order = np.unique(config_bits(basis), return_inverse=True)
+    manifold = setup.manifold
     flips, excited, neighbours = second_order_links(
-        setup.manifold, bits, setup.model.num_spins
+        manifold, setup.model.num_spins
     )
-    denominators = setup.manifold.energy - energy_table(setup.model)[flips]
+    denominators = manifold.energy - energy_table(setup.model)[flips]
     weights = np.divide(1.0, denominators, out=np.zeros(flips.shape), where=excited)
     # The per-config sum adds the terms of entry (a, b) by ascending spin i.
     # The diagonal has one term per excited flip of a, summed in sequence
@@ -156,13 +154,12 @@ def second_order_matrix(
     # has a term.
     a, i, j = np.nonzero(neighbours >= 0)
     b = neighbours[a, i, j]
-    entries = np.zeros((len(bits), len(bits)))
+    entries = np.zeros((manifold.degeneracy, manifold.degeneracy))
     np.fill_diagonal(entries, np.cumsum(weights, axis=1)[:, -1])
     for term in (i < j, i > j):
         entries[a[term], b[term]] += weights[a[term], i[term]]
-    entries = entries[np.ix_(order, order)]
     entries.setflags(write=False)
-    return EffectiveMatrix(order=2, basis=basis, entries=entries)
+    return EffectiveMatrix(order=2, basis=manifold.configs, entries=entries)
 
 
 def fold_by_inversion(
@@ -253,10 +250,8 @@ def embedded_toy_reference_matrix(chain_strength: float) -> np.ndarray:
     return m
 
 
-def find_basis_permutation(
-    a: np.ndarray, b: np.ndarray, tol: float = 1e-9
-) -> tuple[int, ...] | None:
-    """Permutation p with a[p][:, p] == b entrywise within tol, or None.
+def find_basis_permutation(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
+    """Permutation p with a[p][:, p] == b entrywise within 1e-9, or None.
 
     Brute force over d! orderings; fine for the d <= 6 manifolds this
     package compares.
@@ -270,7 +265,7 @@ def find_basis_permutation(
         raise ValueError(f"permutation search limited to dimension {_MAX_PERMUTATION_DIM}")
     for perm in itertools.permutations(range(d)):
         p = np.asarray(perm)
-        if np.abs(a[np.ix_(p, p)] - b).max() <= tol:
+        if np.abs(a[np.ix_(p, p)] - b).max() <= _MATCH_TOL:
             return perm
     return None
 
@@ -299,11 +294,12 @@ def _matrix_str(m: np.ndarray) -> str:
 
 
 def validate_toy_model(
-    source_path: str | Path,
-    embedded_path: str | Path,
-    chain_strengths: Sequence[float] = (0.5, 1.0, 1.5),
+    source_path: str | Path, embedded_path: str | Path
 ) -> ToyValidationReport:
     """Cross-check the shipped toy-model data files against the closed form.
+
+    Every clause on the embedded file is checked at each of the
+    ``STANDARD_CHAIN_STRENGTHS``.
 
     A failed clause points at mis-read couplings or a wrong assignment of the
     chained spin's couplings: the closed-form diagonal entries encode which
@@ -324,7 +320,7 @@ def validate_toy_model(
     src_first = first_order_matrix(PerturbationSetup(source, src_manifold))
     source_nonzero = float(np.abs(src_first.entries).max()) > 0.0
 
-    for jf in chain_strengths:
+    for jf in STANDARD_CHAIN_STRENGTHS:
         tag = f"jf={jf:g}"
         embedding = load_embedding(embedded_path, chain_strength=jf)
         embedded = apply_embedding(source, embedding)
@@ -357,7 +353,7 @@ def validate_toy_model(
                 f"dimension mismatch: built {built.shape}, reference {reference.shape}"
             )
         else:
-            perm = find_basis_permutation(built, reference, tol=1e-9)
+            perm = find_basis_permutation(built, reference)
             if perm is None:
                 detail = (
                     "no basis permutation matches within 1e-9;\nbuilt =\n"

@@ -8,7 +8,9 @@ integrator, which never uses inversion symmetry and runs the step-doubling
 estimate as a separate integration, lets the package's half-space and fused
 results be compared with it bit for bit. Per-config loop versions
 of the energy table, the effective PT matrices and the gap analysis do the
-same for the package's array versions.
+same for the package's array versions. ``kernel_apply`` is the one helper
+that runs package code: it drives the integrator's kernel on one state, for
+the tests that check that kernel against the dense and gather oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import pytest
 import qa_fairsample as qf
 from qa_fairsample.analysis import _partition_side
 from qa_fairsample.data import toy_embedding_path, toy_source_path
-from qa_fairsample.evolve import _ALPHA1, _ALPHA2, _NODES, THETA, TAYLOR_TOL
+from qa_fairsample.evolve import (
+    _ALPHA1,
+    _ALPHA2,
+    _NODES,
+    TAYLOR_TOL,
+    THETA,
+    _Kernel,
+)
 
 STANDARD_JFS = (0.5, 1.0, 1.5)
 
@@ -108,15 +117,16 @@ def loop_first_order_entries(manifold: qf.GroundManifold) -> np.ndarray:
     return entries
 
 
-def loop_second_order_entries(model, manifold, basis) -> np.ndarray:
-    """P2 W P2 over ``basis``, one sum over intermediates per entry."""
+def loop_second_order_entries(model, manifold) -> np.ndarray:
+    """P2 W P2 over the manifold, one sum over intermediates per entry."""
     table = loop_energy_table(model)
     e0 = manifold.energy
-    man_bits = manifold.bits_set()
-    d = len(basis)
+    configs = manifold.configs
+    man_bits = {c.bits for c in configs}
+    d = len(configs)
     entries = np.zeros((d, d))
-    for a, ca in enumerate(basis):
-        for b, cb in enumerate(basis):
+    for a, ca in enumerate(configs):
+        for b, cb in enumerate(configs):
             acc = 0.0
             for i in range(model.num_spins):
                 k = ca.bits ^ (1 << i)
@@ -134,7 +144,7 @@ def loop_gap_ratio(model, manifold, partition) -> qf.GapReport:
         raise ValueError("gap analysis needs a degenerate manifold")
     table = loop_energy_table(model)
     e0 = manifold.energy
-    man_bits = manifold.bits_set()
+    man_bits = {c.bits for c in manifold.configs}
 
     per_pair = {}
     configs = manifold.configs
@@ -260,6 +270,14 @@ def dense_anneal_probabilities(model: qf.IsingModel, tau: float, steps: int) -> 
     coarse = _midpoint_probabilities(model, tau, steps)
     fine = _midpoint_probabilities(model, tau, 2 * steps)
     return (4.0 * fine - coarse) / 3.0
+
+
+def kernel_apply(model: qf.IsingModel, s: float, psi: np.ndarray) -> np.ndarray:
+    """H(s) psi through the package's one-row full-width kernel."""
+    kernel = _Kernel.allocate(1, model.num_spins)
+    kernel.state[0] = psi
+    kernel.apply(s * qf.energy_table(model), 1.0 - s)
+    return kernel.state[0]
 
 
 class FullSpaceKernel:

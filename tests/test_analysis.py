@@ -1,6 +1,7 @@
 """Analysis module: folding, fairness ratio, gap ratios, sweeps, CSV output."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,118 @@ def test_gap_ratio_requires_degeneracy():
         qf.gap_ratio(model, manifold, partition)
 
 
+# ------------------------------------------------------------ relabelling
+
+
+def relabel(config, perm):
+    """The config with physical spin p renamed perm[p]."""
+    bits = sum(1 << perm[p] for p in range(config.num_spins) if (config.bits >> p) & 1)
+    return qf.SpinConfiguration(bits, config.num_spins)
+
+
+def map_partition(partition, fn):
+    """The partition with each class representative c renamed min(fn(c), ~fn(c))."""
+
+    def rep(c):
+        return min(fn(c), fn(c).inverted())
+
+    return qf.FairnessPartition(
+        s_set=tuple(map(rep, partition.s_set)), c_set=tuple(map(rep, partition.c_set))
+    )
+
+
+@st.composite
+def chained_instances(draw):
+    """A +-1 model with N <= 6, one 2-spin chain, J_F and a physical relabelling."""
+    n = draw(st.integers(3, 6))
+    couplings = tuple(
+        (i, j, draw(st.sampled_from((-1.0, 1.0))))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.sampled_from((True, True, False)))
+    )
+    fields = tuple(draw(st.sampled_from((0.0, 0.0, 0.0, 1.0, -1.0))) for _ in range(n))
+    chained = draw(st.integers(0, n - 1))
+    chains = tuple((i, n) if i == chained else (i,) for i in range(n))
+    assignment = tuple(
+        ((i, j), (draw(st.sampled_from(chains[i])), draw(st.sampled_from(chains[j]))))
+        for i, j, _ in couplings
+    )
+    jf = draw(st.sampled_from((0.5, 1.0, 1.5)))
+    perm = draw(st.permutations(range(n + 1)))
+    embedding = qf.Embedding(n, chains, jf, assignment)
+    return qf.IsingModel(n, couplings, fields), embedding, perm
+
+
+def pt_outcome(source, embedding):
+    """PT folded classes and fairness ratio, or the refusal message."""
+    try:
+        manifold = qf.enumerate_ground_states(source)
+        partition = qf.default_partition(manifold)
+        model = qf.apply_embedding(source, embedding).model
+        result = qf.perturbative_probabilities(qf.PerturbationSetup.from_model(model))
+        folded, _ = qf.project_and_fold(result.probabilities, embedding, manifold)
+        return folded, qf.fairness_ratio(folded, partition)
+    except (ValueError, qf.FairSamplingError) as exc:
+        return str(exc)
+
+
+def gap_outcome(source, embedding, partition, perm):
+    """The gap report with its physical configs relabelled by ``perm``, or the
+    refusal message with the physical config it names elided: which of
+    several uncovered states is named first follows the bits order."""
+    model = qf.apply_embedding(source, embedding).model
+    try:
+        r = qf.gap_ratio(model, qf.enumerate_ground_states(model), partition)
+    except ValueError as exc:
+        return re.sub(r"SpinConfiguration\([01]+\)", "SpinConfiguration(...)", str(exc))
+    per_state = {relabel(c, perm): gap for c, gap in r.per_state.items()}
+    excluded = {relabel(c, perm) for c in r.excluded}
+    return per_state, excluded, r.delta_e_s, r.delta_e_c, r.ratio
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_instances())
+def test_relabelling_physical_spins_changes_no_answer(instance):
+    source, embedding, perm = instance
+    relabelled = qf.Embedding(
+        embedding.num_logical,
+        tuple(tuple(perm[p] for p in chain) for chain in embedding.chains),
+        embedding.chain_strength,
+        tuple(
+            (pair, (perm[p], perm[q])) for pair, (p, q) in embedding.coupling_assignment
+        ),
+    )
+    identity = tuple(range(len(perm)))
+
+    got, expected = pt_outcome(source, relabelled), pt_outcome(source, embedding)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got[0].keys() == expected[0].keys()
+        for rep, p in expected[0].items():
+            assert got[0][rep] == pytest.approx(p, rel=0.0, abs=1e-12)
+        assert got[1] == pytest.approx(expected[1], rel=0.0, abs=1e-12)
+
+    try:
+        partition = qf.default_partition(qf.enumerate_ground_states(source))
+    except ValueError:
+        return  # a single inversion class, refused alike by pt_outcome above
+    physical = map_partition(partition, lambda c: qf.lift_state(c, embedding))
+    mapped = map_partition(physical, lambda c: relabel(c, perm))
+    assert mapped == map_partition(partition, lambda c: qf.lift_state(c, relabelled))
+    got = gap_outcome(source, relabelled, mapped, identity)
+    expected = gap_outcome(source, embedding, physical, perm)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got[0].keys() == expected[0].keys() and got[1] == expected[1]
+        for config, gap in expected[0].items():
+            assert got[0][config] == pytest.approx(gap, rel=0.0, abs=1e-12)
+        for a, b in zip(got[2:], expected[2:]):
+            assert a == pytest.approx(b, rel=0.0, abs=1e-12)
+
+
 # ----------------------------------------------------------------- sweeps
 
 
@@ -402,19 +515,6 @@ def test_write_csv_layout(tmp_path, toy_source, toy_template):
         again,
     )
     assert out.read_bytes() == again.read_bytes()
-
-
-def test_sweep_csv_independent_of_chunk_width(
-    tmp_path, monkeypatch, toy_source, toy_template
-):
-    embeddings = [("e1", toy_template.with_chain_strength(1.0)),
-                  ("e2", toy_template.with_chain_strength(0.5))]
-    first = tmp_path / "full.csv"
-    qf.write_sweep_csv(qf.sweep_tau(toy_source, embeddings, (2.0,)), first)
-    monkeypatch.setenv("QA_FAIRSAMPLE_THREADS", "1")
-    second = tmp_path / "chunked.csv"
-    qf.write_sweep_csv(qf.sweep_tau(toy_source, embeddings, (2.0,)), second)
-    assert first.read_bytes() == second.read_bytes()
 
 
 def test_write_csv_atomic(tmp_path, toy_source, toy_template):

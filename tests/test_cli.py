@@ -259,6 +259,16 @@ def test_fielded_model_whose_inversions_are_excited(capsys, tmp_path, command):
     assert math.isfinite(payload["ratio_PS_PC"])
 
 
+@pytest.mark.parametrize(
+    "command", [("pt",), ("anneal", "--tau", "5")], ids=["pt", "anneal"]
+)
+def test_chain_strength_without_embedding_exits_2(capsys, command):
+    code, out, err = run(capsys, command[0], "matsuda5", "--jf", "0.3", *command[1:])
+    assert code == 2
+    assert out == ""
+    assert "--jf needs --embedding" in err
+
+
 def test_pt_deterministic_output(capsys):
     _, first, _ = run(capsys, "pt", "matsuda5", "--dump-matrix")
     _, second, _ = run(capsys, "pt", "matsuda5", "--dump-matrix")

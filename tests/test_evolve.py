@@ -1,4 +1,4 @@
-"""Integrator module: matrix-free Hamiltonian application and CFM4 evolution."""
+"""Integrator module: the matrix-free Hamiltonian kernel and CFM4 evolution."""
 
 import importlib
 
@@ -14,6 +14,7 @@ from conftest import (
     dense_anneal_probabilities,
     dense_annealing_hamiltonian,
     full_space_evolve_many,
+    kernel_apply,
 )
 
 
@@ -46,13 +47,13 @@ def test_initial_state_guard():
 def test_apply_at_s_one_is_diagonal(toy_source):
     rng = np.random.default_rng(0)
     psi = rng.normal(size=32) + 1j * rng.normal(size=32)
-    out = qf.apply_hamiltonian(toy_source, 1.0, psi)
+    out = kernel_apply(toy_source, 1.0, psi)
     assert np.allclose(out, qf.energy_table(toy_source) * psi)
 
 
 def test_apply_at_s_zero_uniform_is_eigenstate(toy_source):
     psi = qf.initial_state(5)
-    out = qf.apply_hamiltonian(toy_source, 0.0, psi)
+    out = kernel_apply(toy_source, 0.0, psi)
     assert np.allclose(out, -5.0 * psi)
 
 
@@ -62,7 +63,7 @@ def test_apply_half_weight_on_basis_state():
     model = qf.IsingModel(2, ((0, 1, 1.0),))
     psi = np.zeros(4, dtype=np.complex128)
     psi[0b11] = 1.0
-    out = qf.apply_hamiltonian(model, 0.5, psi)
+    out = kernel_apply(model, 0.5, psi)
     assert out[0b11] == pytest.approx(-0.5)
     assert out[0b01] == pytest.approx(-0.5)
     assert out[0b10] == pytest.approx(-0.5)
@@ -88,7 +89,7 @@ def test_apply_matches_dense_oracle(seed):
     dim = 1 << n
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     dense = dense_annealing_hamiltonian(model, s)
-    assert np.allclose(qf.apply_hamiltonian(model, s, psi), dense @ psi, atol=1e-12)
+    assert np.allclose(kernel_apply(model, s, psi), dense @ psi, atol=1e-12)
 
 
 def _gather_flip_sum(psi):
@@ -109,12 +110,12 @@ def test_apply_matches_gather_kernel_bitwise(n):
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     s = 0.3
     expected = (s * qf.energy_table(model)) * psi - (1.0 - s) * _gather_flip_sum(psi)
-    assert np.array_equal(qf.apply_hamiltonian(model, s, psi), expected)
+    assert np.array_equal(kernel_apply(model, s, psi), expected)
 
 
 def test_apply_rejects_dimension_mismatch(toy_source):
     with pytest.raises(ValueError):
-        qf.apply_hamiltonian(toy_source, 0.5, np.zeros(16, dtype=np.complex128))
+        kernel_apply(toy_source, 0.5, np.zeros(16, dtype=np.complex128))
 
 
 # -------------------------------------------------------------- schedule
@@ -362,23 +363,6 @@ def test_batch_matches_single_runs(toy_source, embedded_models):
             assert p == s.final_probabilities[config]
 
 
-def test_chunk_width_does_not_change_results(monkeypatch, embedded_models):
-    models = [embedded_models[jf].model for jf in (0.5, 1.0, 1.5)]
-    schedule = qf.AnnealSchedule.for_tau(2.0)
-    full = qf.evolve_many(models, schedule)
-    monkeypatch.setenv("QA_FAIRSAMPLE_THREADS", "1")
-    chunked = qf.evolve_many(models, schedule)
-    for a, b in zip(full, chunked):
-        assert a.final_probabilities == b.final_probabilities
-        assert a.norm_drift == b.norm_drift
-
-
-def test_invalid_chunk_width(monkeypatch, toy_source):
-    monkeypatch.setenv("QA_FAIRSAMPLE_THREADS", "0")
-    with pytest.raises(ValueError):
-        qf.evolve_many((toy_source,), qf.AnnealSchedule(tau=1.0, steps=10))
-
-
 def test_rows_with_different_substeps_stay_independent(embedded_models):
     # an under-resolved schedule gives each row its own substep count and
     # Taylor stopping point
@@ -517,11 +501,3 @@ def test_mixed_batch_matches_full_space_bitwise(toy_source, steps):
     schedule = qf.AnnealSchedule.for_tau(12.0, steps)
     results = qf.evolve_many(models, schedule, enforce_drift=False)
     _assert_bitwise_equal(results, full_space_evolve_many(models, schedule))
-
-
-def test_chunked_mixed_batch_matches_full_space_bitwise(monkeypatch, toy_source):
-    models = _mixed_batch(toy_source)
-    schedule = qf.AnnealSchedule.for_tau(12.0)
-    oracle = full_space_evolve_many(models, schedule)
-    monkeypatch.setenv("QA_FAIRSAMPLE_THREADS", "1")
-    _assert_bitwise_equal(qf.evolve_many(models, schedule, enforce_drift=False), oracle)

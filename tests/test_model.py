@@ -33,40 +33,32 @@ def random_model(rng, num_spins, with_fields=False, integer=True):
 
 def test_energy_single_bond_satisfied():
     model = qf.IsingModel(2, ((0, 1, 1.0),))
-    assert qf.energy(model, cfg(0b11, 2)) == -1.0
+    assert qf.energy_table(model)[0b11] == -1.0
 
 
 def test_energy_single_bond_violated():
     model = qf.IsingModel(2, ((0, 1, 1.0),))
-    assert qf.energy(model, cfg(0b01, 2)) == 1.0
+    assert qf.energy_table(model)[0b01] == 1.0
 
 
 def test_energy_all_up_attains_toy_minimum(toy_source):
-    all_up = cfg((1 << 5) - 1, 5)
     e_min = min(brute_energy(toy_source, b) for b in range(32))
-    assert qf.energy(toy_source, all_up) == e_min == -4.0
+    assert qf.energy_table(toy_source)[(1 << 5) - 1] == e_min == -4.0
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_energy_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, int(rng.integers(2, 7)), with_fields=seed % 2 == 0)
+    table = qf.energy_table(model)
     for bits in range(1 << model.num_spins):
-        assert qf.energy(model, cfg(bits, model.num_spins)) == pytest.approx(
-            brute_energy(model, bits), abs=1e-12
-        )
+        assert table[bits] == pytest.approx(brute_energy(model, bits), abs=1e-12)
 
 
 def test_energy_table_matches_energy(toy_source):
     table = qf.energy_table(toy_source)
     for bits in range(32):
-        assert table[bits] == qf.energy(toy_source, cfg(bits, 5))
-
-
-def test_energy_rejects_size_mismatch():
-    model = qf.IsingModel(2, ((0, 1, 1.0),))
-    with pytest.raises(ValueError):
-        qf.energy(model, cfg(0, 3))
+        assert table[bits] == brute_energy(toy_source, bits)
 
 
 def test_inversion_symmetry_without_fields():
@@ -98,8 +90,25 @@ def test_enumerate_two_spin_ferromagnet():
 def test_enumerate_toy_manifold(toy_manifold):
     assert toy_manifold.degeneracy == 6
     assert [c.bits for c in toy_manifold.configs] == [0, 3, 12, 19, 28, 31]
-    # the manifold contains the fully aligned state, not its one-flip neighbors
-    assert 31 in toy_manifold.bits_set()
+
+
+@pytest.mark.parametrize(
+    "bits, sizes, degeneracy, message",
+    [
+        ((3, 0), (2, 2), 2, "ascending"),
+        ((0, 0), (2, 2), 2, "ascending"),
+        ((0, 3), (2, 3), 2, "same spin count"),
+        ((0, 3), (2, 2), 3, "degeneracy"),
+        ((0, 3), (2, 2), 1, "degeneracy"),
+    ],
+    ids=["reversed", "repeated", "mixed-size", "degeneracy-high", "degeneracy-low"],
+)
+def test_ground_manifold_rejects_malformed_input(bits, sizes, degeneracy, message):
+    # PT and the gap analysis find configs by binary search on their bits: on
+    # a reversed manifold gap_ratio once reported no second-order connections
+    configs = tuple(cfg(b, n) for b, n in zip(bits, sizes))
+    with pytest.raises(ValueError, match=message):
+        qf.GroundManifold(energy=-1.0, configs=configs, degeneracy=degeneracy)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -164,8 +173,6 @@ def test_fields_length_validation():
 
 def test_spin_values_and_flips():
     c = cfg(0b10011, 5)
-    assert c.spins() == (1, 1, -1, -1, 1)
-    assert c.flip(2).bits == 0b10111
     assert c.inverted().bits == 0b01100
     assert c.to_bitstring() == "11001"
     assert c.to_arrows() == "↑↑↓↓↑"
@@ -176,18 +183,6 @@ def test_configuration_range_validation():
         qf.SpinConfiguration(4, 2)
     with pytest.raises(ValueError):
         qf.SpinConfiguration(-1, 2)
-
-
-def test_hamming_distance_examples():
-    assert qf.hamming_distance(cfg(0b11111, 5), cfg(0b11111, 5)) == 0
-    assert qf.hamming_distance(cfg(0b11111, 5), cfg(0b11011, 5)) == 1
-    # up-up-down-down-up vs up-up-down-down-down differ only on the last spin
-    assert qf.hamming_distance(cfg(0b10011, 5), cfg(0b00011, 5)) == 1
-
-
-def test_hamming_distance_size_mismatch():
-    with pytest.raises(ValueError):
-        qf.hamming_distance(cfg(0, 2), cfg(0, 3))
 
 
 # ----------------------------------------------------------------- I/O
