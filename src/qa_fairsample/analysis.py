@@ -20,19 +20,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embed import Embedding, apply_embedding, lift_state
+from .embed import Embedding, _lift_bits, apply_embedding, lift_state
 from .errors import UndefinedRatioError
 from .evolve import AnnealSchedule, EvolutionResult, accuracy_failure, evolve_many
 from .model import (
     GroundManifold,
     IsingModel,
+    ProbabilityVector,
     SpinConfiguration,
     energy_table,
     enumerate_ground_states,
 )
 from .pt import (
     PerturbationSetup,
-    fold_by_inversion,
+    _fold_bits,
     perturbative_probabilities,
     second_order_links,
 )
@@ -46,11 +47,20 @@ def inversion_classes(
     The representative of a class is min(c, ~c) for its members c; with
     fields it can be an inversion outside the manifold.
     """
-    groups: dict[SpinConfiguration, list[SpinConfiguration]] = {}
+    groups = _class_groups(manifold)
+    return tuple(tuple(groups[rep]) for rep in sorted(groups))
+
+
+def _class_groups(manifold: GroundManifold) -> dict[int, list[SpinConfiguration]]:
+    """Ground configs keyed by the bits of their class representative.
+
+    Members keep the manifold's ascending bits order.
+    """
+    mask = (1 << manifold.configs[0].num_spins) - 1
+    groups: dict[int, list[SpinConfiguration]] = {}
     for c in manifold.configs:
-        rep = min(c, c.inverted())
-        groups.setdefault(rep, []).append(c)
-    return tuple(tuple(sorted(groups[rep])) for rep in sorted(groups))
+        groups.setdefault(min(c.bits, c.bits ^ mask), []).append(c)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,11 @@ class FairnessPartition:
         c_indices: Sequence[int] | None = None,
     ) -> "FairnessPartition":
         # folding keys a class by min(c, ~c), which need not be a ground state
-        reps = [min(g[0], g[0].inverted()) for g in inversion_classes(manifold)]
+        num_spins = manifold.configs[0].num_spins
+        reps = [
+            SpinConfiguration(rep, num_spins)
+            for rep in sorted(_class_groups(manifold))
+        ]
 
         def rep(i) -> SpinConfiguration:
             if isinstance(i, bool) or not isinstance(i, numbers.Integral):
@@ -122,18 +136,20 @@ def fairness_ratio(
     return s_mean / c_mean
 
 
-def _partition_side(config: SpinConfiguration, partition: FairnessPartition) -> str:
+def _partition_sides(partition: FairnessPartition, num_spins: int) -> dict[int, str]:
+    """Bits value -> "S" or "C" for the partition members of ``num_spins`` spins."""
+    sides = {c.bits: "S" for c in partition.s_set if c.num_spins == num_spins}
+    sides.update((c.bits, "C") for c in partition.c_set if c.num_spins == num_spins)
+    return sides
+
+
+def _partition_side(bits: int, sides: dict[int, str], num_spins: int) -> str:
     """Resolve membership by exact config first, then by inversion-class rep."""
-    if config in partition.s_set:
-        return "S"
-    if config in partition.c_set:
-        return "C"
-    rep = min(config, config.inverted())
-    if rep in partition.s_set:
-        return "S"
-    if rep in partition.c_set:
-        return "C"
-    raise ValueError(f"{config!r} is not covered by the partition")
+    side = sides.get(bits) or sides.get(min(bits, bits ^ ((1 << num_spins) - 1)))
+    if side is None:
+        config = SpinConfiguration(bits, num_spins)
+        raise ValueError(f"{config!r} is not covered by the partition")
+    return side
 
 
 @dataclass(frozen=True)
@@ -195,9 +211,10 @@ def gap_ratio(
         else:
             excluded.append(g)
 
+    sides = _partition_sides(partition, model.num_spins)
     side_gaps = {"S": [], "C": []}
     for g, mean_gap in per_state.items():
-        side_gaps[_partition_side(g, partition)].append(mean_gap)
+        side_gaps[_partition_side(g.bits, sides, model.num_spins)].append(mean_gap)
     if not side_gaps["S"] or not side_gaps["C"]:
         raise ValueError("a partition set has no state with mediating intermediates")
     delta_s = sum(side_gaps["S"]) / len(side_gaps["S"])
@@ -224,25 +241,38 @@ def _fold_manifold(
     exactly the one at lift(g) (g itself without an embedding): d lookups,
     not a pass over all 2^M entries. The ground weight is summed in
     ascending physical bits, the order of a bits-indexed distribution.
+    Everything runs on bits values; a ProbabilityVector is read through its
+    array and any other mapping through the bits of its keys.
     """
-    lifted = sorted(
-        (g if embedding is None else lift_state(g, embedding), g)
-        for g in manifold.configs
-    )
+    logical_spins = manifold.configs[0].num_spins
+    if embedding is None:
+        lifted = [(g.bits, g.bits) for g in manifold.configs]
+        num_spins = logical_spins
+    else:
+        masks = embedding.chain_masks
+        lifted = sorted((_lift_bits(g.bits, masks), g.bits) for g in manifold.configs)
+        num_spins = embedding.num_physical
     first = next(iter(probabilities), None)
-    if first is not None and first.num_spins != lifted[0][0].num_spins:
+    if first is not None and first.num_spins != num_spins:
         raise ValueError(
             f"distribution over {first.num_spins} spins does not match the "
-            f"{lifted[0][0].num_spins} spins the manifold lifts to"
+            f"{num_spins} spins the manifold lifts to"
         )
-    logical: dict[SpinConfiguration, float] = {}
+    if isinstance(probabilities, ProbabilityVector):
+        values = probabilities.vector[[b for b, _ in lifted]].tolist()
+    else:
+        by_bits = {
+            c.bits: p for c, p in probabilities.items() if c.num_spins == num_spins
+        }
+        values = [by_bits.get(b) for b, _ in lifted]
+    ground, weights = [], []
     ground_weight = 0.0
-    for config, g in lifted:
-        p = probabilities.get(config)
+    for (_, g), p in zip(lifted, values):
         if p is not None:
-            logical[g] = p
+            ground.append(g)
+            weights.append(p)
             ground_weight += p
-    return fold_by_inversion(logical), 1.0 - ground_weight
+    return _fold_bits(ground, weights, logical_spins), 1.0 - ground_weight
 
 
 def fold_ground_probabilities(
@@ -450,10 +480,12 @@ def _lift_partition(
     partition: FairnessPartition, embedding: Embedding
 ) -> FairnessPartition:
     """Map logical class representatives to physical ones through the chains."""
+    num_spins = embedding.num_physical
+    mask = (1 << num_spins) - 1
 
     def lift_rep(config: SpinConfiguration) -> SpinConfiguration:
-        lifted = lift_state(config, embedding)
-        return min(lifted, lifted.inverted())
+        lifted = lift_state(config, embedding).bits
+        return SpinConfiguration(min(lifted, lifted ^ mask), num_spins)
 
     return FairnessPartition(
         s_set=tuple(lift_rep(c) for c in partition.s_set),

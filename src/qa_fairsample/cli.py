@@ -8,6 +8,7 @@ All output is deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -143,6 +144,7 @@ def cmd_pt(args) -> int:
         "resolved_order": result.resolved_order,
         "minimal_eigenvalue": result.minimal_eigenvalue,
         "multiplicity": result.multiplicity,
+        "resolved": result.resolved,
         "probabilities": {
             c.to_bitstring(): p for c, p in result.probabilities.items()
         },
@@ -223,7 +225,13 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared.
+
+    Parsing leaves no state in it, so one parser serves every ``main`` call
+    of a process.
+    """
     parser = argparse.ArgumentParser(
         prog="qa-fairsample",
         description=(
@@ -288,8 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    Exit codes: 0 success, 2 input error, 3 validation failure, 4
+    numerical-accuracy failure. A malformed command line raises SystemExit(2)
+    from argparse. The parser is built on the first call and reused, so a
+    process that calls ``main`` repeatedly pays for it once.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except IntegrationAccuracyError as exc:

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+
 from .errors import EmbeddingError
-from .model import IsingModel, SpinConfiguration, _integer, enumerate_ground_states
+from .model import (
+    IsingModel,
+    SpinConfiguration,
+    _finite,
+    _integer,
+    enumerate_ground_states,
+)
 
 
 def _index(value, what: str) -> int:
@@ -24,6 +31,19 @@ def _index(value, what: str) -> int:
         raise EmbeddingError(str(exc)) from None
 
 
+def _chain_strength(value) -> float:
+    """A positive finite real number that is not a bool; else an EmbeddingError."""
+    try:
+        strength = _finite(value, "chain strength")
+    except ValueError:
+        strength = math.nan
+    if not strength > 0.0:
+        raise EmbeddingError(
+            f"chain strength must be positive and finite, got {value!r}"
+        )
+    return strength
+
+
 @dataclass(frozen=True)
 class Embedding:
     """Logical-to-physical chain map with an explicit coupling reassignment.
@@ -31,13 +51,22 @@ class Embedding:
     ``chains[i]`` lists the physical spins representing logical spin i; the
     chains must partition the physical index range. ``coupling_assignment``
     maps every logical coupling (i, j) to the single physical pair (p, q)
-    that carries it, with p in chain(i) and q in chain(j).
+    that carries it, with p in chain(i) and q in chain(j). The chain strength
+    must be a positive finite real number (not a bool) and the indices
+    integers; anything else raises EmbeddingError.
+
+    Construction also derives ``num_physical`` and ``chain_masks``, the
+    physical bits of each chain, which ``lift_state`` ORs together. Neither
+    takes part in equality or hashing. The fields are immutable and checked
+    once, so ``with_chain_strength`` checks only the new strength.
     """
 
     num_logical: int
     chains: tuple[tuple[int, ...], ...]
     chain_strength: float
     coupling_assignment: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    num_physical: int = field(init=False, repr=False, compare=False)
+    chain_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "num_logical", _index(self.num_logical, "num_logical"))
@@ -51,15 +80,13 @@ class Embedding:
             for (i, j), (p, q) in self.coupling_assignment
         )
         object.__setattr__(self, "coupling_assignment", assignment)
-        object.__setattr__(self, "chain_strength", float(self.chain_strength))
+        object.__setattr__(
+            self, "chain_strength", _chain_strength(self.chain_strength)
+        )
 
         if self.num_logical < 1 or len(chains) != self.num_logical:
             raise EmbeddingError(
                 f"expected {self.num_logical} chains, got {len(chains)}"
-            )
-        if not 0.0 < self.chain_strength < math.inf:
-            raise EmbeddingError(
-                f"chain strength must be positive and finite, got {self.chain_strength}"
             )
         flattened = [p for chain in chains for p in chain]
         if any(len(chain) == 0 for chain in chains):
@@ -82,16 +109,22 @@ class Embedding:
                     f"assignment ({i},{j})->({p},{q}): physical spin not in "
                     "the claimed chain"
                 )
-
-    @property
-    def num_physical(self) -> int:
-        return sum(len(chain) for chain in self.chains)
+        object.__setattr__(self, "num_physical", len(flattened))
+        object.__setattr__(
+            self,
+            "chain_masks",
+            tuple(sum(1 << p for p in chain) for chain in chains),
+        )
 
     def assignment_map(self) -> dict[tuple[int, int], tuple[int, int]]:
         return {lk: pk for lk, pk in self.coupling_assignment}
 
     def with_chain_strength(self, chain_strength: float) -> "Embedding":
-        return replace(self, chain_strength=chain_strength)
+        """This embedding at another chain strength; only the strength is checked."""
+        strength = _chain_strength(chain_strength)
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__, chain_strength=strength)
+        return other
 
 
 @dataclass(frozen=True)
@@ -156,16 +189,22 @@ def apply_embedding(source: IsingModel, embedding: Embedding) -> EmbeddedModel:
     return EmbeddedModel(model=physical, embedding=embedding, source=source)
 
 
+def _lift_bits(bits: int, chain_masks: tuple[int, ...]) -> int:
+    """Physical bits of the logical ``bits``: the OR of the set spins' chain masks."""
+    lifted = 0
+    for i, mask in enumerate(chain_masks):
+        if bits >> i & 1:
+            lifted |= mask
+    return lifted
+
+
 def lift_state(config: SpinConfiguration, embedding: Embedding) -> SpinConfiguration:
     """Copy each logical spin value to all members of its chain."""
     if config.num_spins != embedding.num_logical:
         raise ValueError("configuration does not match the embedding")
-    bits = 0
-    for i, chain in enumerate(embedding.chains):
-        if (config.bits >> i) & 1:
-            for p in chain:
-                bits |= 1 << p
-    return SpinConfiguration(bits, embedding.num_physical)
+    return SpinConfiguration(
+        _lift_bits(config.bits, embedding.chain_masks), embedding.num_physical
+    )
 
 
 def project_state(

@@ -58,6 +58,7 @@ the coarse rows beside them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -76,6 +77,14 @@ DRIFT_BUDGET = 1e-6
 # below which a row's Taylor terms stop.
 THETA = 4.0
 TAYLOR_TOL = 1e-15
+
+# Largest 2 * rows * kept amplitudes * steps one integration may take on:
+# the fine and coarse rows of a batch, each carrying 2^N amplitudes (2^(N-1)
+# on the half space) through every step. fig3a, the largest preset, needs
+# 1.28e7 (40 rows of 32 amplitudes, 5000 steps), and the 15-spin anneal of
+# the perfbench wide-state workload 1.6e6; the budget leaves 150x over the
+# former. Larger work is refused up front rather than started.
+MAX_AMPLITUDE_STEPS = 2_000_000_000
 
 # CFM4: Gauss nodes of the unit step and the weights mixing H at them.
 _NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -295,20 +304,31 @@ def _exp_step(
             still &= np.abs(term.view(np.float64)).max(axis=1) >= TAYLOR_TOL
 
 
-def _schedule(tau: float, steps: int) -> np.ndarray:
-    """Schedule values (s_a, s_b) of every CFM4 step, shape (steps, 2).
+def _schedule(tau: float, steps: int):
+    """Schedule values (s_a, s_b) of each CFM4 step, in step order.
 
     s_a and s_b lie inside their step, at t/tau plus 1/6 and 5/6 of dt/tau,
-    so 0 <= s <= 1 throughout.
+    so 0 <= s <= 1 throughout. They are generated one step at a time, so
+    no step count allocates memory in proportion to it.
     """
     dt = tau / steps
-    start = np.arange(steps) * dt
-    s1 = (start + _NODES[0] * dt) / tau
-    s2 = (start + _NODES[1] * dt) / tau
-    return np.stack(
-        [2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2), 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)],
-        axis=1,
-    )
+    offsets = (_NODES[0] * dt, _NODES[1] * dt)
+    for k in range(steps):
+        start = k * dt
+        s1 = (start + offsets[0]) / tau
+        s2 = (start + offsets[1]) / tau
+        yield 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2), 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
+
+
+def _check_cost(rows: int, kept: int, steps: int) -> None:
+    """Refuse an integration over MAX_AMPLITUDE_STEPS before it allocates."""
+    estimate = 2 * rows * kept * steps
+    if estimate > MAX_AMPLITUDE_STEPS:
+        raise ModelTooLargeError(
+            f"integration needs {estimate:.3g} amplitude-steps (2 x {rows} rows x "
+            f"{kept} amplitudes x {steps} steps), over the budget of "
+            f"{MAX_AMPLITUDE_STEPS:.3g}"
+        )
 
 
 def _cfm4_weights(
@@ -332,22 +352,22 @@ def _cfm4_weights(
     both = np.concatenate([tables, tables])
     psi = np.tile(initial_state(num_spins)[: tables.shape[1]], (2 * rows, 1))
     if tau > 0.0:
+        _check_cost(rows, tables.shape[1], steps)
         kernel = _Kernel.allocate(2 * rows, num_spins, half)
         fine, coarse = kernel.rows(0, rows), kernel.rows(rows, 2 * rows)
         emax = np.abs(both).max(axis=1)
         coarse_steps = (steps + 1) // 2
-        fine_s = _schedule(tau, steps)
-        coarse_s = _schedule(tau, coarse_steps).ravel()
+        coarse_s = itertools.chain.from_iterable(_schedule(tau, coarse_steps))
         h = np.repeat([0.5 * (tau / steps), 0.5 * (tau / coarse_steps)], rows)
         s = np.empty(2 * rows)
-        for k in range(steps):
-            s[:rows] = fine_s[k, 0]
-            s[rows:] = coarse_s[k]
+        for s_a, s_b in _schedule(tau, steps):
+            s[:rows] = s_a
+            s[rows:] = next(coarse_s)
             _exp_step(kernel, psi, both, s, h, emax)
-            s[:rows] = fine_s[k, 1]
+            s[:rows] = s_b
             _exp_step(fine, psi[:rows], tables, s[:rows], h[:rows], emax[:rows])
         if steps % 2:
-            s[rows:] = coarse_s[-1]
+            s[rows:] = next(coarse_s)
             _exp_step(coarse, psi[rows:], tables, s[rows:], h[rows:], emax[rows:])
     weights = np.abs(psi) ** 2
     if half:

@@ -48,7 +48,7 @@ class SpinConfiguration:
 
     def to_bitstring(self) -> str:
         """Bit characters with spin 0 leftmost, e.g. bits=19, N=5 -> '11001'."""
-        return "".join(str((self.bits >> i) & 1) for i in range(self.num_spins))
+        return format(self.bits, f"0{self.num_spins}b")[::-1]
 
     def to_arrows(self) -> str:
         return "".join(
@@ -214,18 +214,35 @@ class GroundManifold:
             raise ValueError("ground configs must be in strictly ascending bits order")
 
 
-@functools.lru_cache(maxsize=128)
-def energy_table(model: IsingModel) -> np.ndarray:
-    """Energies of all 2^N configurations, indexed by bits value (read-only)."""
-    idx = np.arange(1 << model.num_spins, dtype=np.int64)
-    table = np.zeros(idx.shape, dtype=np.float64)
+def _subtract_couplings(table: np.ndarray, idx: np.ndarray, couplings) -> None:
     # J*s_i*s_j is exactly -J where bits i and j differ and J where they
     # agree. It depends on the low j+1 bits only, so one period of 2^(j+1)
     # entries is computed and subtracted from every period of the table.
-    for i, j, J in model.couplings:
+    for i, j, J in couplings:
         low = idx[: 2 << j]
         periods = table.reshape(-1, low.size)
         periods -= np.where(((low >> i) ^ (low >> j)) & 1, -J, J)
+
+
+@functools.lru_cache(maxsize=2)
+def _shared_table(num_spins: int, couplings: tuple) -> np.ndarray:
+    """Read-only table of the ``couplings`` terms alone, in their order."""
+    idx = np.arange(1 << num_spins, dtype=np.int64)
+    table = np.zeros(idx.shape, dtype=np.float64)
+    _subtract_couplings(table, idx, couplings)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=128)
+def _energy_table(model: IsingModel) -> np.ndarray:
+    couplings = model.couplings
+    split = len(couplings)
+    while split and couplings[split - 1][2] == couplings[-1][2]:
+        split -= 1
+    idx = np.arange(1 << model.num_spins, dtype=np.int64)
+    table = _shared_table(model.num_spins, couplings[:split]).copy()
+    _subtract_couplings(table, idx, couplings[split:])
     for i, h in enumerate(model.fields):
         if h:
             low = idx[: 2 << i]
@@ -233,6 +250,36 @@ def energy_table(model: IsingModel) -> np.ndarray:
             periods -= np.where((low >> i) & 1, h, -h)
     table.setflags(write=False)
     return table
+
+
+class _EnergyTables:
+    """Energies of all 2^N configurations of a model, indexed by bits value.
+
+    ``energy_table(model)`` returns a read-only float64 array, memoised per
+    model (128 of them, least recently used first out). The table is built
+    by subtracting each coupling term and then each field term, in the
+    model's order, from zeros. The couplings before the trailing run that
+    shares the last coupling's value are summed once into a table kept for
+    the next model with the same leading couplings: the J_F variants of one
+    embedding differ only in the chain bonds ``apply_embedding`` appends, so
+    they share it. Each model then copies it and subtracts its own run and
+    its fields, so every table holds bitwise what the one-pass sum gives.
+    ``cache_info()`` reports the per-model memo, and ``cache_clear()``
+    empties it and the shared tables.
+    """
+
+    def __call__(self, model: IsingModel) -> np.ndarray:
+        return _energy_table(model)
+
+    def cache_info(self):
+        return _energy_table.cache_info()
+
+    def cache_clear(self) -> None:
+        _energy_table.cache_clear()
+        _shared_table.cache_clear()
+
+
+energy_table = _EnergyTables()
 
 
 def enumerate_ground_states(model: IsingModel) -> GroundManifold:

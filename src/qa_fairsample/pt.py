@@ -23,6 +23,7 @@ by construction. Every entry is summed in the order of the per-config sum
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -76,11 +77,20 @@ class EffectiveMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PTResult:
+    """Outcome of ``perturbative_probabilities``.
+
+    ``resolved`` is false when the minimal eigenvalue of the last order built
+    keeps multiplicity > 1 and its eigenspace is not one inversion doublet:
+    the probabilities are then the projector diagonal / g, which is exact
+    only if a symmetry protects the degeneracy, and higher orders may split it.
+    """
+
     resolved_order: int
     minimal_eigenvalue: float
     multiplicity: int
     probabilities: dict[SpinConfiguration, float]
     folded_probabilities: dict[SpinConfiguration, float]
+    resolved: bool
 
 
 def config_bits(configs: Sequence[SpinConfiguration]) -> np.ndarray:
@@ -163,18 +173,36 @@ def second_order_matrix(setup: PerturbationSetup) -> EffectiveMatrix:
 
 
 def fold_by_inversion(
-    probabilities: dict[SpinConfiguration, float],
+    probabilities: Mapping[SpinConfiguration, float],
 ) -> dict[SpinConfiguration, float]:
     """Merge each configuration's probability with its global spin inversion.
 
     Keys of the result are class representatives: the smaller bits value of
-    each (config, inverted config) pair.
+    each (config, inverted config) pair. All configurations must have one
+    spin count.
     """
-    folded: dict[SpinConfiguration, float] = {}
-    for config, p in probabilities.items():
-        rep = min(config, config.inverted())
+    if not probabilities:
+        return {}
+    num_spins = next(iter(probabilities)).num_spins
+    return _fold_bits(
+        [c.bits for c in probabilities], probabilities.values(), num_spins
+    )
+
+
+def _fold_bits(
+    bits: Iterable[int], weights: Iterable[float], num_spins: int
+) -> dict[SpinConfiguration, float]:
+    """``fold_by_inversion`` over parallel bits values and weights.
+
+    Each class is keyed by min(b, b ^ mask) and summed in the given order;
+    a SpinConfiguration is built only for each class of the result.
+    """
+    mask = (1 << num_spins) - 1
+    folded: dict[int, float] = {}
+    for b, p in zip(bits, weights):
+        rep = min(b, b ^ mask)
         folded[rep] = folded.get(rep, 0.0) + p
-    return folded
+    return {SpinConfiguration(rep, num_spins): p for rep, p in folded.items()}
 
 
 def _is_inversion_doublet(setup: PerturbationSetup, u: np.ndarray) -> bool:
@@ -199,7 +227,8 @@ def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
     as resolved). Otherwise project W onto the minimal first-order eigenspace
     and diagonalize again. If the final minimal eigenvalue keeps multiplicity
     g > 1, probabilities are the diagonal of the eigenspace projector divided
-    by g, which reduces to squared eigenvector components at g = 1.
+    by g, which reduces to squared eigenvector components at g = 1; unless
+    that eigenspace is an inversion doublet, ``resolved`` is then false.
     """
     configs = setup.manifold.configs
     m1 = first_order_matrix(setup)
@@ -208,7 +237,8 @@ def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
     resolved_order = 1
     minimal = float(vals[0])
     span = u
-    if u.shape[1] > 1 and not _is_inversion_doublet(setup, u):
+    resolved = u.shape[1] == 1 or _is_inversion_doublet(setup, u)
+    if not resolved:
         w = second_order_matrix(setup)
         projected = u.T @ w.entries @ u
         projected = 0.5 * (projected + projected.T)
@@ -217,15 +247,18 @@ def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
         span = u @ v
         resolved_order = 2
         minimal = float(vals2[0])
+        resolved = span.shape[1] == 1 or _is_inversion_doublet(setup, span)
     multiplicity = span.shape[1]
-    weights = (span ** 2).sum(axis=1) / multiplicity
-    probabilities = {c: float(p) for c, p in zip(configs, weights)}
+    weights = ((span ** 2).sum(axis=1) / multiplicity).tolist()
     return PTResult(
         resolved_order=resolved_order,
         minimal_eigenvalue=minimal,
         multiplicity=multiplicity,
-        probabilities=probabilities,
-        folded_probabilities=fold_by_inversion(probabilities),
+        probabilities=dict(zip(configs, weights)),
+        folded_probabilities=_fold_bits(
+            [c.bits for c in configs], weights, setup.model.num_spins
+        ),
+        resolved=resolved,
     )
 
 

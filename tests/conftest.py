@@ -11,15 +11,17 @@ of the energy table, the effective PT matrices and the gap analysis do the
 same for the package's array versions. ``kernel_apply`` is the one helper
 that runs package code: it drives the integrator's kernel on one state, for
 the tests that check that kernel against the dense and gather oracles.
+``embedded_instances`` draws random small models with chain embeddings for
+the property tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import qa_fairsample as qf
-from qa_fairsample.analysis import _partition_side
 from qa_fairsample.data import toy_embedding_path, toy_source_path
 from qa_fairsample.evolve import (
     _ALPHA1,
@@ -91,6 +93,34 @@ def consensus_project_and_fold(probabilities, chains, manifold):
     return folded, 1.0 - ground_weight
 
 
+@st.composite
+def embedded_instances(draw):
+    """A random model with N <= 4 and a chain embedding of it.
+
+    Chains have 1-3 members drawn from a random permutation of the physical
+    spins, so lifting is not monotone in bits.
+    """
+    n = draw(st.integers(1, 4))
+    couplings = tuple(
+        (i, j, draw(st.sampled_from((-1.0, 1.0))))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    )
+    fields = tuple(draw(st.sampled_from((-1.0, 0.0, 0.0, 1.0))) for _ in range(n))
+    model = qf.IsingModel(n, couplings, fields)
+    lengths = [draw(st.integers(1, 3)) for _ in range(n)]
+    order = draw(st.permutations(range(sum(lengths))))
+    chains = tuple(
+        tuple(order[sum(lengths[:i]) : sum(lengths[: i + 1])]) for i in range(n)
+    )
+    assignment = tuple(
+        ((i, j), (draw(st.sampled_from(chains[i])), draw(st.sampled_from(chains[j]))))
+        for i, j, _ in couplings
+    )
+    return model, qf.Embedding(n, chains, 1.0, assignment)
+
+
 def loop_energy_table(model: qf.IsingModel) -> np.ndarray:
     """Energy table built from one +-1 float spin array per coupled spin."""
     idx = np.arange(1 << model.num_spins, dtype=np.int64)
@@ -136,6 +166,17 @@ def loop_second_order_entries(model, manifold) -> np.ndarray:
                     acc += 1.0 / (e0 - table[k])
             entries[a, b] = acc
     return entries
+
+
+def loop_partition_side(config, partition) -> str:
+    """Side of a config: exact S or C member first, then its class rep."""
+    rep = min(config, config.inverted())
+    for candidate in (config, rep):
+        if candidate in partition.s_set:
+            return "S"
+        if candidate in partition.c_set:
+            return "C"
+    raise ValueError(f"{config!r} is not covered by the partition")
 
 
 def loop_gap_ratio(model, manifold, partition) -> qf.GapReport:
@@ -186,7 +227,7 @@ def loop_gap_ratio(model, manifold, partition) -> qf.GapReport:
 
     side_gaps = {"S": [], "C": []}
     for g, mean_gap in per_state.items():
-        side_gaps[_partition_side(g, partition)].append(mean_gap)
+        side_gaps[loop_partition_side(g, partition)].append(mean_gap)
     if not side_gaps["S"] or not side_gaps["C"]:
         raise ValueError("a partition set has no state with mediating intermediates")
     delta_s = sum(side_gaps["S"]) / len(side_gaps["S"])

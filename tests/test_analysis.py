@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import qa_fairsample as qf
 from qa_fairsample.errors import UndefinedRatioError
 
-from conftest import FIXTURE_MODELS, consensus_project_and_fold
+from conftest import FIXTURE_MODELS, consensus_project_and_fold, embedded_instances
 
 
 def cfg(bits, n):
@@ -60,34 +60,6 @@ def test_fold_rejects_distribution_of_other_size(toy_manifold, embedded_models):
         qf.project_and_fold(logical, embedded_models[1.0].embedding, toy_manifold)
     with pytest.raises(ValueError, match="does not match"):
         qf.fold_ground_probabilities(physical, toy_manifold)
-
-
-@st.composite
-def embedded_instances(draw):
-    """A random model with N <= 4 and a chain embedding of it.
-
-    Chains have 1-3 members drawn from a random permutation of the physical
-    spins, so lifting is not monotone in bits.
-    """
-    n = draw(st.integers(1, 4))
-    couplings = tuple(
-        (i, j, draw(st.sampled_from((-1.0, 1.0))))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if draw(st.booleans())
-    )
-    fields = tuple(draw(st.sampled_from((-1.0, 0.0, 0.0, 1.0))) for _ in range(n))
-    model = qf.IsingModel(n, couplings, fields)
-    lengths = [draw(st.integers(1, 3)) for _ in range(n)]
-    order = draw(st.permutations(range(sum(lengths))))
-    chains = tuple(
-        tuple(order[sum(lengths[:i]) : sum(lengths[: i + 1])]) for i in range(n)
-    )
-    assignment = tuple(
-        ((i, j), (draw(st.sampled_from(chains[i])), draw(st.sampled_from(chains[j]))))
-        for i, j, _ in couplings
-    )
-    return model, qf.Embedding(n, chains, 1.0, assignment)
 
 
 SEEDS = st.integers(0, 2**32 - 1)

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +88,48 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["solve", "matsuda5", "--nope"])
     assert excinfo.value.code == 2
+
+
+# One interpreter runs each command line through cli.main in turn and
+# reports, per call, the exit code (argparse's SystemExit included), stdout
+# and stderr; it also reports whether importing the CLI built its parser.
+IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from qa_fairsample import cli
+built_at_import = cli.build_parser.cache_info().currsize
+calls = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    calls.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"built_at_import": built_at_import, "calls": calls}))
+"""
+
+
+def test_one_process_answers_as_separate_processes():
+    pt = ["pt", "matsuda5", "--embedding", "matsuda5_embedded", "--jf", "0.5"]
+    argvs = [pt, ["pt", "matsuda5", "--s-set", "9"], ["pt", "--bogus"], pt]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    shared = subprocess.run(
+        [sys.executable, "-c", IN_ONE_PROCESS, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    report = json.loads(shared.stdout)
+    assert report["built_at_import"] == 0
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "qa_fairsample", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        for argv in argvs
+    ]
+    assert report["calls"] == [[p.returncode, p.stdout, p.stderr] for p in separate]
+    assert [code for code, _, _ in report["calls"]] == [0, 2, 2, 0]
+    assert "usage: qa-fairsample pt" in report["calls"][2][2]
 
 
 # --------------------------------------------------------------- validate
@@ -171,6 +218,18 @@ def test_anneal_rejects_bad_tau(capsys, tau):
     assert code == 2
     assert out == ""
     assert "tau" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--tau", "1e9"), ("--tau", "20", "--steps", "10000000000")]
+)
+def test_anneal_over_the_cost_budget_exits_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "anneal", "matsuda5", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "amplitude-steps" in err and "over the budget of 2e+09" in err
 
 
 def test_anneal_bad_model_exits_2(capsys, tmp_path):
@@ -267,6 +326,24 @@ def test_chain_strength_without_embedding_exits_2(capsys, command):
     assert code == 2
     assert out == ""
     assert "--jf needs --embedding" in err
+
+
+def test_pt_reports_whether_it_resolved(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "pt", "matsuda5", "--embedding", "matsuda5_embedded", "--jf", "0.5"
+    )
+    assert code == 0
+    assert json.loads(out)["resolved"] is True
+    # two independent three-spin chains: a 4-fold minimum after second order
+    path = tmp_path / "two_chains.json"
+    path.write_text(
+        '{"num_spins": 6, "couplings": [[0, 3, 1], [1, 3, -1], [2, 5, -1], [4, 5, 1]]}'
+    )
+    code, out, _ = run(capsys, "pt", str(path), "--s-set", "0", "--c-set", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["resolved_order"], payload["multiplicity"]) == (2, 4)
+    assert payload["resolved"] is False
 
 
 def test_pt_deterministic_output(capsys):

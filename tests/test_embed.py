@@ -175,6 +175,44 @@ def test_embedding_structural_validation(toy_template):
         )  # duplicate assignment
 
 
+@pytest.mark.parametrize("value", [True, "0.5", None, 1 + 0j, -0.5, float("nan")])
+def test_chain_strength_must_be_a_positive_real_number(toy_template, value):
+    with pytest.raises(EmbeddingError, match="chain strength must be positive and finite"):
+        toy_template.with_chain_strength(value)
+    with pytest.raises(EmbeddingError, match="chain strength must be positive and finite"):
+        qf.Embedding(
+            toy_template.num_logical,
+            toy_template.chains,
+            value,
+            toy_template.coupling_assignment,
+        )
+
+
+@pytest.mark.parametrize("value", [0.3, 2, np.float64(1.5), np.int64(3), 1e-300])
+def test_with_chain_strength_equals_a_fresh_embedding(toy_template, value):
+    changed = toy_template.with_chain_strength(value)
+    fresh = qf.Embedding(
+        toy_template.num_logical,
+        toy_template.chains,
+        value,
+        toy_template.coupling_assignment,
+    )
+    assert changed == fresh
+    assert hash(changed) == hash(fresh)
+    assert type(changed.chain_strength) is float
+    assert (changed.num_physical, changed.chain_masks) == (
+        fresh.num_physical,
+        fresh.chain_masks,
+    )
+    assert toy_template.chain_strength == 1.0
+
+
+def test_chain_masks_hold_each_chain(toy_template):
+    # logical spin 4 is the chain (4, 5)
+    assert toy_template.num_physical == 6
+    assert toy_template.chain_masks == (1, 2, 4, 8, 48)
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -41,6 +41,16 @@ def test_initial_state_guard():
         qf.initial_state(25)
 
 
+def test_integration_over_the_cost_budget_is_refused(toy_source):
+    # 2 x 1 row x 16 kept amplitudes x 10^10 steps, refused before any
+    # allocation in proportion to the step count
+    schedule = qf.AnnealSchedule(tau=20.0, steps=10**10)
+    with pytest.raises(ModelTooLargeError, match="3.2e\\+11 amplitude-steps"):
+        qf.evolve(toy_source, schedule)
+    with pytest.raises(ModelTooLargeError, match="over the budget of 2e\\+09"):
+        qf.convergence_check(toy_source, qf.AnnealSchedule(tau=20.0, steps=10**9))
+
+
 # ------------------------------------------------ Hamiltonian application
 
 

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.errors import ModelTooLargeError
+from qa_fairsample.model import _energy_table, _shared_table
 
-from conftest import brute_energy, brute_ground_bits
+from conftest import (
+    brute_energy,
+    brute_ground_bits,
+    embedded_instances,
+    loop_energy_table,
+)
 
 
 def cfg(bits, n):
@@ -59,6 +67,32 @@ def test_energy_table_matches_energy(toy_source):
     table = qf.energy_table(toy_source)
     for bits in range(32):
         assert table[bits] == brute_energy(toy_source, bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(embedded_instances(), min_size=1, max_size=2), st.data())
+def test_chain_strength_variants_share_exact_tables(instances, data):
+    # the J_F variants of each embedding share the table of their leading
+    # couplings; 1.0 also equals some source couplings, so the trailing run
+    # the variants differ in can reach into them
+    strengths = st.lists(
+        st.sampled_from((0.1, 0.5, 1.0, 1.7, 2.0)), min_size=1, max_size=4, unique=True
+    )
+    models = []
+    for source, embedding in instances:
+        models.append(source)
+        for jf in data.draw(strengths):
+            variant = embedding.with_chain_strength(jf)
+            models.append(qf.apply_embedding(source, variant).model)
+    for _ in range(2):
+        qf.energy_table.cache_clear()
+        assert _energy_table.cache_info().currsize == 0
+        assert _shared_table.cache_info().currsize == 0
+        for model in data.draw(st.permutations(models)):
+            table = qf.energy_table(model)
+            assert table.tobytes() == loop_energy_table(model).tobytes()
+            assert not table.flags.writeable
+        assert _shared_table.cache_info().currsize <= 2
 
 
 def test_inversion_symmetry_without_fields():

@@ -181,6 +181,30 @@ def test_probabilities_field_pinned_states():
         assert list(result.probabilities.values()) == [1.0]
 
 
+def test_resolved_flag_on_resolved_answers(embedded_models, toy_source):
+    embedded = qf.perturbative_probabilities(setup_for(embedded_models[0.5].model))
+    assert (embedded.resolved_order, embedded.multiplicity) == (2, 1)
+    assert embedded.resolved
+    # two ground states two flips apart: the first-order minimum is one
+    # inversion doublet, which counts as resolved
+    pair = qf.perturbative_probabilities(setup_for(FIXTURE_MODELS["ferro2"]))
+    assert (pair.resolved_order, pair.multiplicity, pair.resolved) == (1, 2, True)
+    assert qf.perturbative_probabilities(setup_for(toy_source)).resolved
+
+
+# Two independent three-spin chains: each has one inversion pair of ground
+# states, so the four ground states are three flips apart and neither order
+# connects them.
+TWO_CHAINS = qf.IsingModel(6, ((0, 3, 1.0), (1, 3, -1.0), (2, 5, -1.0), (4, 5, 1.0)))
+
+
+def test_resolved_flag_on_degeneracy_beyond_a_doublet():
+    result = qf.perturbative_probabilities(setup_for(TWO_CHAINS))
+    assert (result.resolved_order, result.multiplicity) == (2, 4)
+    assert not result.resolved
+    assert list(result.probabilities.values()) == pytest.approx([0.25] * 4, abs=1e-12)
+
+
 def test_probabilities_sum_to_one(embedded_models):
     for model in [embedded_models[jf].model for jf in (0.5, 1.0, 1.5)] + list(
         FIXTURE_MODELS.values()
