@@ -66,7 +66,6 @@ from .pt import (
     embedded_toy_reference_matrix,
     find_basis_permutation,
     first_order_matrix,
-    fold_by_inversion,
     perturbative_probabilities,
     second_order_matrix,
     validate_toy_model,

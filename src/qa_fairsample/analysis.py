@@ -20,7 +20,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embed import Embedding, _lift_bits, apply_embedding, lift_state
+from .embed import (
+    Embedding,
+    _lift_bits,
+    apply_embedding,
+    identity_embedding,
+    lift_state,
+)
 from .errors import UndefinedRatioError
 from .evolve import AnnealSchedule, EvolutionResult, accuracy_failure, evolve_many
 from .model import (
@@ -232,26 +238,24 @@ def gap_ratio(
 def _fold_manifold(
     probabilities: Mapping[SpinConfiguration, float],
     manifold: GroundManifold,
-    embedding: Embedding | None,
+    chain_masks: tuple[int, ...],
+    num_spins: int,
 ) -> tuple[dict[SpinConfiguration, float], float]:
     """Fold the entries of a distribution that project onto manifold configs.
 
-    Consensus projection maps intact configurations one-to-one onto logical
-    ones with project(lift(g)) == g, so the entries that fold onto g are
-    exactly the one at lift(g) (g itself without an embedding): d lookups,
-    not a pass over all 2^M entries. The ground weight is summed in
-    ascending physical bits, the order of a bits-indexed distribution.
-    Everything runs on bits values; a ProbabilityVector is read through its
-    array and any other mapping through the bits of its keys.
+    ``chain_masks`` holds the physical bits of each logical spin's chain and
+    ``num_spins`` the physical spin count; a distribution over the logical
+    spins themselves folds through the identity masks ``1 << i``. Consensus
+    projection maps intact configurations one-to-one onto logical ones with
+    project(lift(g)) == g, so the entries that fold onto g are exactly the
+    one at lift(g): d lookups, not a pass over all 2^M entries. The ground
+    weight is summed in ascending physical bits, the order of a
+    bits-indexed distribution. Everything runs on bits values; a
+    ProbabilityVector is read through its array and any other mapping
+    through the bits of its keys.
     """
     logical_spins = manifold.configs[0].num_spins
-    if embedding is None:
-        lifted = [(g.bits, g.bits) for g in manifold.configs]
-        num_spins = logical_spins
-    else:
-        masks = embedding.chain_masks
-        lifted = sorted((_lift_bits(g.bits, masks), g.bits) for g in manifold.configs)
-        num_spins = embedding.num_physical
+    lifted = sorted((_lift_bits(g.bits, chain_masks), g.bits) for g in manifold.configs)
     first = next(iter(probabilities), None)
     if first is not None and first.num_spins != num_spins:
         raise ValueError(
@@ -279,7 +283,8 @@ def fold_ground_probabilities(
     probabilities: Mapping[SpinConfiguration, float], manifold: GroundManifold
 ) -> tuple[dict[SpinConfiguration, float], float]:
     """Fold a measurement distribution onto ground classes; rest is excited weight."""
-    return _fold_manifold(probabilities, manifold, None)
+    n = manifold.configs[0].num_spins
+    return _fold_manifold(probabilities, manifold, tuple(1 << i for i in range(n)), n)
 
 
 def project_and_fold(
@@ -292,7 +297,9 @@ def project_and_fold(
     Broken-chain weight counts as excited and is never redistributed, as do
     intact projections landing outside the source manifold.
     """
-    return _fold_manifold(probabilities, source_manifold, embedding)
+    return _fold_manifold(
+        probabilities, source_manifold, embedding.chain_masks, embedding.num_physical
+    )
 
 
 @dataclass(frozen=True)
@@ -357,9 +364,11 @@ def sweep_tau(
 ) -> list[SweepRecord]:
     """Annealing-time sweep over the source model and its embedded variants.
 
-    Row order is deterministic: for each tau (ascending), the source row
-    first, then one row per embedding in the given order. Ratios use the
-    default partition of the source manifold.
+    The source runs as the variant ``"original"`` through its identity
+    embedding, so every row is evolved in one batch per physical spin count
+    and folded by ``project_and_fold``. Row order is deterministic: for each
+    tau (ascending), the source row first, then one row per embedding in the
+    given order. Ratios use the default partition of the source manifold.
     """
     if not taus:
         raise ValueError("tau grid must be non-empty")
@@ -367,27 +376,19 @@ def sweep_tau(
         raise ValueError("tau grid must be strictly ascending")
     source_manifold = enumerate_ground_states(source)
     partition = default_partition(source_manifold)
-    embedded = [(label, apply_embedding(source, e)) for label, e in embeddings]
+    variants = [("original", identity_embedding(source)), *embeddings]
+    embedded = [(label, apply_embedding(source, e)) for label, e in variants]
+    by_size: dict[int, list[int]] = {}
+    for idx, (_, em) in enumerate(embedded):
+        by_size.setdefault(em.model.num_spins, []).append(idx)
 
     records = []
     for tau in taus:
         schedule = AnnealSchedule.for_tau(tau, steps)
-        src_result = evolve_many((source,), schedule, enforce_drift=False)[0]
-        folded, excited = fold_ground_probabilities(
-            src_result.final_probabilities, source_manifold
-        )
-        records.append(
-            _se_record("original", "tau", tau, src_result, folded, excited, partition)
-        )
-
-        models = [em.model for _, em in embedded]
-        by_size: dict[int, list[int]] = {}
-        for idx, m in enumerate(models):
-            by_size.setdefault(m.num_spins, []).append(idx)
         results: dict[int, EvolutionResult] = {}
         for indices in by_size.values():
             batch = evolve_many(
-                [models[i] for i in indices], schedule, enforce_drift=False
+                [embedded[i][1].model for i in indices], schedule, enforce_drift=False
             )
             results.update(zip(indices, batch))
         for idx, (label, em) in enumerate(embedded):

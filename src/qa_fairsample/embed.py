@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import EmbeddingError
@@ -212,18 +212,19 @@ def project_state(
 ) -> SpinConfiguration | None:
     """Consensus projection of a physical configuration onto the logical system.
 
-    Returns None when any chain's members disagree; broken states are never
-    repaired or re-attributed.
+    A chain is intact when its members' bits, ``bits & mask``, are all clear
+    or all set. Returns None when any chain's members disagree; broken
+    states are never repaired or re-attributed.
     """
     if config.num_spins != embedding.num_physical:
         raise ValueError("configuration does not match the embedding")
     bits = 0
-    for i, chain in enumerate(embedding.chains):
-        first = (config.bits >> chain[0]) & 1
-        for p in chain[1:]:
-            if (config.bits >> p) & 1 != first:
-                return None
-        bits |= first << i
+    for i, mask in enumerate(embedding.chain_masks):
+        members = config.bits & mask
+        if members == mask:
+            bits |= 1 << i
+        elif members:
+            return None
     return SpinConfiguration(bits, embedding.num_logical)
 
 
@@ -239,38 +240,31 @@ class EmbeddingReport:
     embedded_degeneracy: int
 
     def to_dict(self) -> dict:
-        return {
-            "chains_unbroken": self.chains_unbroken,
-            "bijective": self.bijective,
-            "source_energy": self.source_energy,
-            "embedded_energy": self.embedded_energy,
-            "source_degeneracy": self.source_degeneracy,
-            "embedded_degeneracy": self.embedded_degeneracy,
-        }
+        return asdict(self)
 
 
 def verify_embedding(embedded: EmbeddedModel) -> EmbeddingReport:
     """Check that the embedded ground manifold projects bijectively onto the source's.
 
-    A too-weak chain strength would admit broken-chain ground states; the
-    report flags that instead of raising.
+    Consensus projection is one-to-one on intact configurations and undoes
+    the lift, so the projection is a bijection exactly when every embedded
+    ground state is intact and the embedded manifold, in its ascending bits
+    order, equals the sorted lifts of the source manifold. A too-weak chain
+    strength would admit broken-chain ground states; the report flags that
+    instead of raising.
     """
     source_manifold = enumerate_ground_states(embedded.source)
     embedded_manifold = enumerate_ground_states(embedded.model)
-
-    projected = [
-        project_state(c, embedded.embedding) for c in embedded_manifold.configs
-    ]
-    unbroken = all(p is not None for p in projected)
-    intact = [p for p in projected if p is not None]
-    bijective = (
-        unbroken
-        and len(set(intact)) == len(intact)
-        and set(intact) == set(source_manifold.configs)
+    embedding = embedded.embedding
+    unbroken = all(
+        project_state(c, embedding) is not None for c in embedded_manifold.configs
+    )
+    lifted = sorted(
+        _lift_bits(g.bits, embedding.chain_masks) for g in source_manifold.configs
     )
     return EmbeddingReport(
         chains_unbroken=unbroken,
-        bijective=bijective,
+        bijective=unbroken and [c.bits for c in embedded_manifold.configs] == lifted,
         source_energy=source_manifold.energy,
         embedded_energy=embedded_manifold.energy,
         source_degeneracy=source_manifold.degeneracy,

@@ -383,10 +383,6 @@ def _probabilities(
     num_spins = models[0].num_spins
     if any(m.num_spins != num_spins for m in models):
         raise ValueError("all models in a batch must have the same spin count")
-    if num_spins > MAX_SPINS:
-        raise ModelTooLargeError(
-            f"{num_spins} spins exceeds the size guard of {MAX_SPINS}"
-        )
     tables = np.stack([energy_table(m) for m in models])
     fine, coarse = _cfm4_weights(tables, tau, steps)
     norm_sq = fine.sum(axis=1)

@@ -193,25 +193,24 @@ class GroundManifold:
     """All minimum-energy configurations of a model, in ascending bits order.
 
     The PT and gap analysis look configs up by binary search on their bits
-    values, so the order is checked here: bits strictly ascending, one spin
-    count for all configs, and ``degeneracy == len(configs)``.
+    values, so the order is checked here: bits strictly ascending and one
+    spin count for all configs.
     """
 
     energy: float
     configs: tuple[SpinConfiguration, ...]
-    degeneracy: int
 
     def __post_init__(self):
         configs = self.configs
-        if self.degeneracy != len(configs):
-            raise ValueError(
-                f"degeneracy {self.degeneracy} does not match {len(configs)} configs"
-            )
         if len({c.num_spins for c in configs}) > 1:
             raise ValueError("ground configs must all have the same spin count")
         bits = [c.bits for c in configs]
         if not all(map(operator.lt, bits, bits[1:])):
             raise ValueError("ground configs must be in strictly ascending bits order")
+
+    @property
+    def degeneracy(self) -> int:
+        return len(self.configs)
 
 
 def _subtract_couplings(table: np.ndarray, idx: np.ndarray, couplings) -> None:
@@ -298,7 +297,7 @@ def enumerate_ground_states(model: IsingModel) -> GroundManifold:
     configs = tuple(
         SpinConfiguration(int(b), model.num_spins) for b in np.flatnonzero(mask)
     )
-    return GroundManifold(energy=e0, configs=configs, degeneracy=len(configs))
+    return GroundManifold(energy=e0, configs=configs)
 
 
 def _require(condition: bool, message: str):

@@ -23,14 +23,14 @@ by construction. Every entry is summed in the order of the per-config sum
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .embed import apply_embedding, load_embedding, project_state
+from .embed import apply_embedding, load_embedding, verify_embedding
 from .model import (
     GroundManifold,
     IsingModel,
@@ -172,30 +172,16 @@ def second_order_matrix(setup: PerturbationSetup) -> EffectiveMatrix:
     return EffectiveMatrix(order=2, basis=manifold.configs, entries=entries)
 
 
-def fold_by_inversion(
-    probabilities: Mapping[SpinConfiguration, float],
-) -> dict[SpinConfiguration, float]:
-    """Merge each configuration's probability with its global spin inversion.
-
-    Keys of the result are class representatives: the smaller bits value of
-    each (config, inverted config) pair. All configurations must have one
-    spin count.
-    """
-    if not probabilities:
-        return {}
-    num_spins = next(iter(probabilities)).num_spins
-    return _fold_bits(
-        [c.bits for c in probabilities], probabilities.values(), num_spins
-    )
-
-
 def _fold_bits(
     bits: Iterable[int], weights: Iterable[float], num_spins: int
 ) -> dict[SpinConfiguration, float]:
-    """``fold_by_inversion`` over parallel bits values and weights.
+    """Merge each configuration's weight with its global spin inversion.
 
-    Each class is keyed by min(b, b ^ mask) and summed in the given order;
-    a SpinConfiguration is built only for each class of the result.
+    Configurations come as parallel bits values and weights, all of
+    ``num_spins`` spins. Each class is keyed by its representative, the
+    smaller bits value min(b, b ^ mask) of each (config, inverted config)
+    pair, and summed in the given order; a SpinConfiguration is built only
+    for each class of the result.
     """
     mask = (1 << num_spins) - 1
     folded: dict[int, float] = {}
@@ -206,17 +192,15 @@ def _fold_bits(
 
 
 def _is_inversion_doublet(setup: PerturbationSetup, u: np.ndarray) -> bool:
-    """True when a 2-dim eigenspace maps onto itself under global spin flip."""
+    """True when a 2-dim eigenspace maps onto itself under global spin flip.
+
+    Without fields the manifold is closed under inversion, and inverting
+    (bits -> mask - bits) reverses its ascending order.
+    """
     if u.shape[1] != 2 or setup.model.has_fields:
         return False
-    configs = setup.manifold.configs
-    position = {c.bits: k for k, c in enumerate(configs)}
-    mask = (1 << setup.model.num_spins) - 1
-    perm = [position.get(c.bits ^ mask) for c in configs]
-    if any(p is None for p in perm):
-        return False
     proj = u @ u.T
-    return bool(np.abs(proj[np.ix_(perm, perm)] - proj).max() < DEGENERACY_TOL)
+    return bool(np.abs(proj[::-1, ::-1] - proj).max() < DEGENERACY_TOL)
 
 
 def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
@@ -332,7 +316,10 @@ def validate_toy_model(
     """Cross-check the shipped toy-model data files against the closed form.
 
     Every clause on the embedded file is checked at each of the
-    ``STANDARD_CHAIN_STRENGTHS``.
+    ``STANDARD_CHAIN_STRENGTHS``. The chain clauses read ``verify_embedding``:
+    ``embedded_degeneracy_unbroken`` in the loop and, after every other
+    clause, ``embedding_bijective``, which holds when the embedded ground
+    manifold is exactly the lift of the source's.
 
     A failed clause points at mis-read couplings or a wrong assignment of the
     chained spin's couplings: the closed-form diagonal entries encode which
@@ -353,22 +340,30 @@ def validate_toy_model(
     src_first = first_order_matrix(PerturbationSetup(source, src_manifold))
     source_nonzero = float(np.abs(src_first.entries).max()) > 0.0
 
+    bijective: list[ClauseResult] = []
     for jf in STANDARD_CHAIN_STRENGTHS:
         tag = f"jf={jf:g}"
-        embedding = load_embedding(embedded_path, chain_strength=jf)
-        embedded = apply_embedding(source, embedding)
-        man = enumerate_ground_states(embedded.model)
-        unbroken = all(
-            project_state(c, embedding) is not None for c in man.configs
+        embedded = apply_embedding(
+            source, load_embedding(embedded_path, chain_strength=jf)
         )
+        report = verify_embedding(embedded)
+        unbroken = report.chains_unbroken
         clauses.append(
             ClauseResult(
                 f"embedded_degeneracy_unbroken[{tag}]",
-                man.degeneracy == 6 and unbroken,
-                f"d = {man.degeneracy}, chains unbroken = {unbroken}",
+                report.embedded_degeneracy == 6 and unbroken,
+                f"d = {report.embedded_degeneracy}, chains unbroken = {unbroken}",
             )
         )
-        setup = PerturbationSetup(embedded.model, man)
+        bijective.append(
+            ClauseResult(
+                f"embedding_bijective[{tag}]",
+                report.bijective,
+                f"unbroken={unbroken} bijective={report.bijective} "
+                f"E_0={report.embedded_energy:g}",
+            )
+        )
+        setup = PerturbationSetup.from_model(embedded.model)
         m1 = first_order_matrix(setup)
         max_first = float(np.abs(m1.entries).max())
         clauses.append(
@@ -408,4 +403,4 @@ def validate_toy_model(
             else "source first-order matrix is zero",
         )
     )
-    return ToyValidationReport(clauses=tuple(clauses))
+    return ToyValidationReport(clauses=(*clauses, *bijective))

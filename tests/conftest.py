@@ -11,6 +11,8 @@ of the energy table, the effective PT matrices and the gap analysis do the
 same for the package's array versions. ``kernel_apply`` is the one helper
 that runs package code: it drives the integrator's kernel on one state, for
 the tests that check that kernel against the dense and gather oracles.
+``member_project_state`` and ``set_verify_embedding`` project chain by chain,
+member by member, and compare projected ground states as sets.
 ``embedded_instances`` draws random small models with chain embeddings for
 the property tests.
 """
@@ -91,6 +93,43 @@ def consensus_project_and_fold(probabilities, chains, manifold):
         rep = min(config, config.inverted())
         folded[rep] = folded.get(rep, 0.0) + p
     return folded, 1.0 - ground_weight
+
+
+def member_project_state(config, embedding):
+    """Consensus projection oracle: compare every chain member with the first."""
+    bits = 0
+    for i, chain in enumerate(embedding.chains):
+        first = (config.bits >> chain[0]) & 1
+        for p in chain[1:]:
+            if (config.bits >> p) & 1 != first:
+                return None
+        bits |= first << i
+    return qf.SpinConfiguration(bits, embedding.num_logical)
+
+
+def set_verify_embedding(embedded) -> qf.EmbeddingReport:
+    """Embedding check oracle: project every embedded ground state and
+    compare the projections with the source manifold as sets."""
+    source_manifold = qf.enumerate_ground_states(embedded.source)
+    embedded_manifold = qf.enumerate_ground_states(embedded.model)
+    projected = [
+        member_project_state(c, embedded.embedding) for c in embedded_manifold.configs
+    ]
+    unbroken = all(p is not None for p in projected)
+    intact = [p for p in projected if p is not None]
+    bijective = (
+        unbroken
+        and len(set(intact)) == len(intact)
+        and set(intact) == set(source_manifold.configs)
+    )
+    return qf.EmbeddingReport(
+        chains_unbroken=unbroken,
+        bijective=bijective,
+        source_energy=source_manifold.energy,
+        embedded_energy=embedded_manifold.energy,
+        source_degeneracy=len(source_manifold.configs),
+        embedded_degeneracy=len(embedded_manifold.configs),
+    )
 
 
 @st.composite

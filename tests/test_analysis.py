@@ -30,13 +30,6 @@ def test_inversion_classes_toy(toy_manifold):
     ]
 
 
-def test_fold_by_inversion():
-    probs = {cfg(b, 2): p for b, p in ((0, 0.1), (1, 0.2), (2, 0.3), (3, 0.4))}
-    folded = qf.fold_by_inversion(probs)
-    assert folded[cfg(0, 2)] == pytest.approx(0.5)
-    assert folded[cfg(1, 2)] == pytest.approx(0.5)
-
-
 def test_fold_ground_probabilities(toy_manifold):
     # uniform distribution: 6/32 on the manifold, the rest is excited
     probs = {cfg(b, 5): 1.0 / 32.0 for b in range(32)}
@@ -142,7 +135,10 @@ def test_partition_names_classes_as_folding_does():
     partition = qf.default_partition(manifold)
     assert [c.bits for c in partition.s_set] == [3]
     assert [c.bits for c in partition.c_set] == [4]
-    folded = qf.fold_by_inversion({c: 0.5 for c in manifold.configs})
+    probs = np.zeros(16)
+    probs[[3, 11]] = 0.5
+    folded, _ = qf.fold_ground_probabilities(qf.ProbabilityVector(probs), manifold)
+    assert [c.bits for c in folded] == [3, 4]
     assert qf.fairness_ratio(folded, partition) == 1.0
 
 
@@ -395,6 +391,33 @@ def test_sweep_tau_structure(toy_source, toy_template):
         assert total <= 1.0 + 1e-9
         assert total + r.excited_weight == pytest.approx(1.0, abs=1e-9)
         assert r.ratio >= 0.0
+
+
+@pytest.mark.parametrize("same_size", [False, True], ids=["alone", "batched"])
+def test_sweep_tau_original_rows_are_evolve_and_fold(
+    toy_source, toy_template, same_size
+):
+    # the source runs as its identity embedding; batched with a variant of
+    # its own spin count or alone, its rows are those of a plain evolve
+    embeddings = [("embedded[jf=1]", toy_template.with_chain_strength(1.0))]
+    if same_size:
+        embeddings.append(("identity", qf.identity_embedding(toy_source)))
+    taus = (1.0, 5.0)
+    records = qf.sweep_tau(toy_source, embeddings, taus)
+    manifold = qf.enumerate_ground_states(toy_source)
+    partition = qf.default_partition(manifold)
+    original = [r for r in records if r.model == "original"]
+    assert [r.value for r in original] == list(taus)
+    for r, tau in zip(original, taus):
+        result = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(tau))
+        folded, excited = qf.fold_ground_probabilities(
+            result.final_probabilities, manifold
+        )
+        assert r.folded == folded
+        assert list(r.folded) == list(folded)
+        assert r.excited_weight == excited
+        assert r.norm_drift == result.norm_drift
+        assert r.ratio == qf.fairness_ratio(folded, partition)
 
 
 def test_sweep_error_rows_continue(tmp_path, toy_source, toy_template):

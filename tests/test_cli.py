@@ -142,6 +142,26 @@ def test_validate_bundled_files(capsys):
     assert out.count("PASS") == 14  # 11 toy clauses + 3 embedding reports
 
 
+def test_validate_prints_its_clauses_in_order(capsys):
+    _, out, _ = run(capsys, "validate")
+    names = [line.split()[1].rstrip(":") for line in out.splitlines()]
+    per_jf = [
+        f"{clause}[jf={jf}]"
+        for jf in ("0.5", "1", "1.5")
+        for clause in (
+            "embedded_degeneracy_unbroken",
+            "embedded_first_order_zero",
+            "second_order_closed_form",
+        )
+    ]
+    assert names == [
+        "source_degeneracy",
+        *per_jf,
+        "source_first_order_nonzero",
+        *(f"embedding_bijective[jf={jf}]" for jf in ("0.5", "1", "1.5")),
+    ]
+
+
 def test_validate_negative_chain_strength(capsys, tmp_path):
     data = json.loads(toy_embedding_path().read_text())
     data["chain_strength"] = -1.0

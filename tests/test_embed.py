@@ -4,11 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.errors import EmbeddingError
 
-from conftest import brute_energy
+from conftest import (
+    brute_energy,
+    embedded_instances,
+    member_project_state,
+    set_verify_embedding,
+)
 
 
 def cfg(bits, n):
@@ -118,6 +125,44 @@ def test_verify_weak_chain_reports(toy_source, toy_template):
     report = qf.verify_embedding(embedded)
     assert isinstance(report.bijective, bool)
     assert isinstance(report.chains_unbroken, bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(embedded_instances(), st.sampled_from((0.05, 0.5, 1.0, 1.5)))
+def test_projection_and_verification_match_oracles(instance, jf):
+    # small J_F breaks chains in the ground states of many instances
+    model, template = instance
+    embedding = template.with_chain_strength(jf)
+    for bits in range(1 << embedding.num_physical):
+        config = cfg(bits, embedding.num_physical)
+        assert qf.project_state(config, embedding) == member_project_state(
+            config, embedding
+        )
+    embedded = qf.apply_embedding(model, embedding)
+    assert qf.verify_embedding(embedded) == set_verify_embedding(embedded)
+
+
+def test_verification_compares_manifolds_in_bits_order():
+    # an antiferromagnetic pair whose spin 0 is chained to physical spins 1
+    # and 2: its ground states, logical bits 1 and 2, lift to physical 6 and
+    # 1, so the lifts must be sorted to meet the ascending embedded manifold
+    source = qf.IsingModel(2, ((0, 1, -1.0),))
+    embedding = qf.Embedding(2, ((1, 2), (0,)), 1.0, (((0, 1), (1, 0)),))
+    embedded = qf.apply_embedding(source, embedding)
+    ground = qf.enumerate_ground_states(embedded.model)
+    assert [c.bits for c in ground.configs] == [1, 6]
+    report = qf.verify_embedding(embedded)
+    assert report.chains_unbroken and report.bijective
+    # the same physical model checked against the ferromagnetic pair: every
+    # chain is intact, but the projections are the wrong ground states
+    wrong = qf.EmbeddedModel(
+        model=embedded.model,
+        embedding=embedding,
+        source=qf.IsingModel(2, ((0, 1, 1.0),)),
+    )
+    report = qf.verify_embedding(wrong)
+    assert report.chains_unbroken and not report.bijective
+    assert report == set_verify_embedding(wrong)
 
 
 def test_fields_attach_to_first_chain_member(toy_template):

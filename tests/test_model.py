@@ -127,22 +127,20 @@ def test_enumerate_toy_manifold(toy_manifold):
 
 
 @pytest.mark.parametrize(
-    "bits, sizes, degeneracy, message",
+    "bits, sizes, message",
     [
-        ((3, 0), (2, 2), 2, "ascending"),
-        ((0, 0), (2, 2), 2, "ascending"),
-        ((0, 3), (2, 3), 2, "same spin count"),
-        ((0, 3), (2, 2), 3, "degeneracy"),
-        ((0, 3), (2, 2), 1, "degeneracy"),
+        ((3, 0), (2, 2), "ascending"),
+        ((0, 0), (2, 2), "ascending"),
+        ((0, 3), (2, 3), "same spin count"),
     ],
-    ids=["reversed", "repeated", "mixed-size", "degeneracy-high", "degeneracy-low"],
+    ids=["reversed", "repeated", "mixed-size"],
 )
-def test_ground_manifold_rejects_malformed_input(bits, sizes, degeneracy, message):
+def test_ground_manifold_rejects_malformed_input(bits, sizes, message):
     # PT and the gap analysis find configs by binary search on their bits: on
     # a reversed manifold gap_ratio once reported no second-order connections
     configs = tuple(cfg(b, n) for b, n in zip(bits, sizes))
     with pytest.raises(ValueError, match=message):
-        qf.GroundManifold(energy=-1.0, configs=configs, degeneracy=degeneracy)
+        qf.GroundManifold(energy=-1.0, configs=configs)
 
 
 @pytest.mark.parametrize("seed", range(8))
