@@ -60,7 +60,6 @@ from .model import (
     load_model,
 )
 from .pt import (
-    EffectiveMatrix,
     PerturbationSetup,
     PTResult,
     embedded_toy_reference_matrix,

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .embed import (
     Embedding,
     _lift_bits,
@@ -37,12 +35,7 @@ from .model import (
     energy_table,
     enumerate_ground_states,
 )
-from .pt import (
-    PerturbationSetup,
-    _fold_bits,
-    perturbative_probabilities,
-    second_order_links,
-)
+from .pt import PerturbationSetup, perturbative_probabilities, second_order_links
 
 
 def inversion_classes(
@@ -149,15 +142,6 @@ def _partition_sides(partition: FairnessPartition, num_spins: int) -> dict[int, 
     return sides
 
 
-def _partition_side(bits: int, sides: dict[int, str], num_spins: int) -> str:
-    """Resolve membership by exact config first, then by inversion-class rep."""
-    side = sides.get(bits) or sides.get(min(bits, bits ^ ((1 << num_spins) - 1)))
-    if side is None:
-        config = SpinConfiguration(bits, num_spins)
-        raise ValueError(f"{config!r} is not covered by the partition")
-    return side
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Mean energy gaps of the intermediates mediating second-order connections.
@@ -166,13 +150,15 @@ class GapReport:
     configurations one flip from g and one flip from some other ground state.
     They are read from ``second_order_links``, the table the second-order
     effective matrix is built from, so their gaps E_k - E_0 are its
-    denominators by construction. ``per_pair`` lists the gaps of each pair
-    at distance 2 by ascending spin; states with no mediating intermediate
-    are excluded from the set means and listed.
+    denominators by construction. ``per_state`` holds the mean gap of each
+    state that has a mediating intermediate. A state is placed on a side by
+    its exact config, else by its inversion-class representative.
+    ``excluded`` lists, in manifold order, the states left out of the set
+    means: those with no mediating intermediate and those the partition does
+    not cover, such as a ground state with a broken chain.
     """
 
     per_state: dict[SpinConfiguration, float]
-    per_pair: dict[tuple[SpinConfiguration, SpinConfiguration], tuple[float, ...]]
     delta_e_s: float
     delta_e_c: float
     ratio: float
@@ -184,50 +170,33 @@ def gap_ratio(
 ) -> GapReport:
     if manifold.degeneracy < 2:
         raise ValueError("gap analysis needs a degenerate manifold")
-    configs = manifold.configs
-    d = len(configs)
     flips, _, neighbours = second_order_links(manifold, model.num_spins)
     gaps = energy_table(model)[flips] - manifold.energy
 
-    # (a, i, b) with a < b: the excited flip i of a is one flip from b, so
-    # a and b differ on spin i and one other
-    a, i, j = np.nonzero(neighbours > np.arange(d)[:, None, None])
-    if not a.size:
-        raise ValueError("no second-order connections inside the manifold")
-    b = neighbours[a, i, j]
-    order = np.lexsort((i, b, a))
-    a, b, i = a[order], b[order], i[order]
-    starts = np.flatnonzero(np.diff(a * d + b, prepend=-1)).tolist()
-    ends = starts[1:] + [len(a)]
-    pair_gaps = gaps[a, i].tolist()
-    a, b = a.tolist(), b.tolist()
-    per_pair: dict[tuple[SpinConfiguration, SpinConfiguration], tuple[float, ...]] = {
-        (configs[a[lo]], configs[b[lo]]): tuple(pair_gaps[lo:hi])
-        for lo, hi in zip(starts, ends)
-    }
-
     # a flip mediates when it reaches a ground state other than its own
     mediating = (neighbours >= 0).sum(axis=2) >= 2
+    if not mediating.any():
+        raise ValueError("no second-order connections inside the manifold")
+    sides = _partition_sides(partition, model.num_spins)
+    mask = (1 << model.num_spins) - 1
     per_state: dict[SpinConfiguration, float] = {}
+    side_gaps = {"S": [], "C": []}
     excluded = []
-    for g, row, use in zip(configs, gaps.tolist(), mediating.tolist()):
+    for g, row, use in zip(manifold.configs, gaps.tolist(), mediating.tolist()):
         state_gaps = [gap for gap, m in zip(row, use) if m]
+        side = sides.get(g.bits) or sides.get(min(g.bits, g.bits ^ mask))
         if state_gaps:
             per_state[g] = sum(state_gaps) / len(state_gaps)
+        if state_gaps and side:
+            side_gaps[side].append(per_state[g])
         else:
             excluded.append(g)
-
-    sides = _partition_sides(partition, model.num_spins)
-    side_gaps = {"S": [], "C": []}
-    for g, mean_gap in per_state.items():
-        side_gaps[_partition_side(g.bits, sides, model.num_spins)].append(mean_gap)
     if not side_gaps["S"] or not side_gaps["C"]:
         raise ValueError("a partition set has no state with mediating intermediates")
     delta_s = sum(side_gaps["S"]) / len(side_gaps["S"])
     delta_c = sum(side_gaps["C"]) / len(side_gaps["C"])
     return GapReport(
         per_state=per_state,
-        per_pair=per_pair,
         delta_e_s=delta_s,
         delta_e_c=delta_c,
         ratio=delta_s / delta_c,
@@ -250,9 +219,11 @@ def _fold_manifold(
     project(lift(g)) == g, so the entries that fold onto g are exactly the
     one at lift(g): d lookups, not a pass over all 2^M entries. The ground
     weight is summed in ascending physical bits, the order of a
-    bits-indexed distribution. Everything runs on bits values; a
-    ProbabilityVector is read through its array and any other mapping
-    through the bits of its keys.
+    bits-indexed distribution, and each class, keyed by its representative
+    min(g, ~g) among the logical bits, sums its members in that same order.
+    Everything runs on bits values; a ProbabilityVector is read through its
+    array and any other mapping through the bits of its keys, and a
+    SpinConfiguration is built only for each class of the result.
     """
     logical_spins = manifold.configs[0].num_spins
     lifted = sorted((_lift_bits(g.bits, chain_masks), g.bits) for g in manifold.configs)
@@ -269,14 +240,16 @@ def _fold_manifold(
             c.bits: p for c, p in probabilities.items() if c.num_spins == num_spins
         }
         values = [by_bits.get(b) for b, _ in lifted]
-    ground, weights = [], []
+    mask = (1 << logical_spins) - 1
+    folded: dict[int, float] = {}
     ground_weight = 0.0
     for (_, g), p in zip(lifted, values):
         if p is not None:
-            ground.append(g)
-            weights.append(p)
+            rep = min(g, g ^ mask)
+            folded[rep] = folded.get(rep, 0.0) + p
             ground_weight += p
-    return _fold_bits(ground, weights, logical_spins), 1.0 - ground_weight
+    classes = {SpinConfiguration(rep, logical_spins): p for rep, p in folded.items()}
+    return classes, 1.0 - ground_weight
 
 
 def fold_ground_probabilities(

@@ -95,11 +95,10 @@ def cmd_anneal(args) -> int:
     schedule = AnnealSchedule.for_tau(args.tau, args.steps)
     result = evolve(target, schedule)
 
-    scale = result.norm_squared if args.no_renormalize else 1.0
     probs = result.final_probabilities
     folded, excited = project_and_fold(probs, embedding, source_manifold)
     per_config = {
-        c.to_bitstring(): probs[lift_state(c, embedding)] * scale
+        c.to_bitstring(): probs[lift_state(c, embedding)]
         for c in source_manifold.configs
     }
 
@@ -111,7 +110,7 @@ def cmd_anneal(args) -> int:
             "error_estimate": result.error_estimate,
             "norm_squared": result.norm_squared,
             "probabilities": per_config,
-            "folded": {c.to_bitstring(): p * scale for c, p in folded.items()},
+            "folded": {c.to_bitstring(): p for c, p in folded.items()},
             "excited_weight": excited,
             "ratio_PS_PC": fairness_ratio(folded, partition),
         }
@@ -152,15 +151,14 @@ def cmd_pt(args) -> int:
         "ratio_PS_PC": fairness_ratio(folded, partition),
     }
     if args.dump_matrix:
-        first = first_order_matrix(setup)
-        second = second_order_matrix(setup)
+        basis = [c.to_bitstring() for c in setup.manifold.configs]
         payload["first_order"] = {
-            "basis": [c.to_bitstring() for c in first.basis],
-            "entries": first.entries.tolist(),
+            "basis": basis,
+            "entries": first_order_matrix(setup).tolist(),
         }
         payload["second_order"] = {
-            "basis": [c.to_bitstring() for c in second.basis],
-            "entries": second.entries.tolist(),
+            "basis": basis,
+            "entries": second_order_matrix(setup).tolist(),
         }
     _print_json(payload)
     return 0
@@ -244,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class indices forming the S set (default: 0)")
     p.add_argument("--c-set", type=int, nargs="+", default=None,
                    help="class indices forming the C set (default: the rest)")
-    p.add_argument("--no-renormalize", action="store_true",
-                   help="report raw |amplitude|^2 without renormalization")
     p.set_defaults(handler=cmd_anneal)
 
     p = sub.add_parser("embed", help="apply an embedding and verify it")

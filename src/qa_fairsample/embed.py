@@ -116,9 +116,6 @@ class Embedding:
             tuple(sum(1 << p for p in chain) for chain in chains),
         )
 
-    def assignment_map(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return {lk: pk for lk, pk in self.coupling_assignment}
-
     def with_chain_strength(self, chain_strength: float) -> "Embedding":
         """This embedding at another chain strength; only the strength is checked."""
         strength = _chain_strength(chain_strength)
@@ -162,7 +159,7 @@ def apply_embedding(source: IsingModel, embedding: Embedding) -> EmbeddedModel:
             f"embedding maps {embedding.num_logical} logical spins but the "
             f"model has {source.num_spins}"
         )
-    assignment = embedding.assignment_map()
+    assignment = dict(embedding.coupling_assignment)
     source_pairs = {(i, j) for i, j, _ in source.couplings}
     missing = source_pairs - set(assignment)
     if missing:

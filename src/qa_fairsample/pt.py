@@ -23,7 +23,6 @@ by construction. Every entry is summed in the order of the per-config sum
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -67,19 +66,12 @@ class PerturbationSetup:
 
 
 @dataclass(frozen=True, eq=False)
-class EffectiveMatrix:
-    """Real symmetric effective matrix over an ordered configuration basis."""
-
-    order: int
-    basis: tuple[SpinConfiguration, ...]
-    entries: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class PTResult:
     """Outcome of ``perturbative_probabilities``.
 
-    ``resolved`` is false when the minimal eigenvalue of the last order built
+    ``probabilities`` maps each ground config, in the manifold's order, to its
+    asymptotic sampling probability; ``project_and_fold`` folds it onto
+    inversion classes. ``resolved`` is false when the minimal eigenvalue of the last order built
     keeps multiplicity > 1 and its eigenspace is not one inversion doublet:
     the probabilities are then the projector diagonal / g, which is exact
     only if a symmetry protects the degeneracy, and higher orders may split it.
@@ -89,7 +81,6 @@ class PTResult:
     minimal_eigenvalue: float
     multiplicity: int
     probabilities: dict[SpinConfiguration, float]
-    folded_probabilities: dict[SpinConfiguration, float]
     resolved: bool
 
 
@@ -131,18 +122,21 @@ def second_order_links(
     return flips, excited, neighbours
 
 
-def first_order_matrix(setup: PerturbationSetup) -> EffectiveMatrix:
-    """P1 V P1: entry (m, n) is -1 iff the configs differ by one flip, else 0."""
-    configs = setup.manifold.configs
-    bits = config_bits(configs)
+def first_order_matrix(setup: PerturbationSetup) -> np.ndarray:
+    """P1 V P1: entry (m, n) is -1 iff the configs differ by one flip, else 0.
+
+    A read-only float64 (d, d) array over ``setup.manifold.configs`` in order.
+    """
+    bits = config_bits(setup.manifold.configs)
     x = bits[:, None] ^ bits
     entries = np.where((x != 0) & ((x & (x - 1)) == 0), -1.0, 0.0)
     entries.setflags(write=False)
-    return EffectiveMatrix(order=1, basis=configs, entries=entries)
+    return entries
 
 
-def second_order_matrix(setup: PerturbationSetup) -> EffectiveMatrix:
-    """P2 W P2 over the whole ground manifold, in the manifold's order.
+def second_order_matrix(setup: PerturbationSetup) -> np.ndarray:
+    """P2 W P2 over the whole ground manifold, as a read-only float64 (d, d)
+    array over ``setup.manifold.configs`` in order.
 
     Intermediates k are excluded from the manifold by the Q projector, so
     every denominator E_0 - E_k is strictly negative. Only the N flips of
@@ -169,26 +163,7 @@ def second_order_matrix(setup: PerturbationSetup) -> EffectiveMatrix:
     for term in (i < j, i > j):
         entries[a[term], b[term]] += weights[a[term], i[term]]
     entries.setflags(write=False)
-    return EffectiveMatrix(order=2, basis=manifold.configs, entries=entries)
-
-
-def _fold_bits(
-    bits: Iterable[int], weights: Iterable[float], num_spins: int
-) -> dict[SpinConfiguration, float]:
-    """Merge each configuration's weight with its global spin inversion.
-
-    Configurations come as parallel bits values and weights, all of
-    ``num_spins`` spins. Each class is keyed by its representative, the
-    smaller bits value min(b, b ^ mask) of each (config, inverted config)
-    pair, and summed in the given order; a SpinConfiguration is built only
-    for each class of the result.
-    """
-    mask = (1 << num_spins) - 1
-    folded: dict[int, float] = {}
-    for b, p in zip(bits, weights):
-        rep = min(b, b ^ mask)
-        folded[rep] = folded.get(rep, 0.0) + p
-    return {SpinConfiguration(rep, num_spins): p for rep, p in folded.items()}
+    return entries
 
 
 def _is_inversion_doublet(setup: PerturbationSetup, u: np.ndarray) -> bool:
@@ -214,17 +189,14 @@ def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
     by g, which reduces to squared eigenvector components at g = 1; unless
     that eigenspace is an inversion doublet, ``resolved`` is then false.
     """
-    configs = setup.manifold.configs
-    m1 = first_order_matrix(setup)
-    vals, vecs = np.linalg.eigh(m1.entries)
+    vals, vecs = np.linalg.eigh(first_order_matrix(setup))
     u = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
     resolved_order = 1
     minimal = float(vals[0])
     span = u
     resolved = u.shape[1] == 1 or _is_inversion_doublet(setup, u)
     if not resolved:
-        w = second_order_matrix(setup)
-        projected = u.T @ w.entries @ u
+        projected = u.T @ second_order_matrix(setup) @ u
         projected = 0.5 * (projected + projected.T)
         vals2, vecs2 = np.linalg.eigh(projected)
         v = vecs2[:, vals2 <= vals2[0] + DEGENERACY_TOL]
@@ -238,10 +210,7 @@ def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
         resolved_order=resolved_order,
         minimal_eigenvalue=minimal,
         multiplicity=multiplicity,
-        probabilities=dict(zip(configs, weights)),
-        folded_probabilities=_fold_bits(
-            [c.bits for c in configs], weights, setup.model.num_spins
-        ),
+        probabilities=dict(zip(setup.manifold.configs, weights)),
         resolved=resolved,
     )
 
@@ -338,7 +307,7 @@ def validate_toy_model(
         )
     )
     src_first = first_order_matrix(PerturbationSetup(source, src_manifold))
-    source_nonzero = float(np.abs(src_first.entries).max()) > 0.0
+    source_nonzero = float(np.abs(src_first).max()) > 0.0
 
     bijective: list[ClauseResult] = []
     for jf in STANDARD_CHAIN_STRENGTHS:
@@ -364,8 +333,7 @@ def validate_toy_model(
             )
         )
         setup = PerturbationSetup.from_model(embedded.model)
-        m1 = first_order_matrix(setup)
-        max_first = float(np.abs(m1.entries).max())
+        max_first = float(np.abs(first_order_matrix(setup)).max())
         clauses.append(
             ClauseResult(
                 f"embedded_first_order_zero[{tag}]",
@@ -374,7 +342,7 @@ def validate_toy_model(
             )
         )
         reference = embedded_toy_reference_matrix(jf)
-        built = -second_order_matrix(setup).entries
+        built = -second_order_matrix(setup)
         if built.shape != reference.shape:
             perm = None
             detail = (

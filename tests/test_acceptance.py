@@ -45,7 +45,7 @@ def test_criterion_1_second_order_closed_form(embedded_models, announce):
     """Numerically built -P2 W P2 matches the closed form up to permutation."""
     for jf in STANDARD_JFS:
         setup = qf.PerturbationSetup.from_model(embedded_models[jf].model)
-        built = -qf.second_order_matrix(setup).entries
+        built = -qf.second_order_matrix(setup)
         a = (2.0 * jf + 5.0) / (jf + 2.0)
         b = (4.0 * jf + 3.0) / (3.0 * jf)
         ring = [1.0, 1.0 / jf, 1.0, 1.0, 1.0 / jf, 1.0]
@@ -65,12 +65,13 @@ def test_criterion_1_second_order_closed_form(embedded_models, announce):
           "at J_F in {0.5, 1.0, 1.5} within 1e-9")
 
 
-def test_criterion_2_fair_point(embedded_models, announce):
+def test_criterion_2_fair_point(embedded_models, toy_manifold, announce):
     """PT folded probabilities at J_F = 1 are exactly uniform."""
-    setup = qf.PerturbationSetup.from_model(embedded_models[1.0].model)
-    result = qf.perturbative_probabilities(setup)
-    assert len(result.folded_probabilities) == 3
-    for p in result.folded_probabilities.values():
+    em = embedded_models[1.0]
+    result = qf.perturbative_probabilities(qf.PerturbationSetup.from_model(em.model))
+    folded, _ = qf.project_and_fold(result.probabilities, em.embedding, toy_manifold)
+    assert len(folded) == 3
+    for p in folded.values():
         assert abs(p - 1.0 / 3.0) <= 1e-10
     announce("PASS criterion 2: PT folded probabilities at J_F = 1 are "
           "(1/3, 1/3, 1/3) within 1e-10")

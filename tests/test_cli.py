@@ -259,16 +259,13 @@ def test_anneal_bad_model_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_anneal_no_renormalize(capsys):
-    _, raw_out, _ = run(capsys, "anneal", "matsuda5", "--tau", "1", "--no-renormalize")
-    _, renorm_out, _ = run(capsys, "anneal", "matsuda5", "--tau", "1")
-    raw = json.loads(raw_out)
-    renorm = json.loads(renorm_out)
-    # raw weights are the renormalized ones scaled back by the squared norm
-    for key, p in raw["probabilities"].items():
-        assert p == pytest.approx(
-            renorm["probabilities"][key] * renorm["norm_squared"], rel=1e-12
-        )
+def test_anneal_no_renormalize_is_not_an_option(capsys):
+    # the raw weights are the printed ones times norm_squared, which the
+    # JSON already carries
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "anneal", "matsuda5", "--tau", "1", "--no-renormalize")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-renormalize" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- pt

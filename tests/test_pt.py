@@ -14,6 +14,7 @@ from conftest import (
     FIXTURE_MODELS,
     dense_driver,
     dense_target,
+    fold_bits,
     loop_energy_table,
     loop_first_order_entries,
     loop_gap_ratio,
@@ -29,43 +30,52 @@ def setup_for(model):
     return qf.PerturbationSetup.from_model(model)
 
 
+def folded_pt(setup):
+    """The PT answer folded by inversion class over the setup's own manifold."""
+    result = qf.perturbative_probabilities(setup)
+    return qf.fold_ground_probabilities(result.probabilities, setup.manifold)[0]
+
+
 # ----------------------------------------------------------- first order
 
 
 def test_first_order_two_spin_zero():
     m = qf.first_order_matrix(setup_for(FIXTURE_MODELS["ferro2"]))
-    assert m.order == 1
-    assert np.all(m.entries == 0.0)
+    assert m.shape == (2, 2) and m.dtype == np.float64
+    assert not m.flags.writeable
+    assert np.all(m == 0.0)
 
 
 def test_first_order_triangle_entries():
     setup = setup_for(FIXTURE_MODELS["triangle3"])
     m = qf.first_order_matrix(setup)
-    for a, ca in enumerate(m.basis):
-        for b, cb in enumerate(m.basis):
+    for a, ca in enumerate(setup.manifold.configs):
+        for b, cb in enumerate(setup.manifold.configs):
             expected = -1.0 if (ca.bits ^ cb.bits).bit_count() == 1 else 0.0
-            assert m.entries[a, b] == expected
-    assert np.abs(m.entries).max() == 1.0
-    assert np.all(np.diag(m.entries) == 0.0)
+            assert m[a, b] == expected
+    assert np.abs(m).max() == 1.0
+    assert np.all(np.diag(m) == 0.0)
 
 
 def test_first_order_embedded_zero(embedded_models):
     setup = setup_for(embedded_models[1.0].model)
-    assert np.all(qf.first_order_matrix(setup).entries == 0.0)
+    assert np.all(qf.first_order_matrix(setup) == 0.0)
 
 
 def test_first_order_source_nonzero(toy_source):
     setup = setup_for(toy_source)
-    assert np.abs(qf.first_order_matrix(setup).entries).max() == 1.0
+    assert np.abs(qf.first_order_matrix(setup)).max() == 1.0
 
 
 def test_first_order_source_single_flip_pairs(toy_source):
-    m = qf.first_order_matrix(setup_for(toy_source))
+    setup = setup_for(toy_source)
+    m = qf.first_order_matrix(setup)
+    configs = setup.manifold.configs
     pairs = {
         (ca.bits, cb.bits)
-        for a, ca in enumerate(m.basis)
-        for b, cb in enumerate(m.basis)
-        if a < b and m.entries[a, b] == -1.0
+        for a, ca in enumerate(configs)
+        for b, cb in enumerate(configs)
+        if a < b and m[a, b] == -1.0
     }
     assert pairs == {(3, 19), (12, 28)}
 
@@ -77,18 +87,17 @@ def test_second_order_two_spin():
     # each state reaches two single-flip intermediates with gap 2, and both
     # intermediates also connect the pair across distance 2
     m = qf.second_order_matrix(setup_for(FIXTURE_MODELS["ferro2"]))
-    assert np.allclose(-m.entries, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
+    assert np.allclose(-m, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
 
 
 def test_second_order_symmetry(embedded_models):
     for jf in (0.5, 1.0, 1.5):
         m = qf.second_order_matrix(setup_for(embedded_models[jf].model))
-        assert np.abs(m.entries - m.entries.T).max() <= 1e-12
+        assert np.abs(m - m.T).max() <= 1e-12
 
 
 def test_second_order_embedded_unit_strength(embedded_models):
-    m = qf.second_order_matrix(setup_for(embedded_models[1.0].model))
-    neg = -m.entries
+    neg = -qf.second_order_matrix(setup_for(embedded_models[1.0].model))
     assert np.allclose(np.diag(neg), 7.0 / 3.0, atol=1e-12)
     off = neg[~np.eye(6, dtype=bool)]
     assert set(np.round(off, 12)) <= {0.0, 1.0}
@@ -96,7 +105,7 @@ def test_second_order_embedded_unit_strength(embedded_models):
 
 
 def test_second_order_embedded_half_strength(embedded_models):
-    neg = -qf.second_order_matrix(setup_for(embedded_models[0.5].model)).entries
+    neg = -qf.second_order_matrix(setup_for(embedded_models[0.5].model))
     diag = sorted(float(x) for x in np.round(np.diag(neg), 10))
     assert diag == [2.4, 2.4] + [pytest.approx(10.0 / 3.0)] * 4
     # chain-flip links are 1/J_F = 2, the rest of the ring is 1
@@ -108,8 +117,8 @@ def test_second_order_embedded_half_strength(embedded_models):
 def test_second_order_nonnegative_negated(embedded_models):
     for jf in (0.5, 1.0, 1.5):
         m = qf.second_order_matrix(setup_for(embedded_models[jf].model))
-        assert np.all(-m.entries >= 0.0)
-        assert np.all(np.diag(-m.entries) > 0.0)
+        assert np.all(-m >= 0.0)
+        assert np.all(np.diag(-m) > 0.0)
 
 
 # --------------------------------------------------------- probabilities
@@ -122,11 +131,12 @@ def test_probabilities_two_spin():
 
 
 def test_probabilities_embedded_fair_point(embedded_models):
-    result = qf.perturbative_probabilities(setup_for(embedded_models[1.0].model))
+    setup = setup_for(embedded_models[1.0].model)
+    result = qf.perturbative_probabilities(setup)
     assert result.resolved_order == 2
     for p in result.probabilities.values():
         assert p == pytest.approx(1.0 / 6.0, abs=1e-10)
-    for p in result.folded_probabilities.values():
+    for p in folded_pt(setup).values():
         assert p == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
@@ -143,25 +153,24 @@ def test_probabilities_match_reference_eigenvector(embedded_models, jf):
             perron[2] ** 2 + perron[5] ** 2,
         ]
     )
-    result = qf.perturbative_probabilities(setup_for(embedded_models[jf].model))
-    got_folded = sorted(result.folded_probabilities.values())
+    got_folded = sorted(folded_pt(setup_for(embedded_models[jf].model)).values())
     assert np.allclose(got_folded, ref_folded, atol=1e-9)
 
 
 def test_probability_ordering_flips_across_unit_strength(embedded_models):
     def aligned_class_probability(jf):
-        result = qf.perturbative_probabilities(setup_for(embedded_models[jf].model))
-        return result.folded_probabilities[cfg(0, 6)]
+        return folded_pt(setup_for(embedded_models[jf].model))[cfg(0, 6)]
 
     assert aligned_class_probability(0.5) < 1.0 / 3.0 < aligned_class_probability(1.5)
 
 
 def test_probabilities_source_suppression(toy_source):
-    result = qf.perturbative_probabilities(setup_for(toy_source))
+    setup = setup_for(toy_source)
+    result = qf.perturbative_probabilities(setup)
     assert result.resolved_order == 1
     assert result.probabilities[cfg(31, 5)] == 0.0
     assert result.probabilities[cfg(0, 5)] == 0.0
-    folded = result.folded_probabilities
+    folded = folded_pt(setup)
     assert folded[cfg(0, 5)] == 0.0
     assert folded[cfg(3, 5)] == pytest.approx(0.5, abs=1e-12)
     assert folded[cfg(12, 5)] == pytest.approx(0.5, abs=1e-12)
@@ -273,7 +282,6 @@ def gap_outcome(gap_fn, model, manifold, partition):
         return str(exc)
     return (
         list(r.per_state.items()),
-        list(r.per_pair.items()),
         r.delta_e_s,
         r.delta_e_c,
         r.ratio,
@@ -286,13 +294,12 @@ def assert_matches_loops(model, s_count):
     manifold = qf.enumerate_ground_states(model)
     setup = qf.PerturbationSetup(model, manifold)
     assert qf.energy_table(model).tobytes() == loop_energy_table(model).tobytes()
-    assert (
-        qf.first_order_matrix(setup).entries.tobytes()
-        == loop_first_order_entries(manifold).tobytes()
-    )
+    first = qf.first_order_matrix(setup)
+    assert first.tobytes() == loop_first_order_entries(manifold).tobytes()
     w = qf.second_order_matrix(setup)
-    assert w.basis == manifold.configs
-    assert w.entries.tobytes() == loop_second_order_entries(model, manifold).tobytes()
+    assert w.dtype == first.dtype == np.float64
+    assert w.shape == first.shape == (manifold.degeneracy,) * 2
+    assert w.tobytes() == loop_second_order_entries(model, manifold).tobytes()
     reps = sorted({min(c, c.inverted()) for c in manifold.configs})
     if len(reps) > 1:
         k = min(s_count, len(reps) - 1)
@@ -312,6 +319,22 @@ def test_array_layer_matches_per_config_loops(model, data):
     assume(manifold.degeneracy <= 128)
     s_count = data.draw(st.integers(1, max(1, manifold.degeneracy // 2)))
     assert_matches_loops(model, s_count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loop_instances())
+def test_folding_a_pt_answer_matches_the_bits_fold(model):
+    manifold = qf.enumerate_ground_states(model)
+    assume(manifold.degeneracy <= 128)
+    result = qf.perturbative_probabilities(qf.PerturbationSetup(model, manifold))
+    folded, excited = qf.fold_ground_probabilities(result.probabilities, manifold)
+    expected = fold_bits(
+        [c.bits for c in manifold.configs],
+        result.probabilities.values(),
+        model.num_spins,
+    )
+    assert list(folded.items()) == list(expected.items())
+    assert excited == 1.0 - sum(result.probabilities.values())
 
 
 def test_array_layer_matches_loops_on_a_wide_manifold():
