@@ -41,10 +41,8 @@ from .errors import (
 )
 from .evolve import (
     AnnealSchedule,
-    ConvergenceReport,
     EvolutionResult,
     accuracy_failure,
-    convergence_check,
     default_steps,
     evolve,
     evolve_many,

@@ -64,7 +64,11 @@ def _class_groups(manifold: GroundManifold) -> dict[int, list[SpinConfiguration]
 
 @dataclass(frozen=True)
 class FairnessPartition:
-    """Disjoint ground-state sets S and C; members are configs or class reps."""
+    """Disjoint ground-state sets S and C; members are configs or class reps.
+
+    Each set holds a member at most once: a repeat would weight that member
+    twice in the set's mean.
+    """
 
     s_set: tuple[SpinConfiguration, ...]
     c_set: tuple[SpinConfiguration, ...]
@@ -74,24 +78,28 @@ class FairnessPartition:
         object.__setattr__(self, "c_set", tuple(sorted(self.c_set)))
         if not self.s_set or not self.c_set:
             raise ValueError("both partition sets must be non-empty")
+        for name, members in (("S", self.s_set), ("C", self.c_set)):
+            if len(set(members)) < len(members):
+                raise ValueError(f"partition set {name} repeats a member")
         if set(self.s_set) & set(self.c_set):
             raise ValueError("partition sets must be disjoint")
 
     @classmethod
     def from_class_indices(
-        cls,
-        manifold: GroundManifold,
-        s_indices: Sequence[int],
-        c_indices: Sequence[int] | None = None,
+        cls, manifold: GroundManifold, s_indices: Sequence[int]
     ) -> "FairnessPartition":
-        # folding keys a class by min(c, ~c), which need not be a ground state
+        """S = the inversion classes at ``s_indices``, C = all the others.
+
+        Classes are indexed in the order of ``inversion_classes``, and each
+        is named by its representative min(c, ~c), the key folding uses,
+        which need not be a ground state.
+        """
         num_spins = manifold.configs[0].num_spins
         reps = [
             SpinConfiguration(rep, num_spins)
             for rep in sorted(_class_groups(manifold))
         ]
-
-        def rep(i) -> SpinConfiguration:
+        for i in s_indices:
             if isinstance(i, bool) or not isinstance(i, numbers.Integral):
                 raise ValueError(f"class index {i!r} is not an integer")
             if not 0 <= i < len(reps):
@@ -99,14 +107,11 @@ class FairnessPartition:
                     f"class index {i} is outside 0..{len(reps) - 1} "
                     f"({len(reps)} inversion classes)"
                 )
-            return reps[i]
-
-        s = tuple(rep(i) for i in s_indices)
-        if c_indices is None:
-            c = tuple(r for i, r in enumerate(reps) if i not in set(s_indices))
-        else:
-            c = tuple(rep(i) for i in c_indices)
-        return cls(s_set=s, c_set=c)
+        chosen = set(s_indices)
+        return cls(
+            s_set=tuple(reps[i] for i in s_indices),
+            c_set=tuple(r for i, r in enumerate(reps) if i not in chosen),
+        )
 
 
 def default_partition(manifold: GroundManifold) -> FairnessPartition:
@@ -205,7 +210,7 @@ def gap_ratio(
 
 
 def _fold_manifold(
-    probabilities: Mapping[SpinConfiguration, float],
+    probabilities: ProbabilityVector,
     manifold: GroundManifold,
     chain_masks: tuple[int, ...],
     num_spins: int,
@@ -217,43 +222,36 @@ def _fold_manifold(
     spins themselves folds through the identity masks ``1 << i``. Consensus
     projection maps intact configurations one-to-one onto logical ones with
     project(lift(g)) == g, so the entries that fold onto g are exactly the
-    one at lift(g): d lookups, not a pass over all 2^M entries. The ground
-    weight is summed in ascending physical bits, the order of a
-    bits-indexed distribution, and each class, keyed by its representative
-    min(g, ~g) among the logical bits, sums its members in that same order.
-    Everything runs on bits values; a ProbabilityVector is read through its
-    array and any other mapping through the bits of its keys, and a
-    SpinConfiguration is built only for each class of the result.
+    one at lift(g): d reads of ``probabilities.vector``, not a pass over all
+    2^M entries. PT answers and measured distributions alike are such
+    vectors, so every class of the manifold is listed, with 0 where its
+    lifts carry no weight. The ground weight is summed in ascending physical
+    bits, and each class, keyed by its representative min(g, ~g) among the
+    logical bits, sums its members in that same order. Everything runs on
+    bits values; a SpinConfiguration is built only for each class of the
+    result.
     """
-    logical_spins = manifold.configs[0].num_spins
-    lifted = sorted((_lift_bits(g.bits, chain_masks), g.bits) for g in manifold.configs)
-    first = next(iter(probabilities), None)
-    if first is not None and first.num_spins != num_spins:
+    if probabilities.num_spins != num_spins:
         raise ValueError(
-            f"distribution over {first.num_spins} spins does not match the "
-            f"{num_spins} spins the manifold lifts to"
+            f"distribution over {probabilities.num_spins} spins does not match "
+            f"the {num_spins} spins the manifold lifts to"
         )
-    if isinstance(probabilities, ProbabilityVector):
-        values = probabilities.vector[[b for b, _ in lifted]].tolist()
-    else:
-        by_bits = {
-            c.bits: p for c, p in probabilities.items() if c.num_spins == num_spins
-        }
-        values = [by_bits.get(b) for b, _ in lifted]
+    logical_spins = manifold.configs[0].num_spins
+    lifted = sorted((_lift_bits(g, chain_masks), g) for g in manifold.bits.tolist())
+    values = probabilities.vector[[b for b, _ in lifted]].tolist()
     mask = (1 << logical_spins) - 1
     folded: dict[int, float] = {}
     ground_weight = 0.0
     for (_, g), p in zip(lifted, values):
-        if p is not None:
-            rep = min(g, g ^ mask)
-            folded[rep] = folded.get(rep, 0.0) + p
-            ground_weight += p
+        rep = min(g, g ^ mask)
+        folded[rep] = folded.get(rep, 0.0) + p
+        ground_weight += p
     classes = {SpinConfiguration(rep, logical_spins): p for rep, p in folded.items()}
     return classes, 1.0 - ground_weight
 
 
 def fold_ground_probabilities(
-    probabilities: Mapping[SpinConfiguration, float], manifold: GroundManifold
+    probabilities: ProbabilityVector, manifold: GroundManifold
 ) -> tuple[dict[SpinConfiguration, float], float]:
     """Fold a measurement distribution onto ground classes; rest is excited weight."""
     n = manifold.configs[0].num_spins
@@ -261,7 +259,7 @@ def fold_ground_probabilities(
 
 
 def project_and_fold(
-    probabilities: Mapping[SpinConfiguration, float],
+    probabilities: ProbabilityVector,
     embedding: Embedding,
     source_manifold: GroundManifold,
 ) -> tuple[dict[SpinConfiguration, float], float]:

@@ -56,8 +56,7 @@ def fig3_chain_grid() -> list[float]:
 
 def _partition(args, manifold: GroundManifold) -> FairnessPartition:
     s_indices = tuple(args.s_set) if args.s_set else (0,)
-    c_indices = tuple(args.c_set) if args.c_set else None
-    return FairnessPartition.from_class_indices(manifold, s_indices, c_indices)
+    return FairnessPartition.from_class_indices(manifold, s_indices)
 
 
 def _target(args, source: IsingModel) -> tuple[IsingModel, Embedding]:
@@ -145,7 +144,7 @@ def cmd_pt(args) -> int:
         "multiplicity": result.multiplicity,
         "resolved": result.resolved,
         "probabilities": {
-            c.to_bitstring(): p for c, p in result.probabilities.items()
+            c.to_bitstring(): result.probabilities[c] for c in setup.manifold.configs
         },
         "folded": {c.to_bitstring(): p for c, p in folded.items()},
         "ratio_PS_PC": fairness_ratio(folded, partition),
@@ -239,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jf", type=float, default=None,
                    help="chain strength of --embedding")
     p.add_argument("--s-set", type=int, nargs="+", default=None,
-                   help="class indices forming the S set (default: 0)")
-    p.add_argument("--c-set", type=int, nargs="+", default=None,
-                   help="class indices forming the C set (default: the rest)")
+                   help="class indices forming the S set (default: 0); "
+                        "C is every other class")
     p.set_defaults(handler=cmd_anneal)
 
     p = sub.add_parser("embed", help="apply an embedding and verify it")
@@ -255,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", default=None)
     p.add_argument("--jf", type=float, default=None)
     p.add_argument("--s-set", type=int, nargs="+", default=None)
-    p.add_argument("--c-set", type=int, nargs="+", default=None)
     p.add_argument("--dump-matrix", action="store_true",
                    help="include the effective matrices in the JSON output")
     p.set_defaults(handler=cmd_pt)

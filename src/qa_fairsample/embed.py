@@ -257,11 +257,11 @@ def verify_embedding(embedded: EmbeddedModel) -> EmbeddingReport:
         project_state(c, embedding) is not None for c in embedded_manifold.configs
     )
     lifted = sorted(
-        _lift_bits(g.bits, embedding.chain_masks) for g in source_manifold.configs
+        _lift_bits(g, embedding.chain_masks) for g in source_manifold.bits.tolist()
     )
     return EmbeddingReport(
         chains_unbroken=unbroken,
-        bijective=unbroken and [c.bits for c in embedded_manifold.configs] == lifted,
+        bijective=unbroken and embedded_manifold.bits.tolist() == lifted,
         source_energy=source_manifold.energy,
         embedded_energy=embedded_manifold.energy,
         source_degeneracy=source_manifold.degeneracy,
@@ -293,13 +293,22 @@ def embedding_from_dict(data: dict, chain_strength: float | None = None) -> Embe
                 "pass a value to substitute"
             )
         chain_strength = file_strength
-    assignment = tuple(
-        ((pair[0][0], pair[0][1]), (pair[1][0], pair[1][1]))
-        for pair in data["coupling_assignment"]
-    )
+    # unpacking checks the shapes at no cost to a well-formed file
+    try:
+        chains = tuple(tuple(chain) for chain in data["chains"])
+    except TypeError:
+        raise ValueError("'chains' must be a list of lists of physical spins") from None
+    try:
+        assignment = tuple(
+            ((i, j), (p, q)) for (i, j), (p, q) in data["coupling_assignment"]
+        )
+    except (TypeError, ValueError):
+        raise ValueError(
+            "'coupling_assignment' must be a list of [[i, j], [p, q]] pairs"
+        ) from None
     return Embedding(
         num_logical=data["num_logical"],
-        chains=tuple(tuple(chain) for chain in data["chains"]),
+        chains=chains,
         chain_strength=chain_strength,
         coupling_assignment=assignment,
     )

@@ -45,6 +45,9 @@ of each fine step runs on the fine rows only, and an odd step count gives
 the coarse rows one more exponential at the end. So one loop over the fine
 steps does both runs, and at small N, where a kernel call costs mostly
 Python overhead, it makes about a third fewer kernel calls than two runs.
+This estimate is the package's one convergence measure: the coarse rows of
+a run at 2n steps are bitwise a separate run at n steps, so comparing n with
+2n steps is two ``evolve_many`` calls and needs no API of its own.
 
 Batches of same-size models evolve together as rows of one array. Every
 operation is row-independent, and each row keeps its own schedule value,
@@ -108,8 +111,18 @@ def default_steps(tau: float) -> int:
     below 1e-7 over the whole fig2 grid (tau in [1, 1000]), and that of the
     15-spin instances of the perfbench wide-state workload at or below 1e-7
     for tau in [2, 60]. Larger or stronger-coupled models may need more.
+
+    Past tau = MAX_AMPLITUDE_STEPS / 10 the cost guard refuses every
+    integration at this step count, so it is refused here, before 5 * tau
+    can overflow.
     """
     _check_tau(tau)
+    if tau > MAX_AMPLITUDE_STEPS / 10.0:
+        raise ModelTooLargeError(
+            f"tau = {tau:g} needs ceil(5 x tau) steps under the default policy, "
+            f"at least 2 amplitude-steps each: over the budget of "
+            f"{MAX_AMPLITUDE_STEPS:.3g}"
+        )
     return max(50, math.ceil(5.0 * tau))
 
 
@@ -158,16 +171,6 @@ class EvolutionResult:
     steps: int
     norm_squared: float
     error_estimate: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Step-doubling study: probability change between steps and 2*steps."""
-
-    tau: float
-    steps: int
-    max_probability_difference: float
-    flagged: bool
 
 
 def accuracy_failure(result: EvolutionResult) -> str | None:
@@ -440,17 +443,3 @@ def evolve(model: IsingModel, schedule: AnnealSchedule) -> EvolutionResult:
     """Integrate one model from t=0 to t=tau and report final probabilities."""
     return evolve_many((model,), schedule)[0]
 
-
-def convergence_check(model: IsingModel, schedule: AnnealSchedule) -> ConvergenceReport:
-    """Compare probabilities at the given step count against twice as many steps.
-
-    One run at 2*steps carries the run at steps as its coarse rows.
-    """
-    doubled, base, _ = _probabilities((model,), schedule.tau, 2 * schedule.steps)
-    diff = float(np.abs(base[0] - doubled[0]).max())
-    return ConvergenceReport(
-        tau=schedule.tau,
-        steps=schedule.steps,
-        max_probability_difference=diff,
-        flagged=not (diff <= DRIFT_BUDGET),
-    )

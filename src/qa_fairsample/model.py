@@ -13,7 +13,7 @@ import math
 import numbers
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -194,11 +194,15 @@ class GroundManifold:
 
     The PT and gap analysis look configs up by binary search on their bits
     values, so the order is checked here: bits strictly ascending and one
-    spin count for all configs.
+    spin count for all configs. Construction also derives ``bits``, the
+    configs' bits values as a read-only int64 array in the same order, which
+    PT, folding and embedding verification read; it takes no part in
+    equality or hashing.
     """
 
     energy: float
     configs: tuple[SpinConfiguration, ...]
+    bits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         configs = self.configs
@@ -207,6 +211,9 @@ class GroundManifold:
         bits = [c.bits for c in configs]
         if not all(map(operator.lt, bits, bits[1:])):
             raise ValueError("ground configs must be in strictly ascending bits order")
+        bits = np.array(bits, dtype=np.int64)
+        bits.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
 
     @property
     def degeneracy(self) -> int:

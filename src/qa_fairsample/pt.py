@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .embed import apply_embedding, load_embedding, verify_embedding
 from .model import (
     GroundManifold,
     IsingModel,
-    SpinConfiguration,
+    ProbabilityVector,
     energy_table,
     enumerate_ground_states,
     load_model,
@@ -69,24 +68,21 @@ class PerturbationSetup:
 class PTResult:
     """Outcome of ``perturbative_probabilities``.
 
-    ``probabilities`` maps each ground config, in the manifold's order, to its
-    asymptotic sampling probability; ``project_and_fold`` folds it onto
-    inversion classes. ``resolved`` is false when the minimal eigenvalue of the last order built
-    keeps multiplicity > 1 and its eigenspace is not one inversion doublet:
-    the probabilities are then the projector diagonal / g, which is exact
-    only if a symmetry protects the degeneracy, and higher orders may split it.
+    ``probabilities`` holds the asymptotic sampling probability of every
+    configuration of the model, indexed by bits value and zero off the
+    ground manifold: the type of ``EvolutionResult.final_probabilities``, so
+    ``project_and_fold`` folds both answers by one routine. ``resolved`` is
+    false when the minimal eigenvalue of the last order built keeps
+    multiplicity > 1 and its eigenspace is not one inversion doublet: the
+    probabilities are then the projector diagonal / g, which is exact only
+    if a symmetry protects the degeneracy, and higher orders may split it.
     """
 
     resolved_order: int
     minimal_eigenvalue: float
     multiplicity: int
-    probabilities: dict[SpinConfiguration, float]
+    probabilities: ProbabilityVector
     resolved: bool
-
-
-def config_bits(configs: Sequence[SpinConfiguration]) -> np.ndarray:
-    """Bits values of configurations as an int64 array, in the given order."""
-    return np.fromiter((c.bits for c in configs), dtype=np.int64, count=len(configs))
 
 
 def _index_in(sorted_bits: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -113,7 +109,7 @@ def second_order_links(
     An excited flip k links a to b exactly when b is among its neighbours,
     and then <a|V|k><k|V|b> = (-1)(-1) = 1. Memory is O(d*N^2).
     """
-    basis = config_bits(manifold.configs)
+    basis = manifold.bits
     spins = 1 << np.arange(num_spins, dtype=np.int64)
     flips = basis[:, None] ^ spins
     excited = _index_in(basis, flips) < 0
@@ -127,7 +123,7 @@ def first_order_matrix(setup: PerturbationSetup) -> np.ndarray:
 
     A read-only float64 (d, d) array over ``setup.manifold.configs`` in order.
     """
-    bits = config_bits(setup.manifold.configs)
+    bits = setup.manifold.bits
     x = bits[:, None] ^ bits
     entries = np.where((x != 0) & ((x & (x - 1)) == 0), -1.0, 0.0)
     entries.setflags(write=False)
@@ -205,12 +201,13 @@ def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
         minimal = float(vals2[0])
         resolved = span.shape[1] == 1 or _is_inversion_doublet(setup, span)
     multiplicity = span.shape[1]
-    weights = ((span ** 2).sum(axis=1) / multiplicity).tolist()
+    vector = np.zeros(1 << setup.model.num_spins)
+    vector[setup.manifold.bits] = (span ** 2).sum(axis=1) / multiplicity
     return PTResult(
         resolved_order=resolved_order,
         minimal_eigenvalue=minimal,
         multiplicity=multiplicity,
-        probabilities=dict(zip(setup.manifold.configs, weights)),
+        probabilities=ProbabilityVector(vector),
         resolved=resolved,
     )
 

@@ -37,7 +37,7 @@ def test_inversion_classes_toy(toy_manifold):
 
 def test_fold_ground_probabilities(toy_manifold):
     # uniform distribution: 6/32 on the manifold, the rest is excited
-    probs = {cfg(b, 5): 1.0 / 32.0 for b in range(32)}
+    probs = qf.ProbabilityVector([1.0 / 32.0] * 32)
     folded, excited = qf.fold_ground_probabilities(probs, toy_manifold)
     assert all(p == pytest.approx(1.0 / 16.0) for p in folded.values())
     assert excited == pytest.approx(26.0 / 32.0)
@@ -45,7 +45,7 @@ def test_fold_ground_probabilities(toy_manifold):
 
 def test_project_and_fold_uniform(toy_manifold, embedded_models):
     em = embedded_models[1.0]
-    probs = {cfg(b, 6): 1.0 / 64.0 for b in range(64)}
+    probs = qf.ProbabilityVector([1.0 / 64.0] * 64)
     folded, excited = qf.project_and_fold(probs, em.embedding, toy_manifold)
     assert all(p == pytest.approx(2.0 / 64.0) for p in folded.values())
     assert excited == pytest.approx(58.0 / 64.0)
@@ -84,7 +84,8 @@ def test_fold_matches_consensus_oracle_on_vectors(instance, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(embedded_instances(), SEEDS)
-def test_fold_matches_consensus_oracle_on_sparse_dicts(instance, seed):
+def test_fold_matches_consensus_oracle_on_sparse_vectors(instance, seed):
+    # zero on most entries, as a PT answer is off its manifold
     model, embedding = instance
     manifold = qf.enumerate_ground_states(model)
     rng = np.random.default_rng(seed)
@@ -97,12 +98,18 @@ def test_fold_matches_consensus_oracle_on_sparse_dicts(instance, seed):
         b ^ (1 << chain[0]) for b in ground for chain in embedding.chains if len(chain) > 1
     }
     keys |= set(rng.integers(0, 1 << m, size=6).tolist())
-    probs = {qf.SpinConfiguration(b, m): float(rng.random()) for b in sorted(keys)}
+    vector = np.zeros(1 << m)
+    vector[sorted(keys)] = rng.random(len(keys))
+    probs = qf.ProbabilityVector(vector)
     if any(len(chain) > 1 for chain in embedding.chains):
-        assert any(qf.project_state(c, embedding) is None for c in probs)
-    assert qf.project_and_fold(probs, embedding, manifold) == (
+        broken = (qf.SpinConfiguration(b, m) for b in keys)
+        assert any(qf.project_state(c, embedding) is None for c in broken)
+    folded, excited = qf.project_and_fold(probs, embedding, manifold)
+    assert (folded, excited) == (
         consensus_project_and_fold(probs, embedding.chains, manifold)
     )
+    # every class is listed, at 0 where no weight lands on its lifts
+    assert len(folded) == len(qf.inversion_classes(manifold))
 
 
 def test_probability_vector_view():
@@ -151,8 +158,6 @@ def test_partition_names_classes_as_folding_does():
 def test_partition_rejects_bad_class_index(toy_manifold, index):
     with pytest.raises(ValueError, match=f"class index {index!r}"):
         qf.FairnessPartition.from_class_indices(toy_manifold, (index,))
-    with pytest.raises(ValueError, match=f"class index {index!r}"):
-        qf.FairnessPartition.from_class_indices(toy_manifold, (0,), (index,))
 
 
 def test_partition_validation(toy_manifold):
@@ -161,6 +166,16 @@ def test_partition_validation(toy_manifold):
         qf.FairnessPartition(s_set=(), c_set=(rep,))
     with pytest.raises(ValueError):
         qf.FairnessPartition(s_set=(rep,), c_set=(rep,))
+
+
+@pytest.mark.parametrize("s_indices", [(0, 1, 1), (0, 0, 1), (2, 2)])
+def test_partition_rejects_repeated_members(toy_manifold, s_indices):
+    # a repeat would weight its class twice in the set's mean
+    with pytest.raises(ValueError, match="partition set S repeats a member"):
+        qf.FairnessPartition.from_class_indices(toy_manifold, s_indices)
+    rep = cfg(0, 5)
+    with pytest.raises(ValueError, match="partition set C repeats a member"):
+        qf.FairnessPartition(s_set=(cfg(3, 5),), c_set=(rep, rep))
 
 
 # -------------------------------------------------------- fairness ratio

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, exit codes, deterministic output."""
 
+import csv
 import json
 import math
 import os
@@ -252,6 +253,14 @@ def test_anneal_over_the_cost_budget_exits_2(capsys, argv):
     assert "amplitude-steps" in err and "over the budget of 2e+09" in err
 
 
+def test_anneal_tau_beyond_any_step_count_exits_2(capsys):
+    # 5 * tau overflows to inf: refused before a step count is computed
+    code, out, err = run(capsys, "anneal", "matsuda5", "--tau", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "default policy" in err and "over the budget of 2e+09" in err
+
+
 def test_anneal_bad_model_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"num_spins": 2}')
@@ -300,21 +309,42 @@ def test_pt_source_suppression(capsys):
 
 
 def test_pt_custom_partition(capsys):
-    code, out, _ = run(capsys, "pt", "matsuda5", "--s-set", "1", "--c-set", "0", "2")
+    code, out, _ = run(capsys, "pt", "matsuda5", "--s-set", "1")
     assert code == 0
     payload = json.loads(out)
     # source PT folds to (0, 1/2, 1/2); S = second class, C = the others
     assert payload["ratio_PS_PC"] == pytest.approx(2.0, abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "partition", [("--s-set", "5"), ("--s-set", "-1", "--c-set", "0")]
-)
+@pytest.mark.parametrize("partition", [("--s-set", "5"), ("--s-set", "-1")])
 def test_pt_rejects_class_index_out_of_range(capsys, partition):
     code, out, err = run(capsys, "pt", "matsuda5", *partition)
     assert code == 2
     assert out == ""
     assert f"class index {partition[1]} is outside 0..2" in err
+
+
+@pytest.mark.parametrize("command", ["pt", "anneal"])
+def test_repeated_class_index_exits_2(capsys, command):
+    # a repeat would weight class 1 twice in the S mean
+    argv = [command, "matsuda5", "--s-set", "0", "1", "1"]
+    if command == "anneal":
+        argv += ["--tau", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "partition set S repeats a member" in err
+
+
+@pytest.mark.parametrize("command", ["pt", "anneal"])
+def test_c_set_is_not_an_option(capsys, command):
+    # C is always the complement of --s-set: folding lists every class, and
+    # fairness_ratio refuses classes outside the partition
+    tau = ("--tau", "1") if command == "anneal" else ()
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, "matsuda5", *tau, "--s-set", "0", "--c-set", "1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --c-set 1" in capsys.readouterr().err
 
 
 FIELDED_PAIR_MODEL = (
@@ -356,7 +386,7 @@ def test_pt_reports_whether_it_resolved(capsys, tmp_path):
     path.write_text(
         '{"num_spins": 6, "couplings": [[0, 3, 1], [1, 3, -1], [2, 5, -1], [4, 5, 1]]}'
     )
-    code, out, _ = run(capsys, "pt", str(path), "--s-set", "0", "--c-set", "1")
+    code, out, _ = run(capsys, "pt", str(path), "--s-set", "0")
     assert code == 0
     payload = json.loads(out)
     assert (payload["resolved_order"], payload["multiplicity"]) == (2, 4)
@@ -417,6 +447,40 @@ def test_embedding_file_non_integer_index_exits_2(capsys, tmp_path, command, key
     assert "must be an integer" in err
 
 
+PAIRS = "'coupling_assignment' must be a list of [[i, j], [p, q]] pairs"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("chains", [0, 1, 2], "'chains' must be a list of lists"),
+        ("coupling_assignment", [[0, 1]], PAIRS),
+        ("coupling_assignment", [[[0, 1], [0, 1, 2]]], PAIRS),
+        ("coupling_assignment", {"0": 1}, PAIRS),
+    ],
+    ids=["chain-not-a-list", "pair-not-a-list", "pair-of-three", "not-a-list"],
+)
+@pytest.mark.parametrize("command", ["embed", "pt", "anneal"])
+def test_embedding_file_of_the_wrong_shape_exits_2(
+    capsys, tmp_path, command, key, value, message
+):
+    # shapes are checked where the file enters, so no TypeError escapes
+    data = json.loads(toy_embedding_path().read_text())
+    data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = {
+        "embed": ("embed", "matsuda5", str(bad), "--jf", "1.0"),
+        "pt": ("pt", "matsuda5", "--embedding", str(bad), "--jf", "1.0"),
+        "anneal": ("anneal", "matsuda5", "--embedding", str(bad), "--jf", "1.0",
+                   "--tau", "1"),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 # ---------------------------------------------------------------- reproduce
 
 
@@ -440,6 +504,30 @@ def test_reproduce_fig3b(capsys, tmp_path):
     second_path = tmp_path / "fig3b_again.csv"
     run(capsys, "reproduce", "fig3b", "--out", str(second_path))
     assert out_path.read_bytes() == second_path.read_bytes()
+
+
+def test_reproduce_fig3b_matches_the_golden_csv(capsys, tmp_path):
+    # tests/data/fig3b.csv is the preset's output as committed; values may
+    # differ in the last bits only, labels and blank cells not at all
+    out_path = tmp_path / "fig3b.csv"
+    code, _, _ = run(capsys, "reproduce", "fig3b", "--out", str(out_path))
+    assert code == 0
+    golden_path = Path(__file__).parent / "data" / "fig3b.csv"
+    with open(out_path, newline="") as got_fh, open(golden_path, newline="") as want_fh:
+        got, want = list(csv.reader(got_fh)), list(csv.reader(want_fh))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert len(got_row) == len(want_row)
+        assert (got_row[0], got_row[2]) == (want_row[0], want_row[2])
+        for i in (1, *range(3, len(want_row))):
+            g, w = got_row[i], want_row[i]
+            if w == "" or g == "":
+                assert g == w, f"{want_row[0]} column {want[0][i]}"
+            else:
+                assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=0.0), (
+                    f"{want_row[0]} column {want[0][i]}: {g} != {w}"
+                )
 
 
 def test_reproduce_fig2_small_grid(capsys, tmp_path, monkeypatch):

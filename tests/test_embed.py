@@ -165,6 +165,19 @@ def test_verification_compares_manifolds_in_bits_order():
     assert report == set_verify_embedding(wrong)
 
 
+@settings(max_examples=200, deadline=None)
+@given(embedded_instances(), st.sampled_from((0.05, 0.5, 1.0, 1.5)))
+def test_intact_embedded_ground_states_are_the_lifts(instance, jf):
+    # On an intact config the physical energy is the source energy of its
+    # projection less J_F per chain bond, a constant. So when every embedded
+    # ground state is intact, they are exactly the lifts of the source's: an
+    # intact but wrong manifold needs a mismatched source, as built above.
+    model, template = instance
+    embedded = qf.apply_embedding(model, template.with_chain_strength(jf))
+    report = qf.verify_embedding(embedded)
+    assert report.bijective == report.chains_unbroken
+
+
 def test_fields_attach_to_first_chain_member(toy_template):
     source = qf.IsingModel(
         5,

@@ -47,8 +47,12 @@ def test_integration_over_the_cost_budget_is_refused(toy_source):
     schedule = qf.AnnealSchedule(tau=20.0, steps=10**10)
     with pytest.raises(ModelTooLargeError, match="3.2e\\+11 amplitude-steps"):
         qf.evolve(toy_source, schedule)
-    with pytest.raises(ModelTooLargeError, match="over the budget of 2e\\+09"):
-        qf.convergence_check(toy_source, qf.AnnealSchedule(tau=20.0, steps=10**9))
+    # the default policy refuses a step count no integration could afford,
+    # before 5 * tau overflows it
+    for tau in (2.1e8, 1e308):
+        with pytest.raises(ModelTooLargeError, match="over the budget of 2e\\+09"):
+            qf.AnnealSchedule.for_tau(tau)
+    assert qf.default_steps(2e8) == 10**9
 
 
 # ------------------------------------------------ Hamiltonian application
@@ -328,36 +332,41 @@ def test_probabilities_renormalized(toy_source):
 # ---------------------------------------------------------- convergence
 
 
-def test_convergence_default_policy_unflagged(toy_source):
-    report = qf.convergence_check(toy_source, qf.AnnealSchedule.for_tau(5.0))
-    assert not report.flagged
-    assert report.max_probability_difference <= 1e-6
-
-
-def test_convergence_underresolved_flagged(toy_source):
-    report = qf.convergence_check(toy_source, qf.AnnealSchedule(tau=1000.0, steps=10))
-    assert report.flagged
-
-
-def test_convergence_tau_zero(toy_source):
-    report = qf.convergence_check(toy_source, qf.AnnealSchedule(tau=0.0, steps=1))
-    assert report.max_probability_difference <= 1e-12
-    assert not report.flagged
-
-
-@pytest.mark.parametrize("tau, steps", [(5.0, 50), (40.0, 7), (1000.0, 10), (3.0, 1)])
-def test_convergence_matches_two_separate_runs(toy_source, tau, steps):
-    # one run at 2*steps carries the steps run as its coarse rows
+def doubling_difference(model, tau, steps):
+    """Largest probability change from ``steps`` to ``2 * steps`` steps, from
+    two separate runs, and the run at ``2 * steps``."""
     base, doubled = (
-        qf.evolve_many((toy_source,), qf.AnnealSchedule(tau, n), enforce_drift=False)[0]
+        qf.evolve_many((model,), qf.AnnealSchedule(tau, n), enforce_drift=False)[0]
         for n in (steps, 2 * steps)
     )
     diff = np.abs(
         base.final_probabilities.vector - doubled.final_probabilities.vector
     ).max()
-    report = qf.convergence_check(toy_source, qf.AnnealSchedule(tau, steps))
-    assert report.max_probability_difference == diff
-    assert report.flagged == (not diff <= 1e-6)
+    return diff, doubled
+
+
+def test_convergence_default_policy_unflagged(toy_source):
+    steps = qf.default_steps(5.0)
+    diff, _ = doubling_difference(toy_source, 5.0, steps)
+    assert diff <= 1e-6
+
+
+def test_convergence_underresolved_flagged(toy_source):
+    diff, _ = doubling_difference(toy_source, 1000.0, 10)
+    assert not diff <= 1e-6
+
+
+def test_convergence_tau_zero(toy_source):
+    diff, _ = doubling_difference(toy_source, 0.0, 1)
+    assert diff <= 1e-12
+
+
+@pytest.mark.parametrize("tau, steps", [(5.0, 50), (40.0, 7), (1000.0, 10), (3.0, 1)])
+def test_convergence_matches_two_separate_runs(toy_source, tau, steps):
+    # the run at 2*steps carries the steps run as its coarse rows, so its
+    # estimate is the two runs' difference over the Richardson factor 15
+    diff, doubled = doubling_difference(toy_source, tau, steps)
+    assert doubled.error_estimate == diff / 15.0
 
 
 # ------------------------------------------------------------- batching

@@ -126,6 +126,16 @@ def test_enumerate_toy_manifold(toy_manifold):
     assert [c.bits for c in toy_manifold.configs] == [0, 3, 12, 19, 28, 31]
 
 
+def test_ground_manifold_bits_array(toy_manifold):
+    bits = toy_manifold.bits
+    assert bits.dtype == np.int64 and bits.tolist() == [0, 3, 12, 19, 28, 31]
+    assert not bits.flags.writeable
+    # derived from the configs, so it is neither an argument nor compared
+    copy = qf.GroundManifold(energy=toy_manifold.energy, configs=toy_manifold.configs)
+    assert copy == toy_manifold and hash(copy) == hash(toy_manifold)
+    assert "bits" not in repr(copy)
+
+
 @pytest.mark.parametrize(
     "bits, sizes, message",
     [

@@ -30,6 +30,11 @@ def setup_for(model):
     return qf.PerturbationSetup.from_model(model)
 
 
+def ground_probabilities(result, manifold):
+    """The PT answer on the ground configs, in the manifold's order."""
+    return result.probabilities.vector[manifold.bits].tolist()
+
+
 def folded_pt(setup):
     """The PT answer folded by inversion class over the setup's own manifold."""
     result = qf.perturbative_probabilities(setup)
@@ -130,11 +135,24 @@ def test_probabilities_two_spin():
     assert result.probabilities[cfg(3, 2)] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_probabilities_are_a_bits_indexed_vector(toy_source, embedded_models):
+    # the type of a measured distribution: every config, zero off the manifold
+    for model in (toy_source, embedded_models[0.5].model):
+        setup = setup_for(model)
+        probabilities = qf.perturbative_probabilities(setup).probabilities
+        assert isinstance(probabilities, qf.ProbabilityVector)
+        assert probabilities.num_spins == model.num_spins
+        assert not probabilities.vector.flags.writeable
+        off = np.ones(1 << model.num_spins, dtype=bool)
+        off[setup.manifold.bits] = False
+        assert not probabilities.vector[off].any()
+
+
 def test_probabilities_embedded_fair_point(embedded_models):
     setup = setup_for(embedded_models[1.0].model)
     result = qf.perturbative_probabilities(setup)
     assert result.resolved_order == 2
-    for p in result.probabilities.values():
+    for p in ground_probabilities(result, setup.manifold):
         assert p == pytest.approx(1.0 / 6.0, abs=1e-10)
     for p in folded_pt(setup).values():
         assert p == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -177,17 +195,20 @@ def test_probabilities_source_suppression(toy_source):
 
 
 def test_probabilities_triangle_uniform():
-    result = qf.perturbative_probabilities(setup_for(FIXTURE_MODELS["triangle3"]))
+    setup = setup_for(FIXTURE_MODELS["triangle3"])
+    result = qf.perturbative_probabilities(setup)
     assert result.resolved_order == 1
     assert result.multiplicity == 1
-    for p in result.probabilities.values():
+    for p in ground_probabilities(result, setup.manifold):
         assert p == pytest.approx(1.0 / 6.0, abs=1e-10)
 
 
 def test_probabilities_field_pinned_states():
     for name in ("single_spin_field", "pinned_pair"):
-        result = qf.perturbative_probabilities(setup_for(FIXTURE_MODELS[name]))
-        assert list(result.probabilities.values()) == [1.0]
+        setup = setup_for(FIXTURE_MODELS[name])
+        result = qf.perturbative_probabilities(setup)
+        assert ground_probabilities(result, setup.manifold) == [1.0]
+        assert result.probabilities.vector.sum() == 1.0
 
 
 def test_resolved_flag_on_resolved_answers(embedded_models, toy_source):
@@ -208,10 +229,12 @@ TWO_CHAINS = qf.IsingModel(6, ((0, 3, 1.0), (1, 3, -1.0), (2, 5, -1.0), (4, 5, 1
 
 
 def test_resolved_flag_on_degeneracy_beyond_a_doublet():
-    result = qf.perturbative_probabilities(setup_for(TWO_CHAINS))
+    setup = setup_for(TWO_CHAINS)
+    result = qf.perturbative_probabilities(setup)
     assert (result.resolved_order, result.multiplicity) == (2, 4)
     assert not result.resolved
-    assert list(result.probabilities.values()) == pytest.approx([0.25] * 4, abs=1e-12)
+    probabilities = ground_probabilities(result, setup.manifold)
+    assert probabilities == pytest.approx([0.25] * 4, abs=1e-12)
 
 
 def test_probabilities_sum_to_one(embedded_models):
@@ -227,9 +250,10 @@ def test_perron_positivity(toy_source, toy_template):
     # connected second-order support: the resolved eigenvector has no zeros
     for jf in (0.25, 0.8, 1.3, 2.0):
         embedded = qf.apply_embedding(toy_source, toy_template.with_chain_strength(jf))
-        result = qf.perturbative_probabilities(setup_for(embedded.model))
+        setup = setup_for(embedded.model)
+        result = qf.perturbative_probabilities(setup)
         assert result.multiplicity == 1
-        assert min(result.probabilities.values()) > 0.0
+        assert min(ground_probabilities(result, setup.manifold)) > 0.0
 
 
 # ------------------------------------------ brute-force oracle (N <= 4)
@@ -245,10 +269,11 @@ def exact_ground_overlaps(model, lam):
 @pytest.mark.parametrize("lam", [1e-2, 1e-3])
 def test_brute_force_diagonalization_oracle(name, lam):
     model = FIXTURE_MODELS[name]
-    result = qf.perturbative_probabilities(setup_for(model))
+    setup = setup_for(model)
+    result = qf.perturbative_probabilities(setup)
     overlaps = exact_ground_overlaps(model, lam)
-    for config, p in result.probabilities.items():
-        assert abs(overlaps[config.bits] - p) <= 5.0 * lam
+    for b, p in zip(setup.manifold.bits, ground_probabilities(result, setup.manifold)):
+        assert abs(overlaps[b] - p) <= 5.0 * lam
 
 
 # ------------------------------- array layer against the per-config loops
@@ -328,13 +353,10 @@ def test_folding_a_pt_answer_matches_the_bits_fold(model):
     assume(manifold.degeneracy <= 128)
     result = qf.perturbative_probabilities(qf.PerturbationSetup(model, manifold))
     folded, excited = qf.fold_ground_probabilities(result.probabilities, manifold)
-    expected = fold_bits(
-        [c.bits for c in manifold.configs],
-        result.probabilities.values(),
-        model.num_spins,
-    )
+    weights = ground_probabilities(result, manifold)
+    expected = fold_bits(manifold.bits.tolist(), weights, model.num_spins)
     assert list(folded.items()) == list(expected.items())
-    assert excited == 1.0 - sum(result.probabilities.values())
+    assert excited == 1.0 - sum(weights)
 
 
 def test_array_layer_matches_loops_on_a_wide_manifold():
