@@ -3,15 +3,15 @@
 Folded probabilities merge each configuration with its global spin inversion;
 the fairness ratio compares the mean folded probability of a suppressed set S
 against a connected set C, so perfectly fair sampling gives exactly 1.
-Sweeps emit one record per (model, parameter value, method) and can be
-serialized to CSV with a fixed column order.
+Sweeps emit one record per (model, parameter value, method), each built by
+one function that folds the row's probabilities onto the source classes,
+and can be serialized to CSV with a fixed column order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -23,7 +23,6 @@ from .embed import (
     _lift_bits,
     apply_embedding,
     identity_embedding,
-    lift_state,
 )
 from .errors import UndefinedRatioError
 from .evolve import AnnealSchedule, EvolutionResult, accuracy_failure, evolve_many
@@ -32,6 +31,7 @@ from .model import (
     IsingModel,
     ProbabilityVector,
     SpinConfiguration,
+    _integer,
     energy_table,
     enumerate_ground_states,
 )
@@ -100,8 +100,7 @@ class FairnessPartition:
             for rep in sorted(_class_groups(manifold))
         ]
         for i in s_indices:
-            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-                raise ValueError(f"class index {i!r} is not an integer")
+            _integer(i, f"class index {i!r}")
             if not 0 <= i < len(reps):
                 raise ValueError(
                     f"class index {i} is outside 0..{len(reps) - 1} "
@@ -275,7 +274,12 @@ def project_and_fold(
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One row of a parameter sweep."""
+    """One row of a parameter sweep; callers may build it positionally.
+
+    An SE row that misses the accuracy budget keeps its norm drift and gap
+    ratio, has no ``folded``, ``ratio`` or ``excited_weight``, and says why
+    in ``error``.
+    """
 
     model: str
     parameter: str
@@ -289,41 +293,31 @@ class SweepRecord:
     error: str | None = None
 
 
-def _se_record(
+def _record(
     label: str,
     parameter: str,
     value: float,
-    result: EvolutionResult,
-    folded: dict[SpinConfiguration, float],
-    excited: float,
+    method: str,
+    probabilities: ProbabilityVector,
+    embedding: Embedding,
+    source_manifold: GroundManifold,
     partition: FairnessPartition,
-    gap: float | None = None,
+    gap: float | None,
+    result: EvolutionResult | None = None,
 ) -> SweepRecord:
-    failure = accuracy_failure(result)
+    """The one builder of sweep rows: fold ``probabilities``, take the ratio.
+
+    ``result`` is the evolution behind an SE row; a row that misses the
+    accuracy budget becomes an error row, as ``SweepRecord`` describes.
+    """
+    drift = None if result is None else result.norm_drift
+    failure = None if result is None else accuracy_failure(result)
+    row = (label, parameter, value, method)
     if failure is not None:
-        return SweepRecord(
-            model=label,
-            parameter=parameter,
-            value=value,
-            method="SE",
-            folded=None,
-            ratio=None,
-            gap_ratio=gap,
-            excited_weight=None,
-            norm_drift=result.norm_drift,
-            error=failure,
-        )
-    return SweepRecord(
-        model=label,
-        parameter=parameter,
-        value=value,
-        method="SE",
-        folded=folded,
-        ratio=fairness_ratio(folded, partition),
-        gap_ratio=gap,
-        excited_weight=excited,
-        norm_drift=result.norm_drift,
-    )
+        return SweepRecord(*row, None, None, gap, None, drift, failure)
+    folded, excited = project_and_fold(probabilities, embedding, source_manifold)
+    ratio = fairness_ratio(folded, partition)
+    return SweepRecord(*row, folded, ratio, gap, excited, drift)
 
 
 def sweep_tau(
@@ -364,11 +358,11 @@ def sweep_tau(
             results.update(zip(indices, batch))
         for idx, (label, em) in enumerate(embedded):
             result = results[idx]
-            folded, excited = project_and_fold(
-                result.final_probabilities, em.embedding, source_manifold
-            )
             records.append(
-                _se_record(label, "tau", tau, result, folded, excited, partition)
+                _record(
+                    label, "tau", tau, "SE", result.final_probabilities,
+                    em.embedding, source_manifold, partition, None, result,
+                )
             )
     return records
 
@@ -386,8 +380,8 @@ def sweep_chain_strength(
 
     Rows come out grouped by J_F in the given order, PT before SE, with the
     gap ratio repeated on both rows of each J_F. Ratios use the default
-    partition of the source manifold, lifted through the chains for the gap
-    ratio.
+    partition of the source manifold. The gap ratio reads it lifted through
+    the chains, once per sweep, since every J_F variant shares them.
     """
     if any(jf <= 0 for jf in chain_strengths):
         raise ValueError("every chain strength must be positive")
@@ -397,53 +391,38 @@ def sweep_chain_strength(
     source_manifold = enumerate_ground_states(source)
     partition = default_partition(source_manifold)
 
-    variants = []
-    for jf in chain_strengths:
-        embedding = embedding_template.with_chain_strength(jf)
-        variants.append((jf, apply_embedding(source, embedding)))
+    variants = [
+        (jf, apply_embedding(source, embedding_template.with_chain_strength(jf)))
+        for jf in chain_strengths
+    ]
+    # every variant has the template's chains, so one lift serves each J_F
+    lifted = _lift_partition(partition, embedding_template) if variants else None
 
-    se_results: dict[float, EvolutionResult] = {}
+    se_results = [None] * len(variants)
     if "SE" in methods:
         schedule = AnnealSchedule.for_tau(tau, steps)
-        batch = evolve_many(
-            [em.model for _, em in variants], schedule, enforce_drift=False
-        )
-        se_results = {jf: r for (jf, _), r in zip(variants, batch)}
+        models = [em.model for _, em in variants]
+        se_results = evolve_many(models, schedule, enforce_drift=False)
 
     records = []
-    for jf, em in variants:
+    for (jf, em), result in zip(variants, se_results):
         label = f"embedded[jf={jf:g}]"
-        physical_manifold = enumerate_ground_states(em.model)
-        physical_partition = _lift_partition(partition, em.embedding)
-        gap = gap_ratio(em.model, physical_manifold, physical_partition).ratio
-
+        manifold = enumerate_ground_states(em.model)
+        gap = gap_ratio(em.model, manifold, lifted).ratio
         if "PT" in methods:
-            pt_result = perturbative_probabilities(
-                PerturbationSetup(em.model, physical_manifold)
-            )
-            folded, excited = project_and_fold(
-                pt_result.probabilities, em.embedding, source_manifold
-            )
+            pt = perturbative_probabilities(PerturbationSetup(em.model, manifold))
             records.append(
-                SweepRecord(
-                    model=label,
-                    parameter="jf",
-                    value=jf,
-                    method="PT",
-                    folded=folded,
-                    ratio=fairness_ratio(folded, partition),
-                    gap_ratio=gap,
-                    excited_weight=excited,
-                    norm_drift=None,
+                _record(
+                    label, "jf", jf, "PT", pt.probabilities,
+                    em.embedding, source_manifold, partition, gap,
                 )
             )
         if "SE" in methods:
-            result = se_results[jf]
-            folded, excited = project_and_fold(
-                result.final_probabilities, em.embedding, source_manifold
-            )
             records.append(
-                _se_record(label, "jf", jf, result, folded, excited, partition, gap)
+                _record(
+                    label, "jf", jf, "SE", result.final_probabilities,
+                    em.embedding, source_manifold, partition, gap, result,
+                )
             )
     return records
 
@@ -456,7 +435,7 @@ def _lift_partition(
     mask = (1 << num_spins) - 1
 
     def lift_rep(config: SpinConfiguration) -> SpinConfiguration:
-        lifted = lift_state(config, embedding).bits
+        lifted = _lift_bits(config.bits, embedding.chain_masks)
         return SpinConfiguration(min(lifted, lifted ^ mask), num_spins)
 
     return FairnessPartition(
@@ -491,15 +470,12 @@ def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
             writer = csv.writer(fh)
             writer.writerow(header)
             for r in records:
-                cells = [r.model, _format_cell(r.value), r.method]
-                for rep in reps:
-                    folded_p = r.folded.get(rep) if r.folded else None
-                    cells.append(_format_cell(folded_p))
-                cells.append(_format_cell(r.ratio))
-                cells.append(_format_cell(r.gap_ratio))
-                cells.append(_format_cell(r.excited_weight))
-                cells.append(_format_cell(r.norm_drift))
-                writer.writerow(cells)
+                folded = [r.folded.get(rep) if r.folded else None for rep in reps]
+                values = [*folded, r.ratio, r.gap_ratio, r.excited_weight, r.norm_drift]
+                writer.writerow(
+                    [r.model, _format_cell(r.value), r.method]
+                    + [_format_cell(v) for v in values]
+                )
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

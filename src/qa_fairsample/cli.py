@@ -151,14 +151,11 @@ def cmd_pt(args) -> int:
     }
     if args.dump_matrix:
         basis = [c.to_bitstring() for c in setup.manifold.configs]
-        payload["first_order"] = {
-            "basis": basis,
-            "entries": first_order_matrix(setup).tolist(),
-        }
-        payload["second_order"] = {
-            "basis": basis,
-            "entries": second_order_matrix(setup).tolist(),
-        }
+        for key, matrix in (
+            ("first_order", first_order_matrix),
+            ("second_order", second_order_matrix),
+        ):
+            payload[key] = {"basis": basis, "entries": matrix(setup).tolist()}
     _print_json(payload)
     return 0
 

@@ -277,15 +277,8 @@ def embedding_from_dict(data: dict, chain_strength: float | None = None) -> Embe
             raise ValueError(f"embedding file is missing '{key}'")
     file_strength = data.get("chain_strength")
     if file_strength is not None:
-        # reject a malformed stored value even when an override is supplied
-        if isinstance(file_strength, bool) or not isinstance(
-            file_strength, (int, float)
-        ):
-            raise ValueError("chain_strength in file must be a number or null")
-        if not 0 < file_strength < math.inf:
-            raise EmbeddingError(
-                f"chain_strength in file must be positive and finite, got {file_strength}"
-            )
+        # a malformed stored value is refused even when an override is given
+        file_strength = _chain_strength(file_strength)
     if chain_strength is None:
         if file_strength is None:
             raise ValueError(

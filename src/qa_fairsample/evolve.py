@@ -63,14 +63,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import IntegrationAccuracyError, ModelTooLargeError
-from .model import MAX_SPINS, IsingModel, ProbabilityVector, energy_table
+from .model import (
+    MAX_SPINS, IsingModel, ProbabilityVector, _finite, _integer, energy_table
+)
 
 # Maximum tolerated norm drift |1 - norm^2| and step-doubling error estimate
 # of the final probabilities.
@@ -96,10 +97,8 @@ _ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
 
 def _check_tau(tau) -> None:
-    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
-        raise ValueError(f"tau must be a real number, got {tau!r}")
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    if _finite(tau, "tau") < 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
 
 
 def default_steps(tau: float) -> int:
@@ -139,8 +138,7 @@ class AnnealSchedule:
 
     def __post_init__(self):
         _check_tau(self.tau)
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        _integer(self.steps, "steps")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 

@@ -320,10 +320,9 @@ def model_from_dict(data: dict) -> IsingModel:
     _require(isinstance(couplings, list), "'couplings' must be a list")
     triples = []
     for entry in couplings:
-        _require(
-            isinstance(entry, list) and len(entry) == 3,
-            f"coupling entry {entry!r} is not an [i, j, J] triple",
-        )
+        # the message is formatted only for an entry that fails
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"coupling entry {entry!r} is not an [i, j, J] triple")
         triples.append((entry[0], entry[1], entry[2]))
     fields = data.get("fields", ())
     _require(

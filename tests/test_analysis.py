@@ -1,5 +1,6 @@
 """Analysis module: folding, fairness ratio, gap ratios, sweeps, CSV output."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -532,6 +533,105 @@ def test_sweep_chain_strength_se_smoke(toy_source, toy_template):
     se = records[1]
     assert se.norm_drift is not None and se.norm_drift <= 1e-6
     assert se.gap_ratio == records[0].gap_ratio
+
+
+def lift_partition_through(partition, embedding):
+    """The partition's class representatives lifted through ``embedding``."""
+    mask = (1 << embedding.num_physical) - 1
+
+    def rep(config):
+        bits = qf.lift_state(config, embedding).bits
+        return cfg(min(bits, bits ^ mask), embedding.num_physical)
+
+    return qf.FairnessPartition(
+        tuple(map(rep, partition.s_set)), tuple(map(rep, partition.c_set))
+    )
+
+
+def composed_chain_sweep(source, template, strengths, methods, tau=1000.0):
+    """``sweep_chain_strength`` rebuilt one J_F at a time from public calls.
+
+    Each J_F embeds, runs PT and a one-row ``evolve_many``, folds, and takes
+    the gap ratio with the partition lifted through its own embedding.
+    """
+    source_manifold = qf.enumerate_ground_states(source)
+    partition = qf.default_partition(source_manifold)
+    rows = []
+    for jf in strengths:
+        em = qf.apply_embedding(source, template.with_chain_strength(jf))
+        manifold = qf.enumerate_ground_states(em.model)
+        lifted = lift_partition_through(partition, em.embedding)
+        gap = qf.gap_ratio(em.model, manifold, lifted).ratio
+        label = f"embedded[jf={jf:g}]"
+        answers = []
+        if "PT" in methods:
+            pt = qf.perturbative_probabilities(qf.PerturbationSetup(em.model, manifold))
+            answers.append(("PT", pt.probabilities, None))
+        if "SE" in methods:
+            schedule = qf.AnnealSchedule.for_tau(tau)
+            (result,) = qf.evolve_many([em.model], schedule, enforce_drift=False)
+            answers.append(("SE", result.final_probabilities, result))
+        for method, probabilities, result in answers:
+            drift = None if result is None else result.norm_drift
+            failure = None if result is None else qf.accuracy_failure(result)
+            if failure is not None:
+                rows.append(
+                    qf.SweepRecord(
+                        label, "jf", jf, method, None, None, gap, None, drift, failure
+                    )
+                )
+                continue
+            folded, excited = qf.project_and_fold(
+                probabilities, em.embedding, source_manifold
+            )
+            ratio = qf.fairness_ratio(folded, partition)
+            rows.append(
+                qf.SweepRecord(label, "jf", jf, method, folded, ratio, gap, excited, drift)
+            )
+    return rows
+
+
+def assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        for field in dataclasses.fields(qf.SweepRecord):
+            assert getattr(got_row, field.name) == getattr(want_row, field.name), (
+                f"{want_row.model} {want_row.method}: {field.name}"
+            )
+
+
+def test_sweep_chain_strength_rows_are_per_jf_compositions(toy_source, toy_template):
+    # the sweep lifts the partition once; every J_F must see the same rows
+    strengths = (0.5, 1.0, 1.5)
+    got = qf.sweep_chain_strength(toy_source, toy_template, strengths, tau=5.0)
+    want = composed_chain_sweep(toy_source, toy_template, strengths, ("PT", "SE"), 5.0)
+    assert [r.method for r in got] == ["PT", "SE"] * 3
+    assert all(r.error is None for r in got)
+    assert_same_rows(got, want)
+
+
+# most draws are refused (one inversion class, no second-order links);
+# 250 examples reach about 30 answered sweeps
+@settings(max_examples=250, deadline=None)
+@given(
+    embedded_instances(),
+    st.lists(st.sampled_from((0.05, 0.5, 1.0, 1.5)), min_size=1, max_size=3, unique=True),
+)
+def test_sweep_chain_strength_matches_compositions_on_random_instances(
+    instance, strengths
+):
+    source, template = instance
+    try:
+        want = composed_chain_sweep(source, template, strengths, ("PT",))
+    except Exception as exc:
+        # the sweep refuses with the first refusal of the compositions
+        with pytest.raises(Exception) as info:
+            qf.sweep_chain_strength(source, template, strengths, methods=("PT",))
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    got = qf.sweep_chain_strength(source, template, strengths, methods=("PT",))
+    assert_same_rows(got, want)
 
 
 # -------------------------------------------------------------------- CSV

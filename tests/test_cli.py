@@ -422,6 +422,22 @@ def test_embed_rejects_non_finite_chain_strength(capsys, jf):
     assert "chain strength must be positive and finite" in err
 
 
+@pytest.mark.parametrize("stored", [True, "0.5"])
+@pytest.mark.parametrize("override", [(), ("--jf", "1.0")], ids=["stored", "override"])
+def test_embedding_file_non_numeric_chain_strength_exits_2(
+    capsys, tmp_path, stored, override
+):
+    # the stored value is checked even when --jf replaces it
+    data = json.loads(toy_embedding_path().read_text())
+    data["chain_strength"] = stored
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "embed", "matsuda5", str(bad), *override)
+    assert code == 2
+    assert out == ""
+    assert "chain strength must be positive and finite" in err
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -506,13 +522,13 @@ def test_reproduce_fig3b(capsys, tmp_path):
     assert out_path.read_bytes() == second_path.read_bytes()
 
 
-def test_reproduce_fig3b_matches_the_golden_csv(capsys, tmp_path):
-    # tests/data/fig3b.csv is the preset's output as committed; values may
-    # differ in the last bits only, labels and blank cells not at all
-    out_path = tmp_path / "fig3b.csv"
-    code, _, _ = run(capsys, "reproduce", "fig3b", "--out", str(out_path))
-    assert code == 0
-    golden_path = Path(__file__).parent / "data" / "fig3b.csv"
+def assert_matches_golden(out_path, name):
+    """Compare a preset CSV with ``tests/data/<name>``, the committed output.
+
+    Values may differ in the last bits only; the header, the model and
+    method labels and the blank cells not at all.
+    """
+    golden_path = Path(__file__).parent / "data" / name
     with open(out_path, newline="") as got_fh, open(golden_path, newline="") as want_fh:
         got, want = list(csv.reader(got_fh)), list(csv.reader(want_fh))
     assert got[0] == want[0]
@@ -530,6 +546,13 @@ def test_reproduce_fig3b_matches_the_golden_csv(capsys, tmp_path):
                 )
 
 
+def test_reproduce_fig3b_matches_the_golden_csv(capsys, tmp_path):
+    out_path = tmp_path / "fig3b.csv"
+    code, _, _ = run(capsys, "reproduce", "fig3b", "--out", str(out_path))
+    assert code == 0
+    assert_matches_golden(out_path, "fig3b.csv")
+
+
 def test_reproduce_fig2_small_grid(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "fig2_tau_grid", lambda: [1.0, 2.0])
     out_path = tmp_path / "fig2.csv"
@@ -539,6 +562,7 @@ def test_reproduce_fig2_small_grid(capsys, tmp_path, monkeypatch):
     assert len(lines) == 9  # header + 2 taus x (original + 3 embeddings)
     assert lines[1].startswith("original,1,SE")
     assert lines[2].startswith("embedded[jf=0.5],1,SE")
+    assert_matches_golden(out_path, "fig2_tau_1_2.csv")
 
 
 def test_reproduce_fig3a_single_point(capsys, tmp_path, monkeypatch):
@@ -555,6 +579,7 @@ def test_reproduce_fig3a_single_point(capsys, tmp_path, monkeypatch):
         assert float(pt_cells[i]) == pytest.approx(float(se_cells[i]), abs=0.01)
     assert se_cells[-1] != ""  # SE rows report their norm drift
     assert float(se_cells[-1]) <= 1e-6
+    assert_matches_golden(out_path, "fig3a_jf_1.csv")
 
 
 def test_reproduce_aborts_on_validation_failure(capsys, tmp_path):
