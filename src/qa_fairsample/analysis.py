@@ -66,8 +66,8 @@ def _class_groups(manifold: GroundManifold) -> dict[int, list[SpinConfiguration]
 class FairnessPartition:
     """Disjoint ground-state sets S and C; members are configs or class reps.
 
-    Each set holds a member at most once: a repeat would weight that member
-    twice in the set's mean.
+    All members have one spin count, and each set holds a member at most
+    once: a repeat would weight that member twice in the set's mean.
     """
 
     s_set: tuple[SpinConfiguration, ...]
@@ -78,6 +78,8 @@ class FairnessPartition:
         object.__setattr__(self, "c_set", tuple(sorted(self.c_set)))
         if not self.s_set or not self.c_set:
             raise ValueError("both partition sets must be non-empty")
+        if len({c.num_spins for c in self.s_set + self.c_set}) > 1:
+            raise ValueError("partition members must all have the same spin count")
         for name, members in (("S", self.s_set), ("C", self.c_set)):
             if len(set(members)) < len(members):
                 raise ValueError(f"partition set {name} repeats a member")
@@ -139,13 +141,6 @@ def fairness_ratio(
     return s_mean / c_mean
 
 
-def _partition_sides(partition: FairnessPartition, num_spins: int) -> dict[int, str]:
-    """Bits value -> "S" or "C" for the partition members of ``num_spins`` spins."""
-    sides = {c.bits: "S" for c in partition.s_set if c.num_spins == num_spins}
-    sides.update((c.bits, "C") for c in partition.c_set if c.num_spins == num_spins)
-    return sides
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Mean energy gaps of the intermediates mediating second-order connections.
@@ -172,6 +167,12 @@ class GapReport:
 def gap_ratio(
     model: IsingModel, manifold: GroundManifold, partition: FairnessPartition
 ) -> GapReport:
+    partition_spins = partition.s_set[0].num_spins
+    if partition_spins != model.num_spins:
+        raise ValueError(
+            f"partition members have {partition_spins} spins but the model has "
+            f"{model.num_spins}"
+        )
     if manifold.degeneracy < 2:
         raise ValueError("gap analysis needs a degenerate manifold")
     flips, _, neighbours = second_order_links(manifold, model.num_spins)
@@ -181,7 +182,8 @@ def gap_ratio(
     mediating = (neighbours >= 0).sum(axis=2) >= 2
     if not mediating.any():
         raise ValueError("no second-order connections inside the manifold")
-    sides = _partition_sides(partition, model.num_spins)
+    sides = {c.bits: "S" for c in partition.s_set}
+    sides.update((c.bits, "C") for c in partition.c_set)
     mask = (1 << model.num_spins) - 1
     per_state: dict[SpinConfiguration, float] = {}
     side_gaps = {"S": [], "C": []}
@@ -330,9 +332,10 @@ def sweep_tau(
     """Annealing-time sweep over the source model and its embedded variants.
 
     The source runs as the variant ``"original"`` through its identity
-    embedding, so every row is evolved in one batch per physical spin count
-    and folded by ``project_and_fold``. Row order is deterministic: for each
-    tau (ascending), the source row first, then one row per embedding in the
+    embedding, so every row is folded by ``project_and_fold``. Each tau
+    evolves all variants in one ``evolve_many`` call, which batches them by
+    physical spin count. Row order is deterministic: for each tau
+    (ascending), the source row first, then one row per embedding in the
     given order. Ratios use the default partition of the source manifold.
     """
     if not taus:
@@ -343,21 +346,13 @@ def sweep_tau(
     partition = default_partition(source_manifold)
     variants = [("original", identity_embedding(source)), *embeddings]
     embedded = [(label, apply_embedding(source, e)) for label, e in variants]
-    by_size: dict[int, list[int]] = {}
-    for idx, (_, em) in enumerate(embedded):
-        by_size.setdefault(em.model.num_spins, []).append(idx)
+    models = [em.model for _, em in embedded]
 
     records = []
     for tau in taus:
         schedule = AnnealSchedule.for_tau(tau, steps)
-        results: dict[int, EvolutionResult] = {}
-        for indices in by_size.values():
-            batch = evolve_many(
-                [embedded[i][1].model for i in indices], schedule, enforce_drift=False
-            )
-            results.update(zip(indices, batch))
-        for idx, (label, em) in enumerate(embedded):
-            result = results[idx]
+        results = evolve_many(models, schedule, enforce_drift=False)
+        for (label, em), result in zip(embedded, results):
             records.append(
                 _record(
                     label, "tau", tau, "SE", result.final_probabilities,
@@ -379,12 +374,11 @@ def sweep_chain_strength(
     """Chain-strength sweep: PT and direct-evolution rows per J_F, plus gap ratios.
 
     Rows come out grouped by J_F in the given order, PT before SE, with the
-    gap ratio repeated on both rows of each J_F. Ratios use the default
-    partition of the source manifold. The gap ratio reads it lifted through
-    the chains, once per sweep, since every J_F variant shares them.
+    gap ratio repeated on both rows of each J_F. ``with_chain_strength``
+    checks each J_F. Ratios use the default partition of the source
+    manifold. The gap ratio reads it lifted through the chains, once per
+    sweep, since every J_F variant shares them.
     """
-    if any(jf <= 0 for jf in chain_strengths):
-        raise ValueError("every chain strength must be positive")
     unknown = set(methods) - {"PT", "SE"}
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")

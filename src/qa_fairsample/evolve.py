@@ -49,11 +49,12 @@ This estimate is the package's one convergence measure: the coarse rows of
 a run at 2n steps are bitwise a separate run at n steps, so comparing n with
 2n steps is two ``evolve_many`` calls and needs no API of its own.
 
-Batches of same-size models evolve together as rows of one array. Every
-operation is row-independent, and each row keeps its own schedule value,
-exponential length, substep count and stopping point. Each Taylor term
-applies the kernel to the contiguous span of rows still summing; rows that
-have stopped inside it are computed and discarded, rows outside it are
+``evolve_many`` batches its models by spin count: the models of one size
+evolve together as rows of one array, and results come back in input order.
+Every operation is row-independent, and each row keeps its own schedule
+value, exponential length, substep count and stopping point. Each Taylor
+term applies the kernel to the contiguous span of rows still summing; rows
+that have stopped inside it are computed and discarded, rows outside it are
 skipped, and neither changes what any other row computes. So results are
 bitwise identical whether models run alone or batched, and with or without
 the coarse rows beside them.
@@ -376,48 +377,41 @@ def _cfm4_weights(
     return weights[:rows], weights[rows:]
 
 
-def _probabilities(
-    models: Sequence[IsingModel], tau: float, steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Renormalized final probabilities at ``steps`` and at ceil(steps/2), and
-    the squared norms before renormalization at ``steps``, one row per model."""
-    num_spins = models[0].num_spins
-    if any(m.num_spins != num_spins for m in models):
-        raise ValueError("all models in a batch must have the same spin count")
-    tables = np.stack([energy_table(m) for m in models])
-    fine, coarse = _cfm4_weights(tables, tau, steps)
-    norm_sq = fine.sum(axis=1)
-    return fine / norm_sq[:, None], coarse / coarse.sum(axis=1)[:, None], norm_sq
-
-
 def evolve_many(
     models: Sequence[IsingModel],
     schedule: AnnealSchedule,
     *,
     enforce_drift: bool = True,
 ) -> list[EvolutionResult]:
-    """Evolve several same-size models under one schedule as a single batch.
+    """Evolve several models under one schedule, one batch per spin count.
 
-    Each row also runs at ceil(steps/2) steps, as extra rows of the same
-    batch, for its error estimate. With ``enforce_drift`` the call raises
+    Models of one spin count form one batch, in order of first appearance,
+    and the cost guard applies to each batch; results come back in input
+    order. Each row also runs at ceil(steps/2) steps, as extra rows of the
+    same batch, for its error estimate. Probabilities are renormalized by
+    each row's squared norm. With ``enforce_drift`` the call raises
     IntegrationAccuracyError if any row's norm drift or error estimate is
     over the budget, or not finite; sweeps disable it and handle failures
     row by row. All results are attached to the raised error.
     """
-    if not models:
-        return []
-    probs, coarse, norm_sq = _probabilities(models, schedule.tau, schedule.steps)
+    batches: dict[int, list[int]] = {}
+    for i, model in enumerate(models):
+        batches.setdefault(model.num_spins, []).append(i)
     coarse_steps = (schedule.steps + 1) // 2
-    if coarse_steps < schedule.steps:
-        richardson = (schedule.steps / coarse_steps) ** 4 - 1.0
-        estimates = np.abs(probs - coarse).max(axis=1) / richardson
-    else:
-        estimates = np.full(len(models), 0.0 if schedule.tau == 0.0 else math.inf)
-
-    results = []
-    for p, n2, est in zip(probs, norm_sq, estimates):
-        results.append(
-            EvolutionResult(
+    results = [None] * len(models)
+    for indices in batches.values():
+        tables = np.stack([energy_table(models[i]) for i in indices])
+        fine, coarse = _cfm4_weights(tables, schedule.tau, schedule.steps)
+        norm_sq = fine.sum(axis=1)
+        probs = fine / norm_sq[:, None]
+        if coarse_steps < schedule.steps:
+            richardson = (schedule.steps / coarse_steps) ** 4 - 1.0
+            coarse = coarse / coarse.sum(axis=1)[:, None]
+            estimates = np.abs(probs - coarse).max(axis=1) / richardson
+        else:
+            estimates = np.full(len(indices), 0.0 if schedule.tau == 0.0 else math.inf)
+        for i, p, n2, est in zip(indices, probs, norm_sq, estimates):
+            results[i] = EvolutionResult(
                 final_probabilities=ProbabilityVector(p),
                 norm_drift=float(abs(1.0 - n2)),
                 tau=schedule.tau,
@@ -425,7 +419,6 @@ def evolve_many(
                 norm_squared=float(n2),
                 error_estimate=float(est),
             )
-        )
 
     if enforce_drift:
         failures = [f for f in map(accuracy_failure, results) if f is not None]

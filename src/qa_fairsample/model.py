@@ -240,7 +240,7 @@ def _shared_table(num_spins: int, couplings: tuple) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=4)
 def _energy_table(model: IsingModel) -> np.ndarray:
     couplings = model.couplings
     split = len(couplings)
@@ -262,7 +262,7 @@ class _EnergyTables:
     """Energies of all 2^N configurations of a model, indexed by bits value.
 
     ``energy_table(model)`` returns a read-only float64 array, memoised per
-    model (128 of them, least recently used first out). The table is built
+    model (4 of them, least recently used first out). The table is built
     by subtracting each coupling term and then each field term, in the
     model's order, from zeros. The couplings before the trailing run that
     shares the last coupling's value are summed once into a table kept for

@@ -167,6 +167,8 @@ def test_partition_validation(toy_manifold):
         qf.FairnessPartition(s_set=(), c_set=(rep,))
     with pytest.raises(ValueError):
         qf.FairnessPartition(s_set=(rep,), c_set=(rep,))
+    with pytest.raises(ValueError, match="same spin count"):
+        qf.FairnessPartition(s_set=(rep,), c_set=(cfg(3, 5), cfg(3, 6)))
 
 
 @pytest.mark.parametrize("s_indices", [(0, 1, 1), (0, 0, 1), (2, 2)])
@@ -299,6 +301,64 @@ def test_gap_ratio_excludes_ground_states_with_a_broken_chain():
     assert report.per_state.keys() == set(manifold.configs)
     assert (report.delta_e_s, report.delta_e_c, report.ratio) == (4.0, 4.0, 1.0)
     assert report == loop_gap_ratio(model, manifold, partition)
+
+
+# Non-bundled instances whose gap ratio is not 1, from a seeded search (seed
+# 7): N = 4-6 +-{1,2,3} couplings at edge probability 0.6, one 2-spin chain
+# (c, N), each coupling on a random member of its chains. Entries are
+# (N, c, J_F, ((i, j, J, p, q), ...)) with (p, q) the physical pair of (i, j).
+UNEQUAL_GAP_INSTANCES = (
+    (5, 0, 2.5, ((0, 1, -2, 0, 1), (0, 4, 2, 5, 4), (1, 3, 3, 1, 3),
+                 (2, 4, -3, 2, 4), (3, 4, 2, 3, 4))),
+    (6, 5, 1.5, ((0, 1, 1, 0, 1), (0, 4, -2, 0, 4), (0, 5, 1, 0, 5),
+                 (1, 3, -1, 1, 3), (1, 4, -3, 1, 4), (1, 5, -2, 1, 5),
+                 (2, 3, 2, 2, 3), (2, 4, -3, 2, 4), (2, 5, 1, 2, 6),
+                 (3, 4, 1, 3, 4))),
+    (6, 0, 2.5, ((0, 1, -3, 0, 1), (0, 2, -1, 6, 2), (0, 3, -3, 0, 3),
+                 (0, 5, 1, 6, 5), (1, 2, -1, 1, 2), (1, 5, 2, 1, 5),
+                 (2, 3, 3, 2, 3), (2, 4, 1, 2, 4), (4, 5, -1, 4, 5))),
+    (4, 2, 2.5, ((0, 1, -3, 0, 1), (0, 3, 3, 0, 3), (1, 2, 2, 1, 4),
+                 (1, 3, 1, 1, 3), (2, 3, 2, 2, 3))),
+    (5, 2, 2.5, ((0, 1, -1, 0, 1), (0, 3, 1, 0, 3), (1, 3, 2, 1, 3),
+                 (1, 4, 2, 1, 4), (2, 3, -1, 5, 3), (2, 4, 1, 5, 4))),
+    (5, 0, 2.5, ((0, 3, 1, 5, 3), (0, 4, -3, 5, 4), (1, 2, 1, 1, 2),
+                 (1, 3, 1, 1, 3), (1, 4, 2, 1, 4), (2, 3, 2, 2, 3),
+                 (2, 4, 1, 2, 4), (3, 4, -2, 3, 4))),
+)
+UNEQUAL_GAP_RATIOS = (22 / 23, 96 / 41, 1.5, 1.35, 112 / 111, 1.5)
+
+
+@pytest.mark.parametrize(
+    "instance, ratio",
+    zip(UNEQUAL_GAP_INSTANCES, UNEQUAL_GAP_RATIOS),
+    ids=[str(k) for k in range(len(UNEQUAL_GAP_RATIOS))],
+)
+def test_sweep_gap_ratio_sides_match_the_loop_oracle(instance, ratio):
+    # a gap ratio other than 1 shows which side each state was put on: a
+    # swap of S and C anywhere on the sweep's path inverts it
+    n, chain_spin, jf, couplings = instance
+    source = qf.IsingModel(n, tuple((i, j, float(J)) for i, j, J, _, _ in couplings))
+    chains = tuple((i, n) if i == chain_spin else (i,) for i in range(n))
+    assignment = tuple(((i, j), (p, q)) for i, j, _, p, q in couplings)
+    template = qf.Embedding(n, chains, 1.0, assignment)
+    (row,) = qf.sweep_chain_strength(source, template, (jf,), methods=("PT",))
+
+    em = qf.apply_embedding(source, template.with_chain_strength(jf))
+    manifold = qf.enumerate_ground_states(em.model)
+    partition = qf.default_partition(qf.enumerate_ground_states(source))
+    lifted = lift_partition_through(partition, em.embedding)
+    oracle = loop_gap_ratio(em.model, manifold, lifted)
+    assert qf.gap_ratio(em.model, manifold, lifted) == oracle
+    assert row.gap_ratio == oracle.ratio == pytest.approx(ratio, rel=1e-12)
+
+
+def test_gap_ratio_rejects_a_partition_of_another_size(toy_manifold, embedded_models):
+    # the logical partition names 5-spin classes; the variant has 6 spins
+    model = embedded_models[1.0].model
+    manifold = qf.enumerate_ground_states(model)
+    partition = qf.default_partition(toy_manifold)
+    with pytest.raises(ValueError, match="have 5 spins but the model has 6"):
+        qf.gap_ratio(model, manifold, partition)
 
 
 def test_gap_ratio_requires_degeneracy():
@@ -518,10 +578,20 @@ def test_sweep_chain_strength_pt_rows(toy_source, toy_template):
 
 
 def test_sweep_chain_strength_validation(toy_source, toy_template):
-    with pytest.raises(ValueError):
-        qf.sweep_chain_strength(toy_source, toy_template, (0.0, 1.0))
+    # the J_F check is the embedding's own, so nan and True are refused too
+    for jf in (0.0, -1.0, math.nan, True):
+        with pytest.raises(qf.EmbeddingError, match="chain strength must be positive"):
+            qf.sweep_chain_strength(toy_source, toy_template, (1.0, jf))
     with pytest.raises(ValueError):
         qf.sweep_chain_strength(toy_source, toy_template, (1.0,), methods=("XX",))
+
+
+def test_energy_table_memo_stays_bounded_over_a_sweep(toy_source, toy_template):
+    # one table per J_F variant would pile up 40 here
+    qf.energy_table.cache_clear()
+    strengths = [k / 20.0 for k in range(1, 41)]
+    qf.sweep_chain_strength(toy_source, toy_template, strengths, methods=("PT",))
+    assert qf.energy_table.cache_info().currsize <= 4
 
 
 def test_sweep_chain_strength_se_smoke(toy_source, toy_template):

@@ -408,11 +408,35 @@ def test_odd_step_estimate_uses_its_richardson_factor(toy_source, steps):
     assert fine.error_estimate == diff / ((steps / coarse_steps) ** 4 - 1.0)
 
 
-def test_batch_requires_same_size(toy_source, embedded_models):
-    with pytest.raises(ValueError):
-        qf.evolve_many(
-            (toy_source, embedded_models[1.0].model), qf.AnnealSchedule(1.0, 10)
-        )
+def _result_bits(result):
+    """The probability vector's bytes and the hex of every scalar field."""
+    scalars = ("norm_drift", "tau", "steps", "norm_squared", "error_estimate")
+    return (
+        result.final_probabilities.vector.tobytes(),
+        [float(getattr(result, name)).hex() for name in scalars],
+    )
+
+
+def test_mixed_sizes_batch_by_spin_count(toy_source, embedded_models):
+    # N = 5, 6, 5: each result is bitwise its model's in a batch of its own
+    # size, in input order; at 30 steps only the rescaled source misses the
+    # budget, and the raised error still carries every result
+    rescaled = qf.IsingModel(
+        5, tuple((i, j, 2.0 * J) for i, j, J in toy_source.couplings)
+    )
+    models = (toy_source, embedded_models[1.0].model, rescaled)
+    schedule = qf.AnnealSchedule(tau=10.0, steps=30)
+    mixed = qf.evolve_many(models, schedule, enforce_drift=False)
+    five = qf.evolve_many(models[::2], schedule, enforce_drift=False)
+    six = qf.evolve_many(models[1:2], schedule, enforce_drift=False)
+    want = [_result_bits(r) for r in (five[0], six[0], five[1])]
+    assert [_result_bits(r) for r in mixed] == want
+    failures = [qf.accuracy_failure(r) for r in mixed]
+    assert failures[0] is None and failures[1] is None and failures[2] is not None
+    with pytest.raises(IntegrationAccuracyError) as excinfo:
+        qf.evolve_many(models, schedule)
+    assert str(excinfo.value).startswith(failures[2])
+    assert [_result_bits(r) for r in excinfo.value.result] == want
 
 
 def test_runs_are_deterministic(toy_source):
