@@ -85,10 +85,11 @@ TAYLOR_TOL = 1e-15
 
 # Largest 2 * rows * kept amplitudes * steps one integration may take on:
 # the fine and coarse rows of a batch, each carrying 2^N amplitudes (2^(N-1)
-# on the half space) through every step. fig3a, the largest preset, needs
-# 1.28e7 (40 rows of 32 amplitudes, 5000 steps), and the 15-spin anneal of
-# the perfbench wide-state workload 1.6e6; the budget leaves 150x over the
-# former. Larger work is refused up front rather than started.
+# on the half space) through every step, summed over the spin-count batches
+# of one call. fig3a, the largest preset, needs 5.12e6 (40 rows of 32
+# amplitudes, 2000 steps), and the 15-spin anneal of the perfbench
+# wide-state workload 1.6e6; the budget leaves 390x over the former. Larger
+# work is refused up front rather than started.
 MAX_AMPLITUDE_STEPS = 2_000_000_000
 
 # CFM4: Gauss nodes of the unit step and the weights mixing H at them.
@@ -103,27 +104,34 @@ def _check_tau(tau) -> None:
 
 
 def default_steps(tau: float) -> int:
-    """Step count max(50, ceil(5 * tau)), i.e. dt = min(0.2, tau/50).
+    """Step count max(50, min(ceil(5 * tau), 2000), ceil(2 * tau)).
 
-    The CFM4 error at a fixed dt peaks at intermediate tau (about 25-110 for
-    the bundled models), where dt = 0.5 overshoots the 1e-6 budget six-fold.
-    At dt <= 0.2 the step-doubling estimate of the bundled models stays at or
-    below 1e-7 over the whole fig2 grid (tau in [1, 1000]), and that of the
-    15-spin instances of the perfbench wide-state workload at or below 1e-7
-    for tau in [2, 60]. Larger or stronger-coupled models may need more.
+    That is dt = min(0.2, tau/50) up to tau = 400, 2000 steps from there to
+    tau = 1000, and dt = 0.5 beyond. The CFM4 error at a fixed dt peaks at
+    intermediate tau (about 25-110 for the bundled models), where dt = 0.5
+    overshoots the 1e-6 budget six-fold; dt <= 0.2 keeps the step-doubling
+    estimate of the bundled models at or below 1e-7 up to tau = 400, and
+    that of the 15-spin instances of the perfbench wide-state workload at or
+    below 1e-7 for tau in [2, 60]. At larger tau the error per unit time
+    falls, and fewer, longer steps only add Taylor terms per exponential:
+    at 2000 steps the bundled embedding's worst estimate at tau = 1000 over
+    J_F in [0.1, 2] is 3.8e-7, and at dt = 0.5 it is 1.2e-7 or less for tau
+    in [1500, 10^4]. A flat 2000 steps would miss the budget
+    at tau = 3000 (4.4e-5). Larger or stronger-coupled models may need more.
 
-    Past tau = MAX_AMPLITUDE_STEPS / 10 the cost guard refuses every
-    integration at this step count, so it is refused here, before 5 * tau
-    can overflow.
+    Past tau = MAX_AMPLITUDE_STEPS / 4 the cost guard refuses every
+    integration at this step count (ceil(2 * tau) steps of at least 2
+    amplitude-steps each), so it is refused here, before the count can
+    overflow.
     """
     _check_tau(tau)
-    if tau > MAX_AMPLITUDE_STEPS / 10.0:
+    if tau > MAX_AMPLITUDE_STEPS / 4.0:
         raise ModelTooLargeError(
-            f"tau = {tau:g} needs ceil(5 x tau) steps under the default policy, "
+            f"tau = {tau:g} needs ceil(2 x tau) steps under the default policy, "
             f"at least 2 amplitude-steps each: over the budget of "
             f"{MAX_AMPLITUDE_STEPS:.3g}"
         )
-    return max(50, math.ceil(5.0 * tau))
+    return max(50, min(math.ceil(5.0 * tau), 2000), math.ceil(2.0 * tau))
 
 
 @dataclass(frozen=True)
@@ -322,39 +330,52 @@ def _schedule(tau: float, steps: int):
         yield 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2), 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
 
 
-def _check_cost(rows: int, kept: int, steps: int) -> None:
-    """Refuse an integration over MAX_AMPLITUDE_STEPS before it allocates."""
-    estimate = 2 * rows * kept * steps
+def _check_cost(shapes: Sequence[tuple[int, int]], steps: int) -> None:
+    """Refuse a call whose batches together exceed MAX_AMPLITUDE_STEPS.
+
+    ``shapes`` holds (rows, kept amplitudes) of each batch; the check runs
+    before any batch is integrated.
+    """
+    estimate = sum(2 * rows * kept * steps for rows, kept in shapes)
     if estimate > MAX_AMPLITUDE_STEPS:
+        terms = " + ".join(
+            f"2 x {rows} rows x {kept} amplitudes x {steps} steps"
+            for rows, kept in shapes
+        )
         raise ModelTooLargeError(
-            f"integration needs {estimate:.3g} amplitude-steps (2 x {rows} rows x "
-            f"{kept} amplitudes x {steps} steps), over the budget of "
-            f"{MAX_AMPLITUDE_STEPS:.3g}"
+            f"integration needs {estimate:.3g} amplitude-steps ({terms}), "
+            f"over the budget of {MAX_AMPLITUDE_STEPS:.3g}"
         )
 
 
+def _kept_tables(tables: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The energy tables a batch integrates, and whether they are the half space.
+
+    When every table equals its reverse (no fields), only the half with bit
+    N-1 clear is kept.
+    """
+    half = np.array_equal(tables, tables[:, ::-1])
+    return (tables[:, : tables.shape[1] // 2] if half else tables), half
+
+
 def _cfm4_weights(
-    tables: np.ndarray, tau: float, steps: int
+    tables: np.ndarray, half: bool, tau: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """|psi|^2 rows at ``steps`` and at ceil(steps/2) CFM4 steps, for each table.
 
-    Both runs are rows of one batch: rows 0..R-1 take the fine steps and
-    rows R..2R-1 the coarse ones. Coarse exponential j, of length dt_c/2 at
-    dt_c = tau/ceil(steps/2), shares the first exponential of fine step j;
-    the second runs on the fine rows only. For odd ``steps`` the coarse rows
-    take one more exponential after the loop. When every table equals its
-    reverse (no fields), only the half with bit N-1 clear is integrated and
-    each row is rebuilt from it and its mirror image.
+    ``tables`` and ``half`` come from ``_kept_tables``. Both runs are rows of
+    one batch: rows 0..R-1 take the fine steps and rows R..2R-1 the coarse
+    ones. Coarse exponential j, of length dt_c/2 at dt_c = tau/ceil(steps/2),
+    shares the first exponential of fine step j; the second runs on the fine
+    rows only. For odd ``steps`` the coarse rows take one more exponential
+    after the loop. On the half space each row is rebuilt from the kept half
+    and its mirror image.
     """
-    rows, dim = tables.shape
-    num_spins = dim.bit_length() - 1
-    half = np.array_equal(tables, tables[:, ::-1])
-    if half:
-        tables = tables[:, : dim // 2]
+    rows, kept = tables.shape
+    num_spins = kept.bit_length() - 1 + half
     both = np.concatenate([tables, tables])
-    psi = np.tile(initial_state(num_spins)[: tables.shape[1]], (2 * rows, 1))
+    psi = np.tile(initial_state(num_spins)[:kept], (2 * rows, 1))
     if tau > 0.0:
-        _check_cost(rows, tables.shape[1], steps)
         kernel = _Kernel.allocate(2 * rows, num_spins, half)
         fine, coarse = kernel.rows(0, rows), kernel.rows(rows, 2 * rows)
         emax = np.abs(both).max(axis=1)
@@ -385,23 +406,29 @@ def evolve_many(
 ) -> list[EvolutionResult]:
     """Evolve several models under one schedule, one batch per spin count.
 
-    Models of one spin count form one batch, in order of first appearance,
-    and the cost guard applies to each batch; results come back in input
-    order. Each row also runs at ceil(steps/2) steps, as extra rows of the
-    same batch, for its error estimate. Probabilities are renormalized by
-    each row's squared norm. With ``enforce_drift`` the call raises
-    IntegrationAccuracyError if any row's norm drift or error estimate is
-    over the budget, or not finite; sweeps disable it and handle failures
-    row by row. All results are attached to the raised error.
+    Models of one spin count form one batch, in order of first appearance;
+    results come back in input order. The cost guard applies to the sum of
+    all batches and runs before the first one is integrated. Each row also
+    runs at ceil(steps/2) steps, as extra rows of the same batch, for its
+    error estimate. Probabilities are renormalized by each row's squared
+    norm. With ``enforce_drift`` the call raises IntegrationAccuracyError if
+    any row's norm drift or error estimate is over the budget, or not
+    finite; sweeps disable it and handle failures row by row. All results
+    are attached to the raised error.
     """
-    batches: dict[int, list[int]] = {}
+    indices: dict[int, list[int]] = {}
     for i, model in enumerate(models):
-        batches.setdefault(model.num_spins, []).append(i)
+        indices.setdefault(model.num_spins, []).append(i)
+    batches = [
+        (members, *_kept_tables(np.stack([energy_table(models[i]) for i in members])))
+        for members in indices.values()
+    ]
+    if schedule.tau > 0.0:
+        _check_cost([tables.shape for _, tables, _ in batches], schedule.steps)
     coarse_steps = (schedule.steps + 1) // 2
     results = [None] * len(models)
-    for indices in batches.values():
-        tables = np.stack([energy_table(models[i]) for i in indices])
-        fine, coarse = _cfm4_weights(tables, schedule.tau, schedule.steps)
+    for members, tables, half in batches:
+        fine, coarse = _cfm4_weights(tables, half, schedule.tau, schedule.steps)
         norm_sq = fine.sum(axis=1)
         probs = fine / norm_sq[:, None]
         if coarse_steps < schedule.steps:
@@ -409,8 +436,8 @@ def evolve_many(
             coarse = coarse / coarse.sum(axis=1)[:, None]
             estimates = np.abs(probs - coarse).max(axis=1) / richardson
         else:
-            estimates = np.full(len(indices), 0.0 if schedule.tau == 0.0 else math.inf)
-        for i, p, n2, est in zip(indices, probs, norm_sq, estimates):
+            estimates = np.full(len(members), 0.0 if schedule.tau == 0.0 else math.inf)
+        for i, p, n2, est in zip(members, probs, norm_sq, estimates):
             results[i] = EvolutionResult(
                 final_probabilities=ProbabilityVector(p),
                 norm_drift=float(abs(1.0 - n2)),

@@ -254,7 +254,7 @@ def test_anneal_over_the_cost_budget_exits_2(capsys, argv):
 
 
 def test_anneal_tau_beyond_any_step_count_exits_2(capsys):
-    # 5 * tau overflows to inf: refused before a step count is computed
+    # 2 * tau overflows to inf: refused before a step count is computed
     code, out, err = run(capsys, "anneal", "matsuda5", "--tau", "1e308")
     assert code == 2
     assert out == ""

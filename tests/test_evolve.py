@@ -48,11 +48,52 @@ def test_integration_over_the_cost_budget_is_refused(toy_source):
     with pytest.raises(ModelTooLargeError, match="3.2e\\+11 amplitude-steps"):
         qf.evolve(toy_source, schedule)
     # the default policy refuses a step count no integration could afford,
-    # before 5 * tau overflows it
-    for tau in (2.1e8, 1e308):
-        with pytest.raises(ModelTooLargeError, match="over the budget of 2e\\+09"):
+    # before 2 * tau overflows it
+    for tau in (5.1e8, 1e308):
+        with pytest.raises(
+            ModelTooLargeError, match="default policy.*over the budget of 2e\\+09"
+        ):
             qf.AnnealSchedule.for_tau(tau)
-    assert qf.default_steps(2e8) == 10**9
+    assert qf.default_steps(5e8) == 10**9
+
+
+def _forbid_integration(monkeypatch):
+    def integrate(*args):
+        raise AssertionError("a batch was integrated before the cost guard refused")
+
+    monkeypatch.setattr(importlib.import_module("qa_fairsample.evolve"),
+                        "_cfm4_weights", integrate)
+
+
+def test_mixed_sizes_over_the_budget_are_refused_before_integrating(
+    toy_source, monkeypatch
+):
+    # a 22-spin zero-field chain alone needs 2 x 1 x 2^21 x 500 = 2.1e9
+    # amplitude-steps at tau = 100; the 5-spin source must not run first
+    chain = qf.IsingModel(22, tuple((i, i + 1, -1.0) for i in range(21)))
+    schedule = qf.AnnealSchedule.for_tau(100.0)
+    _forbid_integration(monkeypatch)
+    for models in ((toy_source, chain), (chain, toy_source)):
+        with pytest.raises(ModelTooLargeError, match="2.1e\\+09 amplitude-steps"):
+            qf.evolve_many(models, schedule, enforce_drift=False)
+
+
+def test_batches_under_the_budget_alone_are_refused_together(
+    toy_source, embedded_models, monkeypatch
+):
+    # 2 x 16 x 25e6 = 8e8 and 2 x 32 x 25e6 = 1.6e9 amplitude-steps pass
+    # alone; together they need 2.4e9, over the 2e9 budget
+    models = (toy_source, embedded_models[1.0].model)
+    schedule = qf.AnnealSchedule(tau=20.0, steps=25_000_000)
+    _forbid_integration(monkeypatch)
+    with pytest.raises(ModelTooLargeError) as excinfo:
+        qf.evolve_many(models, schedule, enforce_drift=False)
+    assert str(excinfo.value) == (
+        "integration needs 2.4e+09 amplitude-steps "
+        "(2 x 1 rows x 16 amplitudes x 25000000 steps + "
+        "2 x 1 rows x 32 amplitudes x 25000000 steps), "
+        "over the budget of 2e+09"
+    )
 
 
 # ------------------------------------------------ Hamiltonian application
@@ -167,8 +208,10 @@ def test_step_policy_rejects_nonfinite_tau(tau):
 
 
 def test_default_step_policy(toy_source):
-    assert qf.default_steps(1000.0) == 5000
-    assert qf.default_steps(1.0) == 50
+    # dt = 0.2 up to tau = 400, 2000 steps up to tau = 1000, dt = 0.5 beyond
+    for tau, steps in ((1.0, 50), (100.0, 500), (400.0, 2000), (1000.0, 2000),
+                       (3000.0, 6000)):
+        assert qf.default_steps(tau) == steps
     assert qf.AnnealSchedule.for_tau(0.0).steps == 50
     assert qf.AnnealSchedule.for_tau(10.0, steps=50).steps == 50
     # the policy resolves the toy anneal; a tenth of its steps trips the estimate
@@ -177,6 +220,13 @@ def test_default_step_policy(toy_source):
     with pytest.raises(IntegrationAccuracyError) as excinfo:
         qf.evolve(toy_source, qf.AnnealSchedule(tau=100.0, steps=resolved.steps // 10))
     assert excinfo.value.result.error_estimate > 1e-6
+
+
+def test_default_policy_resolves_past_tau_1000(toy_source):
+    # the dt = 0.5 branch; a flat 2000 steps would miss the budget here
+    result = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(3000.0))
+    assert result.steps == 6000
+    assert result.norm_drift <= 1e-6 and result.error_estimate <= 1e-6
 
 
 # -------------------------------------------------------------- evolution
