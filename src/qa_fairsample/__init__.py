@@ -13,7 +13,6 @@ from .analysis import (
     SweepRecord,
     default_partition,
     fairness_ratio,
-    fold_ground_probabilities,
     gap_ratio,
     inversion_classes,
     project_and_fold,

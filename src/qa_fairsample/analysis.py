@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 from .embed import (
     Embedding,
     _lift_bits,
+    _lift_manifold,
     apply_embedding,
     identity_embedding,
 )
@@ -32,7 +33,6 @@ from .model import (
     ProbabilityVector,
     SpinConfiguration,
     _integer,
-    energy_table,
     enumerate_ground_states,
 )
 from .pt import PerturbationSetup, perturbative_probabilities, second_order_links
@@ -147,11 +147,12 @@ class GapReport:
 
     For each ground state g the mediating intermediates are the excited
     configurations one flip from g and one flip from some other ground state.
-    They are read from ``second_order_links``, the table the second-order
-    effective matrix is built from, so their gaps E_k - E_0 are its
-    denominators by construction. ``per_state`` holds the mean gap of each
-    state that has a mediating intermediate. A state is placed on a side by
-    its exact config, else by its inversion-class representative.
+    They and their gaps E_k - E_0 are read from ``second_order_links``, the
+    table the second-order effective matrix is built from, so the gaps are
+    its denominators, negated, by construction. ``per_state`` holds the mean
+    gap of each state that has a mediating intermediate. A state is placed
+    on a side by its exact config, else by its inversion-class
+    representative.
     ``excluded`` lists, in manifold order, the states left out of the set
     means: those with no mediating intermediate and those the partition does
     not cover, such as a ground state with a broken chain.
@@ -175,8 +176,7 @@ def gap_ratio(
         )
     if manifold.degeneracy < 2:
         raise ValueError("gap analysis needs a degenerate manifold")
-    flips, _, neighbours = second_order_links(manifold, model.num_spins)
-    gaps = energy_table(model)[flips] - manifold.energy
+    gaps, _, neighbours = second_order_links(model, manifold)
 
     # a flip mediates when it reaches a ground state other than its own
     mediating = (neighbours >= 0).sum(axis=2) >= 2
@@ -210,35 +210,34 @@ def gap_ratio(
     )
 
 
-def _fold_manifold(
+def project_and_fold(
     probabilities: ProbabilityVector,
-    manifold: GroundManifold,
-    chain_masks: tuple[int, ...],
-    num_spins: int,
+    embedding: Embedding,
+    source_manifold: GroundManifold,
 ) -> tuple[dict[SpinConfiguration, float], float]:
-    """Fold the entries of a distribution that project onto manifold configs.
+    """Fold physical probabilities onto the logical ground classes; rest is excited.
 
-    ``chain_masks`` holds the physical bits of each logical spin's chain and
-    ``num_spins`` the physical spin count; a distribution over the logical
-    spins themselves folds through the identity masks ``1 << i``. Consensus
-    projection maps intact configurations one-to-one onto logical ones with
-    project(lift(g)) == g, so the entries that fold onto g are exactly the
-    one at lift(g): d reads of ``probabilities.vector``, not a pass over all
-    2^M entries. PT answers and measured distributions alike are such
-    vectors, so every class of the manifold is listed, with 0 where its
-    lifts carry no weight. The ground weight is summed in ascending physical
-    bits, and each class, keyed by its representative min(g, ~g) among the
-    logical bits, sums its members in that same order. Everything runs on
-    bits values; a SpinConfiguration is built only for each class of the
-    result.
+    A distribution over the source spins themselves folds through
+    ``identity_embedding``. Consensus projection maps intact configurations
+    one-to-one onto logical ones with project(lift(g)) == g, so the entries
+    that fold onto g are exactly the one at lift(g): d reads of
+    ``probabilities.vector``, not a pass over all 2^M entries. Broken-chain
+    weight counts as excited and is never redistributed, as do intact
+    projections landing outside the source manifold. PT answers and
+    measured distributions alike are such vectors, so every class of the
+    manifold is listed, with 0 where its lifts carry no weight. The ground
+    weight is summed in ascending physical bits, and each class, keyed by
+    its representative min(g, ~g) among the logical bits, sums its members
+    in that same order. Everything runs on bits values; a SpinConfiguration
+    is built only for each class of the result.
     """
-    if probabilities.num_spins != num_spins:
+    if probabilities.num_spins != embedding.num_physical:
         raise ValueError(
             f"distribution over {probabilities.num_spins} spins does not match "
-            f"the {num_spins} spins the manifold lifts to"
+            f"the {embedding.num_physical} spins the manifold lifts to"
         )
-    logical_spins = manifold.configs[0].num_spins
-    lifted = sorted((_lift_bits(g, chain_masks), g) for g in manifold.bits.tolist())
+    logical_spins = source_manifold.configs[0].num_spins
+    lifted = _lift_manifold(source_manifold, embedding)
     values = probabilities.vector[[b for b, _ in lifted]].tolist()
     mask = (1 << logical_spins) - 1
     folded: dict[int, float] = {}
@@ -249,29 +248,6 @@ def _fold_manifold(
         ground_weight += p
     classes = {SpinConfiguration(rep, logical_spins): p for rep, p in folded.items()}
     return classes, 1.0 - ground_weight
-
-
-def fold_ground_probabilities(
-    probabilities: ProbabilityVector, manifold: GroundManifold
-) -> tuple[dict[SpinConfiguration, float], float]:
-    """Fold a measurement distribution onto ground classes; rest is excited weight."""
-    n = manifold.configs[0].num_spins
-    return _fold_manifold(probabilities, manifold, tuple(1 << i for i in range(n)), n)
-
-
-def project_and_fold(
-    probabilities: ProbabilityVector,
-    embedding: Embedding,
-    source_manifold: GroundManifold,
-) -> tuple[dict[SpinConfiguration, float], float]:
-    """Project physical probabilities onto logical ground classes.
-
-    Broken-chain weight counts as excited and is never redistributed, as do
-    intact projections landing outside the source manifold.
-    """
-    return _fold_manifold(
-        probabilities, source_manifold, embedding.chain_masks, embedding.num_physical
-    )
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,11 @@ def _target(args, source: IsingModel) -> tuple[IsingModel, Embedding]:
     return apply_embedding(source, embedding).model, embedding
 
 
+def _by_bitstring(configs, values) -> dict[str, float]:
+    """JSON object of ``values[k]`` keyed by the bit string of ``configs[k]``."""
+    return dict(zip((c.to_bitstring() for c in configs), values.tolist()))
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -96,10 +101,9 @@ def cmd_anneal(args) -> int:
 
     probs = result.final_probabilities
     folded, excited = project_and_fold(probs, embedding, source_manifold)
-    per_config = {
-        c.to_bitstring(): probs[lift_state(c, embedding)]
-        for c in source_manifold.configs
-    }
+    ground = source_manifold.configs
+    lifts = [lift_state(c, embedding).bits for c in ground]
+    per_config = _by_bitstring(ground, probs.vector[lifts])
 
     _print_json(
         {
@@ -143,9 +147,9 @@ def cmd_pt(args) -> int:
         "minimal_eigenvalue": result.minimal_eigenvalue,
         "multiplicity": result.multiplicity,
         "resolved": result.resolved,
-        "probabilities": {
-            c.to_bitstring(): result.probabilities[c] for c in setup.manifold.configs
-        },
+        "probabilities": _by_bitstring(
+            setup.manifold.configs, result.probabilities.vector[setup.manifold.bits]
+        ),
         "folded": {c.to_bitstring(): p for c, p in folded.items()},
         "ratio_PS_PC": fairness_ratio(folded, partition),
     }

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .errors import EmbeddingError
 from .model import (
+    GroundManifold,
     IsingModel,
     SpinConfiguration,
     _finite,
@@ -195,6 +196,15 @@ def _lift_bits(bits: int, chain_masks: tuple[int, ...]) -> int:
     return lifted
 
 
+def _lift_manifold(
+    manifold: GroundManifold, embedding: Embedding
+) -> list[tuple[int, int]]:
+    """(physical, logical) bits of each manifold config, ascending in physical bits."""
+    return sorted(
+        (_lift_bits(g, embedding.chain_masks), g) for g in manifold.bits.tolist()
+    )
+
+
 def lift_state(config: SpinConfiguration, embedding: Embedding) -> SpinConfiguration:
     """Copy each logical spin value to all members of its chain."""
     if config.num_spins != embedding.num_logical:
@@ -256,9 +266,7 @@ def verify_embedding(embedded: EmbeddedModel) -> EmbeddingReport:
     unbroken = all(
         project_state(c, embedding) is not None for c in embedded_manifold.configs
     )
-    lifted = sorted(
-        _lift_bits(g, embedding.chain_masks) for g in source_manifold.bits.tolist()
-    )
+    lifted = [b for b, _ in _lift_manifold(source_manifold, embedding)]
     return EmbeddingReport(
         chains_unbroken=unbroken,
         bijective=unbroken and embedded_manifold.bits.tolist() == lifted,

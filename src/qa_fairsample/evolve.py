@@ -155,10 +155,6 @@ class AnnealSchedule:
     def for_tau(cls, tau: float, steps: int | None = None) -> "AnnealSchedule":
         return cls(tau=tau, steps=default_steps(tau) if steps is None else steps)
 
-    @property
-    def dt(self) -> float:
-        return self.tau / self.steps
-
 
 @dataclass(frozen=True)
 class EvolutionResult:
@@ -195,6 +191,9 @@ def accuracy_failure(result: EvolutionResult) -> str | None:
 
 def initial_state(num_spins: int) -> np.ndarray:
     """Uniform superposition 2^(-N/2) on every configuration: the driver ground state."""
+    num_spins = _integer(num_spins, "num_spins")
+    if num_spins < 1:
+        raise ValueError(f"num_spins must be >= 1, got {num_spins}")
     if num_spins > MAX_SPINS:
         raise ModelTooLargeError(
             f"{num_spins} spins exceeds the size guard of {MAX_SPINS}"

@@ -14,10 +14,11 @@ components of the eigenvector for the minimal eigenvalue of the effective
 matrix, projected onto the minimal first-order eigenspace when W decides.
 
 Both effective matrices are built with array operations on bits values.
-The intermediates k of W come from one table, ``second_order_links``, which
-the gap analysis reads too, so the gaps it reports are the denominators of W
-by construction. Every entry is summed in the order of the per-config sum
-(intermediates by ascending spin), so results are bitwise those of that sum.
+The intermediates k of W and their gaps E_k - E_0 come from one table,
+``second_order_links``, which the gap analysis reads too, so the gaps it
+reports are the denominators of W, negated, by construction. Every entry is
+summed in the order of the per-config sum (intermediates by ascending
+spin), so results are bitwise those of that sum.
 """
 
 from __future__ import annotations
@@ -28,7 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed import apply_embedding, load_embedding, verify_embedding
+from .embed import (
+    _chain_strength,
+    apply_embedding,
+    load_embedding,
+    verify_embedding,
+)
 from .model import (
     GroundManifold,
     IsingModel,
@@ -92,14 +98,15 @@ def _index_in(sorted_bits: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 
 def second_order_links(
-    manifold: GroundManifold, num_spins: int
+    model: IsingModel, manifold: GroundManifold
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The second-order intermediates of a ground manifold, as arrays.
+    """The second-order intermediates of a model's ground manifold, as arrays.
 
     Configs are indexed by their position in ``manifold.configs``, whose bits
-    values are strictly ascending. Returns ``(flips, excited, neighbours)``:
+    values are strictly ascending. With ``flips[a, i] = configs[a].bits ^ 2^i``
+    the flip of spin i, returns ``(gaps, excited, neighbours)``:
 
-    - ``flips[a, i] = configs[a].bits ^ 2^i``, shape (d, N);
+    - ``gaps[a, i] = E(flips[a, i]) - E_0``, shape (d, N);
     - ``excited[a, i]`` is true when that flip lies outside the manifold;
     - ``neighbours[a, i, j]`` is the manifold index of ``flips[a, i] ^ 2^j``,
       or -1 when that config is not in the manifold or the flip is not
@@ -110,12 +117,12 @@ def second_order_links(
     and then <a|V|k><k|V|b> = (-1)(-1) = 1. Memory is O(d*N^2).
     """
     basis = manifold.bits
-    spins = 1 << np.arange(num_spins, dtype=np.int64)
+    spins = 1 << np.arange(model.num_spins, dtype=np.int64)
     flips = basis[:, None] ^ spins
     excited = _index_in(basis, flips) < 0
     neighbours = _index_in(basis, flips[:, :, None] ^ spins)
     neighbours[~excited] = -1
-    return flips, excited, neighbours
+    return energy_table(model)[flips] - manifold.energy, excited, neighbours
 
 
 def first_order_matrix(setup: PerturbationSetup) -> np.ndarray:
@@ -141,11 +148,9 @@ def second_order_matrix(setup: PerturbationSetup) -> np.ndarray:
     in the order of the per-config sum, which gives bitwise the same entries.
     """
     manifold = setup.manifold
-    flips, excited, neighbours = second_order_links(
-        manifold, setup.model.num_spins
-    )
-    denominators = manifold.energy - energy_table(setup.model)[flips]
-    weights = np.divide(1.0, denominators, out=np.zeros(flips.shape), where=excited)
+    gaps, excited, neighbours = second_order_links(setup.model, manifold)
+    # E_0 - E_k is exactly -gap, and 1 / (-gap) is exactly -1 / gap
+    weights = np.divide(-1.0, gaps, out=np.zeros(gaps.shape), where=excited)
     # The per-config sum adds the terms of entry (a, b) by ascending spin i.
     # The diagonal has one term per excited flip of a, summed in sequence
     # along the row. A pair at distance 2 differs on two spins i, j and has
@@ -219,9 +224,10 @@ def embedded_toy_reference_matrix(chain_strength: float) -> np.ndarray:
     elements around the ring alternate {1, 1/J_F, 1, 1, 1/J_F, 1}: the 1/J_F
     links are mediated by broken-chain intermediates at gap 2*J_F. The
     diagonal is (2J_F+5)/(J_F+2) on the two fully aligned states and
-    (4J_F+3)/(3J_F) on the other four.
+    (4J_F+3)/(3J_F) on the other four. The chain strength is checked as an
+    embedding's is: anything but a positive finite real raises EmbeddingError.
     """
-    jf = float(chain_strength)
+    jf = _chain_strength(chain_strength)
     a = (2.0 * jf + 5.0) / (jf + 2.0)
     b = (4.0 * jf + 3.0) / (3.0 * jf)
     ring = [1.0, 1.0 / jf, 1.0, 1.0, 1.0 / jf, 1.0]

@@ -98,12 +98,14 @@ def test_criterion_3_pt_matches_dynamics(
 
 
 def test_criterion_4_embedding_restores_ratio(
-    source_run_tau1000, embedded_models, embedded_runs_tau1000, toy_manifold, announce
+    toy_source, source_run_tau1000, embedded_models, embedded_runs_tau1000,
+    toy_manifold, announce,
 ):
     """Original model suppresses S at tau = 1000; embedded models do not."""
     partition = toy_partition()
-    folded, _ = qf.fold_ground_probabilities(
-        source_run_tau1000.final_probabilities, toy_manifold
+    folded, _ = qf.project_and_fold(
+        source_run_tau1000.final_probabilities, qf.identity_embedding(toy_source),
+        toy_manifold,
     )
     original_ratio = qf.fairness_ratio(folded, partition)
     assert original_ratio < 0.05
@@ -205,11 +207,13 @@ def test_criterion_8_validation_gate(capsys):
               "shipped data files")
 
 
-def test_adiabatic_ground_support(source_run_tau1000, embedded_runs_tau1000,
-                                  embedded_models, toy_manifold):
+def test_adiabatic_ground_support(toy_source, source_run_tau1000,
+                                  embedded_runs_tau1000, embedded_models,
+                                  toy_manifold):
     """Supporting invariant: at tau = 1000 the folded ground weight is >= 0.99."""
-    folded, excited = qf.fold_ground_probabilities(
-        source_run_tau1000.final_probabilities, toy_manifold
+    folded, excited = qf.project_and_fold(
+        source_run_tau1000.final_probabilities, qf.identity_embedding(toy_source),
+        toy_manifold,
     )
     assert sum(folded.values()) >= 0.99
     for jf in STANDARD_JFS:

@@ -36,10 +36,11 @@ def test_inversion_classes_toy(toy_manifold):
     ]
 
 
-def test_fold_ground_probabilities(toy_manifold):
+def test_fold_uniform_source_through_identity(toy_source, toy_manifold):
     # uniform distribution: 6/32 on the manifold, the rest is excited
     probs = qf.ProbabilityVector([1.0 / 32.0] * 32)
-    folded, excited = qf.fold_ground_probabilities(probs, toy_manifold)
+    identity = qf.identity_embedding(toy_source)
+    folded, excited = qf.project_and_fold(probs, identity, toy_manifold)
     assert all(p == pytest.approx(1.0 / 16.0) for p in folded.values())
     assert excited == pytest.approx(26.0 / 32.0)
 
@@ -52,13 +53,15 @@ def test_project_and_fold_uniform(toy_manifold, embedded_models):
     assert excited == pytest.approx(58.0 / 64.0)
 
 
-def test_fold_rejects_distribution_of_other_size(toy_manifold, embedded_models):
+def test_fold_rejects_distribution_of_other_size(
+    toy_source, toy_manifold, embedded_models
+):
     logical = qf.ProbabilityVector([1.0 / 32.0] * 32)
     physical = qf.ProbabilityVector([1.0 / 64.0] * 64)
     with pytest.raises(ValueError, match="does not match"):
         qf.project_and_fold(logical, embedded_models[1.0].embedding, toy_manifold)
     with pytest.raises(ValueError, match="does not match"):
-        qf.fold_ground_probabilities(physical, toy_manifold)
+        qf.project_and_fold(physical, qf.identity_embedding(toy_source), toy_manifold)
 
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -77,9 +80,9 @@ def test_fold_matches_consensus_oracle_on_vectors(instance, seed):
     )
     logical = rng.random(1 << model.num_spins)
     probs = qf.ProbabilityVector(logical / logical.sum())
-    identity = tuple((i,) for i in range(model.num_spins))
-    assert qf.fold_ground_probabilities(probs, manifold) == (
-        consensus_project_and_fold(probs, identity, manifold)
+    identity = qf.identity_embedding(model)
+    assert qf.project_and_fold(probs, identity, manifold) == (
+        consensus_project_and_fold(probs, identity.chains, manifold)
     )
 
 
@@ -150,7 +153,9 @@ def test_partition_names_classes_as_folding_does():
     assert [c.bits for c in partition.c_set] == [4]
     probs = np.zeros(16)
     probs[[3, 11]] = 0.5
-    folded, _ = qf.fold_ground_probabilities(qf.ProbabilityVector(probs), manifold)
+    folded, _ = qf.project_and_fold(
+        qf.ProbabilityVector(probs), qf.identity_embedding(model), manifold
+    )
     assert [c.bits for c in folded] == [3, 4]
     assert qf.fairness_ratio(folded, partition) == 1.0
 
@@ -249,13 +254,9 @@ def test_gap_ratio_embedded(toy_manifold, embedded_models, jf):
     assert report.delta_e_c == pytest.approx(1.0 + jf)
     assert not report.excluded
     # chain-flip connections are mediated by two broken-chain intermediates
-    flips, _, neighbours = second_order_links(manifold, 6)
+    gaps, _, neighbours = second_order_links(em.model, manifold)
     a, b = manifold.configs.index(cfg(3, 6)), manifold.configs.index(cfg(51, 6))
-    table = qf.energy_table(em.model)
-    chain_gaps = [
-        table[k] - manifold.energy for k, reach in zip(flips[a], neighbours[a])
-        if b in reach
-    ]
+    chain_gaps = [gap for gap, reach in zip(gaps[a], neighbours[a]) if b in reach]
     assert chain_gaps == [pytest.approx(2.0 * jf), pytest.approx(2.0 * jf)]
 
 
@@ -522,8 +523,8 @@ def test_sweep_tau_original_rows_are_evolve_and_fold(
     assert [r.value for r in original] == list(taus)
     for r, tau in zip(original, taus):
         result = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(tau))
-        folded, excited = qf.fold_ground_probabilities(
-            result.final_probabilities, manifold
+        folded, excited = qf.project_and_fold(
+            result.final_probabilities, qf.identity_embedding(toy_source), manifold
         )
         assert r.folded == folded
         assert list(r.folded) == list(folded)

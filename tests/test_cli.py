@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import qa_fairsample as qf
 import qa_fairsample.cli as cli
 from qa_fairsample.data import toy_embedding_path, toy_source_path
 
@@ -275,6 +276,32 @@ def test_anneal_no_renormalize_is_not_an_option(capsys):
         run(capsys, "anneal", "matsuda5", "--tau", "1", "--no-renormalize")
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-renormalize" in capsys.readouterr().err
+
+
+def test_cli_probabilities_are_the_api_answers(capsys):
+    # anneal keys the source ground configs and reads each at its lift; pt
+    # keys the target ground configs and reads each at its own bits
+    flags = ("--embedding", "matsuda5_embedded", "--jf", "0.5")
+    source = qf.load_model(toy_source_path())
+    embedding = qf.load_embedding(toy_embedding_path(), chain_strength=0.5)
+    target = qf.apply_embedding(source, embedding).model
+
+    code, out, _ = run(capsys, "anneal", "matsuda5", "--tau", "20", *flags)
+    assert code == 0
+    result = qf.evolve(target, qf.AnnealSchedule.for_tau(20.0))
+    vector = result.final_probabilities.vector
+    assert json.loads(out)["probabilities"] == {
+        g.to_bitstring(): float(vector[qf.lift_state(g, embedding).bits])
+        for g in qf.enumerate_ground_states(source).configs
+    }
+
+    code, out, _ = run(capsys, "pt", "matsuda5", *flags)
+    assert code == 0
+    setup = qf.PerturbationSetup.from_model(target)
+    vector = qf.perturbative_probabilities(setup).probabilities.vector
+    assert json.loads(out)["probabilities"] == {
+        c.to_bitstring(): float(vector[c.bits]) for c in setup.manifold.configs
+    }
 
 
 # ---------------------------------------------------------------------- pt

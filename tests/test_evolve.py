@@ -36,6 +36,12 @@ def test_initial_state_amplitudes():
     assert np.all(qf.initial_state(6) == 0.125)
 
 
+@pytest.mark.parametrize("num_spins", [0, -1, True, 2.0, "3"])
+def test_initial_state_rejects_a_bad_spin_count(num_spins):
+    with pytest.raises(ValueError, match="num_spins"):
+        qf.initial_state(num_spins)
+
+
 def test_initial_state_guard():
     with pytest.raises(ModelTooLargeError):
         qf.initial_state(25)

@@ -38,7 +38,8 @@ def ground_probabilities(result, manifold):
 def folded_pt(setup):
     """The PT answer folded by inversion class over the setup's own manifold."""
     result = qf.perturbative_probabilities(setup)
-    return qf.fold_ground_probabilities(result.probabilities, setup.manifold)[0]
+    identity = qf.identity_embedding(setup.model)
+    return qf.project_and_fold(result.probabilities, identity, setup.manifold)[0]
 
 
 # ----------------------------------------------------------- first order
@@ -352,7 +353,9 @@ def test_folding_a_pt_answer_matches_the_bits_fold(model):
     manifold = qf.enumerate_ground_states(model)
     assume(manifold.degeneracy <= 128)
     result = qf.perturbative_probabilities(qf.PerturbationSetup(model, manifold))
-    folded, excited = qf.fold_ground_probabilities(result.probabilities, manifold)
+    folded, excited = qf.project_and_fold(
+        result.probabilities, qf.identity_embedding(model), manifold
+    )
     weights = ground_probabilities(result, manifold)
     expected = fold_bits(manifold.bits.tolist(), weights, model.num_spins)
     assert list(folded.items()) == list(expected.items())
@@ -393,6 +396,12 @@ def test_reference_matrix_values():
     assert off == [pytest.approx(1.0 / 1.5), pytest.approx(1.0)]
     unit = qf.embedded_toy_reference_matrix(1.0)
     assert np.allclose(np.diag(unit), 7.0 / 3.0)
+
+
+@pytest.mark.parametrize("jf", [0, -1.0, float("nan"), float("inf"), True, "2"])
+def test_reference_matrix_rejects_a_bad_chain_strength(jf):
+    with pytest.raises(qf.EmbeddingError, match="chain strength"):
+        qf.embedded_toy_reference_matrix(jf)
 
 
 def test_find_basis_permutation():
