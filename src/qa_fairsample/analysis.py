@@ -237,6 +237,11 @@ def project_and_fold(
             f"the {embedding.num_physical} spins the manifold lifts to"
         )
     logical_spins = source_manifold.configs[0].num_spins
+    if embedding.num_logical != logical_spins:
+        raise ValueError(
+            f"embedding maps {embedding.num_logical} logical spins but the "
+            f"manifold has {logical_spins}"
+        )
     lifted = _lift_manifold(source_manifold, embedding)
     values = probabilities.vector[[b for b, _ in lifted]].tolist()
     mask = (1 << logical_spins) - 1

@@ -21,8 +21,8 @@ enough that a norm bound of the substep's exponent stays below THETA, and
 each substep sums terms until that row's own largest term falls below
 TAYLOR_TOL. The Hamiltonian is applied matrix-free: the diagonal term scales
 each amplitude by its configuration energy, and the driver term adds the
-amplitudes of all single-spin-flip neighbors through reshaped views of the
-state.
+amplitudes of all single-spin-flip neighbors, gathered in one call for a
+small batch and through reshaped views of the state for a large one.
 
 Without fields every energy table is inversion symmetric, E(c) == E(~c).
 H(s) then commutes with the global spin flip and the uniform start state is
@@ -43,8 +43,9 @@ The coarse run rides in the same batch as extra rows: its exponential j
 goes through the first exponential of fine step j, the second exponential
 of each fine step runs on the fine rows only, and an odd step count gives
 the coarse rows one more exponential at the end. So one loop over the fine
-steps does both runs, and at small N, where a kernel call costs mostly
-Python overhead, it makes about a third fewer kernel calls than two runs.
+steps does both runs, and at small N, where a Taylor term costs mostly the
+fixed overhead of its dozen numpy calls, it makes about a third fewer
+kernel calls than two runs.
 This estimate is the package's one convergence measure: the coarse rows of
 a run at 2n steps are bitwise a separate run at n steps, so comparing n with
 2n steps is two ``evolve_many`` calls and needs no API of its own.
@@ -96,6 +97,13 @@ MAX_AMPLITUDE_STEPS = 2_000_000_000
 _NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _ALPHA1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+
+# Largest gather buffer, in elements of N x rows x kept amplitudes, for
+# which a kernel gathers its flip sum; larger kernels add reshaped views
+# (see _Kernel). On a 2-CPU x86-64 host the gather is faster up to 2^15
+# elements at every N and row count measured, and the views from about 2^16.
+_GATHER_MAX = 1 << 15
+_NEG_ZERO = complex(-0.0, -0.0)
 
 
 def _check_tau(tau) -> None:
@@ -205,11 +213,24 @@ def initial_state(num_spins: int) -> np.ndarray:
 class _Kernel:
     """H(s) applied matrix-free, in place, to the rows of a fixed buffer.
 
-    Spin i's flip reverses the middle axis of the view
-    y.reshape(rows, 2**(N-1-i), 2, 2**i). The views of the two buffers are
-    built once. The flip sum accumulates by plain elementwise adds in fixed
-    spin order, which keeps the floating-point order identical for every
-    batch width, as a reduction over a gathered axis would not.
+    Spin i's flip maps amplitude c to c ^ 2**i. The flip sum adds the N
+    flipped amplitudes in fixed spin order, one elementwise add after
+    another, so each amplitude's floating-point order is the same for every
+    batch width. It takes one of two forms, chosen once per kernel from the
+    size of an (N, rows, kept amplitudes) gather buffer:
+
+    - Up to _GATHER_MAX elements, one ``np.take`` fills that buffer with
+      every spin's flipped amplitudes, spin-major, and one ``np.add.reduce``
+      over its first axis writes the sum. numpy sums pairwise only along
+      the innermost axis of an operand; a reduction over any other axis of
+      a C-contiguous buffer adds its slices one after another in index
+      order, the same as sequential adds. It starts from -0.0, which leaves
+      every first term as it is, where numpy's own start, +0.0, would turn
+      an all -0.0 sum positive.
+    - Above it, where the buffer costs more memory traffic than it saves in
+      calls, spin i's flip reverses the middle axis of the view
+      y.reshape(rows, 2**(N-1-i), 2, 2**i), and the views of both buffers,
+      built once, are added one after another.
 
     With ``half`` the buffers hold only the inversion-symmetric sector: the
     2^(N-1) amplitudes with bit N-1 clear of a state with psi(c) == psi(~c).
@@ -220,8 +241,12 @@ class _Kernel:
 
     ``rows(lo, hi)`` is a kernel over rows lo..hi-1 of the same buffers. It
     does the same elementwise work on those rows only, so each row's result
-    does not depend on which span it was applied in. Spans are cached: at
-    N = 6 building one costs about half a kernel apply.
+    does not depend on which span it was applied in, nor on which form of
+    the flip sum that span uses. Spans are cached: at N = 6 building one
+    costs about half a kernel apply.
+
+    ``apply`` writes all of ``flips`` before it reads any of it, so between
+    applies the buffer is free scratch of the state's size.
     """
 
     def __init__(
@@ -230,16 +255,27 @@ class _Kernel:
         self.num_spins = num_spins
         self.half = half
         self.state = state
-        self._flips = flips
+        self.flips = flips
         rows, dim = state.shape
-        self._views = []
-        for i in range(num_spins - 1 if half else num_spins):
-            shape = (rows, dim >> (i + 1), 2, 1 << i)
-            self._views.append(
-                (flips.reshape(shape), state.reshape(shape)[:, :, ::-1, :])
-            )
-        if half:
-            self._views.append((flips, state[:, ::-1]))
+        inner = num_spins - 1 if half else num_spins
+        self._views = None
+        if num_spins * rows * dim <= _GATHER_MAX:
+            amplitudes = np.arange(dim)
+            flipped = [amplitudes ^ (1 << i) for i in range(inner)]
+            if half:
+                flipped.append(amplitudes[::-1])
+            starts = np.arange(0, rows * dim, dim)[:, None]
+            self._index = np.stack(flipped)[:, None, :] + starts
+            self._gathered = np.empty(self._index.shape, dtype=np.complex128)
+        else:
+            self._views = []
+            for i in range(inner):
+                shape = (rows, dim >> (i + 1), 2, 1 << i)
+                self._views.append(
+                    (flips.reshape(shape), state.reshape(shape)[:, :, ::-1, :])
+                )
+            if half:
+                self._views.append((flips, state[:, ::-1]))
         self._spans = {}
 
     @classmethod
@@ -252,7 +288,7 @@ class _Kernel:
         span = self._spans.get((lo, hi))
         if span is None:
             span = self._spans[lo, hi] = _Kernel(
-                self.state[lo:hi], self._flips[lo:hi], self.num_spins, self.half
+                self.state[lo:hi], self.flips[lo:hi], self.num_spins, self.half
             )
         return span
 
@@ -261,13 +297,17 @@ class _Kernel:
 
         diag holds s * energies and drive is 1 - s; either may be scaled per row.
         """
-        (out, flipped), *rest = self._views
-        np.copyto(out, flipped)
-        for out, flipped in rest:
-            np.add(out, flipped, out=out)
+        if self._views is None:
+            np.take(self.state, self._index, out=self._gathered, mode="clip")
+            np.add.reduce(self._gathered, axis=0, out=self.flips, initial=_NEG_ZERO)
+        else:
+            (out, flipped), *rest = self._views
+            np.copyto(out, flipped)
+            for out, flipped in rest:
+                np.add(out, flipped, out=out)
         np.multiply(self.state, diag, out=self.state)
-        np.multiply(self._flips, drive, out=self._flips)
-        np.subtract(self.state, self._flips, out=self.state)
+        np.multiply(self.flips, drive, out=self.flips)
+        np.subtract(self.state, self.flips, out=self.state)
 
 
 def _exp_step(
@@ -288,12 +328,21 @@ def _exp_step(
     summing, which is found again whenever the count of such rows changes.
     Rows inside the span that have stopped are computed and discarded, so
     every row sees the same operations whatever the other rows do.
+
+    diag and drive are complex here, once per exponential: the kernel's
+    products would otherwise cast them on every term, and the cast
+    (x -> x + 0j) is exact. diag is written into the real part of a zeroed
+    complex array, so no float64 temporary of its size sits beside it, and
+    the stopping test takes its magnitudes into the span's free flips
+    buffer, so the term loop allocates nothing per amplitude.
     """
     bound = (1.0 - s) * kernel.num_spins + s * emax
     substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
     h_sub = (h / substeps)[:, None]
-    diag = (s[:, None] * tables) * h_sub
-    drive = (1.0 - s)[:, None] * h_sub
+    diag = np.zeros(tables.shape, dtype=np.complex128)
+    np.multiply(s[:, None], tables, out=diag.real)
+    np.multiply(diag.real, h_sub, out=diag.real)
+    drive = ((1.0 - s)[:, None] * h_sub).astype(np.complex128)
     for j in range(int(substeps.max())):
         active = substeps > j
         np.copyto(kernel.state, psi)
@@ -306,11 +355,21 @@ def _exp_step(
                 lo, hi = summing[0], summing[-1] + 1
                 span = kernel.rows(lo, hi)
                 term, sums, still = span.state, psi[lo:hi], active[lo:hi]
+                span_diag, span_drive = diag[lo:hi], drive[lo:hi]
+                # where=True is numpy's unmasked add: every row in the span sums
+                adding = True if live == hi - lo else still[:, None]
+                parts = term.view(np.float64)
+                magnitudes = span.flips.view(np.float64)
+                peaks = np.empty(hi - lo)
+                large = np.empty(hi - lo, dtype=bool)
             k += 1
-            span.apply(diag[lo:hi], drive[lo:hi])
+            span.apply(span_diag, span_drive)
             np.multiply(term, -1j / k, out=term)
-            np.add(sums, term, out=sums, where=still[:, None])
-            still &= np.abs(term.view(np.float64)).max(axis=1) >= TAYLOR_TOL
+            np.add(sums, term, out=sums, where=adding)
+            np.abs(parts, out=magnitudes)
+            np.maximum.reduce(magnitudes, axis=1, out=peaks)
+            np.greater_equal(peaks, TAYLOR_TOL, out=large)
+            np.logical_and(still, large, out=still)
 
 
 def _schedule(tau: float, steps: int):

@@ -64,6 +64,16 @@ def test_fold_rejects_distribution_of_other_size(
         qf.project_and_fold(physical, qf.identity_embedding(toy_source), toy_manifold)
 
 
+def test_fold_rejects_a_manifold_of_another_logical_size(embedded_models):
+    # the bundled embedding maps 5 logical spins: lifting a 4-spin ring's
+    # manifold through it would leave the fifth chain unread
+    ring = qf.IsingModel(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)))
+    manifold = qf.enumerate_ground_states(ring)
+    probs = qf.ProbabilityVector([1.0 / 64.0] * 64)
+    with pytest.raises(ValueError, match="maps 5 logical spins but the manifold has 4"):
+        qf.project_and_fold(probs, embedded_models[1.0].embedding, manifold)
+
+
 SEEDS = st.integers(0, 2**32 - 1)
 
 

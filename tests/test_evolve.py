@@ -153,25 +153,42 @@ def test_apply_matches_dense_oracle(seed):
     assert np.allclose(kernel_apply(model, s, psi), dense @ psi, atol=1e-12)
 
 
-def _gather_flip_sum(psi):
-    # reference kernel: gather each spin's flipped column, add in spin order
-    n = psi.size.bit_length() - 1
-    indices = np.arange(psi.size)
-    acc = psi[indices ^ 1]
-    for i in range(1, n):
-        acc += psi[indices ^ (1 << i)]
+def _sequential_flip_sum(psi, num_spins, half):
+    # reference flip sum: each spin's flipped amplitudes, added in spin order;
+    # on the half space spin N-1's flip is the reversed half, added last
+    amplitudes = np.arange(psi.shape[1])
+    flipped = [amplitudes ^ (1 << i) for i in range(num_spins - half)]
+    if half:
+        flipped.append(amplitudes[::-1])
+    acc = psi[:, flipped[0]]
+    for index in flipped[1:]:
+        acc = acc + psi[:, index]
     return acc
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 6])
-def test_apply_matches_gather_kernel_bitwise(n):
+@pytest.mark.parametrize("n", range(1, 11))
+def test_apply_matches_gather_kernel_bitwise(monkeypatch, n):
+    # each shape runs through both forms of the flip sum (a gather limit of
+    # 0 forces the views, one of 2^30 the gather), on the full and the half
+    # space and at row widths 1-9, with signed zeros and per-row diag and
+    # drive; results are compared by their bytes
+    module = importlib.import_module("qa_fairsample.evolve")
     rng = np.random.default_rng(300 + n)
-    couplings = tuple((i, i + 1, float(rng.normal())) for i in range(n - 1))
-    model = qf.IsingModel(n, couplings, tuple(float(h) for h in rng.normal(size=n)))
-    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    s = 0.3
-    expected = (s * qf.energy_table(model)) * psi - (1.0 - s) * _gather_flip_sum(psi)
-    assert np.array_equal(kernel_apply(model, s, psi), expected)
+    for half in (False, True):
+        dim = 1 << (n - 1 if half else n)
+        for rows in range(1, 10):
+            psi = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+            psi.real[rng.random(psi.shape) < 0.3] = -0.0
+            psi.imag[rng.random(psi.shape) < 0.3] = -0.0
+            diag = rng.normal(size=(rows, dim))
+            drive = rng.normal(size=(rows, 1))
+            expected = psi * diag - _sequential_flip_sum(psi, n, half) * drive
+            for limit in (0, 1 << 30):
+                monkeypatch.setattr(module, "_GATHER_MAX", limit)
+                kernel = module._Kernel.allocate(rows, n, half)
+                kernel.state[:] = psi
+                kernel.apply(diag, drive)
+                assert kernel.state.tobytes() == expected.tobytes(), (half, rows, limit)
 
 
 def test_apply_rejects_dimension_mismatch(toy_source):
@@ -493,6 +510,38 @@ def test_mixed_sizes_batch_by_spin_count(toy_source, embedded_models):
         qf.evolve_many(models, schedule)
     assert str(excinfo.value).startswith(failures[2])
     assert [_result_bits(r) for r in excinfo.value.result] == want
+
+
+def test_batch_on_views_matches_rows_alone_on_the_gather(monkeypatch):
+    # N = 10 with fields: alone, a model's fine and coarse rows gather their
+    # flip sum; two models batched run the shared exponential on views
+    module = importlib.import_module("qa_fairsample.evolve")
+    n = 10
+    assert 2 * n * (1 << n) <= module._GATHER_MAX < 4 * n * (1 << n)
+    rng = np.random.default_rng(17)
+    models = [
+        qf.IsingModel(
+            n,
+            tuple((i, i + 1, float(rng.choice([-1.0, 1.0]))) for i in range(n - 1)),
+            tuple(float(h) for h in rng.uniform(-0.5, 0.5, size=n)),
+        )
+        for _ in range(2)
+    ]
+    forms = []
+    apply = module._Kernel.apply
+
+    def recording_apply(kernel, diag, drive):
+        forms.append((kernel.state.shape[0], kernel._views is None))
+        return apply(kernel, diag, drive)
+
+    monkeypatch.setattr(module._Kernel, "apply", recording_apply)
+    schedule = qf.AnnealSchedule(tau=2.0, steps=4)
+    batched = qf.evolve_many(models, schedule, enforce_drift=False)
+    assert (4, False) in forms
+    forms.clear()
+    alone = [qf.evolve_many((m,), schedule, enforce_drift=False)[0] for m in models]
+    assert forms and all(gathered for _, gathered in forms)
+    assert [_result_bits(r) for r in batched] == [_result_bits(r) for r in alone]
 
 
 def test_runs_are_deterministic(toy_source):
