@@ -11,6 +11,7 @@ and can be serialized to CSV with a fixed column order.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import tempfile
@@ -313,9 +314,10 @@ def sweep_tau(
     """Annealing-time sweep over the source model and its embedded variants.
 
     The source runs as the variant ``"original"`` through its identity
-    embedding, so every row is folded by ``project_and_fold``. Each tau
-    evolves all variants in one ``evolve_many`` call, which batches them by
-    physical spin count. Row order is deterministic: for each tau
+    embedding, so every row is folded by ``project_and_fold``. The whole
+    sweep is one ``evolve_many`` call, with one schedule per variant and
+    tau; it batches the rows by physical spin count, and its cost guard sums
+    the steps of every row. Row order is deterministic: for each tau
     (ascending), the source row first, then one row per embedding in the
     given order. Ratios use the default partition of the source manifold.
     """
@@ -329,18 +331,20 @@ def sweep_tau(
     embedded = [(label, apply_embedding(source, e)) for label, e in variants]
     models = [em.model for _, em in embedded]
 
-    records = []
-    for tau in taus:
-        schedule = AnnealSchedule.for_tau(tau, steps)
-        results = evolve_many(models, schedule, enforce_drift=False)
-        for (label, em), result in zip(embedded, results):
-            records.append(
-                _record(
-                    label, "tau", tau, "SE", result.final_probabilities,
-                    em.embedding, source_manifold, partition, None, result,
-                )
-            )
-    return records
+    schedules = [AnnealSchedule.for_tau(tau, steps) for tau in taus]
+    results = evolve_many(
+        models * len(taus),
+        [schedule for schedule in schedules for _ in models],
+        enforce_drift=False,
+    )
+    rows = itertools.product(taus, embedded)
+    return [
+        _record(
+            label, "tau", tau, "SE", result.final_probabilities,
+            em.embedding, source_manifold, partition, None, result,
+        )
+        for (tau, (label, em)), result in zip(rows, results)
+    ]
 
 
 def sweep_chain_strength(

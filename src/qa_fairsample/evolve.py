@@ -42,30 +42,34 @@ factor (15 for an even step count), estimates the error of the full run.
 The coarse run rides in the same batch as extra rows: its exponential j
 goes through the first exponential of fine step j, the second exponential
 of each fine step runs on the fine rows only, and an odd step count gives
-the coarse rows one more exponential at the end. So one loop over the fine
-steps does both runs, and at small N, where a Taylor term costs mostly the
-fixed overhead of its dozen numpy calls, it makes about a third fewer
-kernel calls than two runs.
+the coarse row one more exponential after its fine row has finished. So
+one loop does both runs, with about a third fewer kernel calls than two
+runs: at small N a Taylor term costs mostly the fixed overhead of its ten
+numpy calls, whatever the rows.
 This estimate is the package's one convergence measure: the coarse rows of
 a run at 2n steps are bitwise a separate run at n steps, so comparing n with
 2n steps is two ``evolve_many`` calls and needs no API of its own.
 
-``evolve_many`` batches its models by spin count: the models of one size
-evolve together as rows of one array, and results come back in input order.
-Every operation is row-independent, and each row keeps its own schedule
-value, exponential length, substep count and stopping point. Each Taylor
-term applies the kernel to the contiguous span of rows still summing; rows
-that have stopped inside it are computed and discarded, rows outside it are
+``evolve_many`` batches its models by spin count, whatever their schedules:
+the models of one size evolve together as rows of one array in one loop,
+and results come back in input order. Every operation is row-independent,
+and each row keeps its own schedule, exponential length, substep count and
+stopping point. Rows are laid out so that those still running form one
+contiguous span, which a row leaves when its run ends, and each Taylor term
+applies the kernel to the contiguous span of rows still summing; rows that
+have stopped inside it are computed and discarded, rows outside it are
 skipped, and neither changes what any other row computes. So results are
-bitwise identical whether models run alone or batched, and with or without
-the coarse rows beside them.
+bitwise identical whether models run alone or batched, under one schedule
+or several, and with or without the coarse rows beside them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -104,6 +108,14 @@ _ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 # elements at every N and row count measured, and the views from about 2^16.
 _GATHER_MAX = 1 << 15
 _NEG_ZERO = complex(-0.0, -0.0)
+
+# TAYLOR_TOL and the factor -1j/k of Taylor term k (at index k) as numpy
+# scalars, so no term converts a Python number. A substep's exponent has
+# norm at most THETA, so term k of a state of norm r is at most
+# r THETA^k / k!: below TAYLOR_TOL by k = 31 for r = 1, and by k = 63 for
+# any r up to 1e34.
+_TOL = np.float64(TAYLOR_TOL)
+_TERM_FACTORS = (None, *(np.complex128(-1j / k) for k in range(1, 64)))
 
 
 def _check_tau(tau) -> None:
@@ -242,15 +254,24 @@ class _Kernel:
     ``rows(lo, hi)`` is a kernel over rows lo..hi-1 of the same buffers. It
     does the same elementwise work on those rows only, so each row's result
     does not depend on which span it was applied in, nor on which form of
-    the flip sum that span uses. Spans are cached: at N = 6 building one
-    costs about half a kernel apply.
+    the flip sum that span uses. Spans are cached, and are views: every
+    gather span uses the leading part of one gather buffer and one index
+    buffer, allocated with the kernel, and copies its index into it out of
+    the widest one when it applies at another width than the last gather
+    did. So a batch of many schedules, whose spans take many widths, holds
+    no gather buffer per span.
 
     ``apply`` writes all of ``flips`` before it reads any of it, so between
     applies the buffer is free scratch of the state's size.
     """
 
     def __init__(
-        self, state: np.ndarray, flips: np.ndarray, num_spins: int, half: bool
+        self,
+        state: np.ndarray,
+        flips: np.ndarray,
+        num_spins: int,
+        half: bool,
+        shared: SimpleNamespace | None = None,
     ):
         self.num_spins = num_spins
         self.half = half
@@ -258,15 +279,29 @@ class _Kernel:
         self.flips = flips
         rows, dim = state.shape
         inner = num_spins - 1 if half else num_spins
+        if shared is None:
+            # buffers for the gather spans, which hold no kernel: a kernel
+            # and its spans are freed as soon as the last of them is unused
+            gather_rows = min(rows, _GATHER_MAX // (num_spins * dim))
+            shared = SimpleNamespace(
+                index=np.empty(num_spins * gather_rows * dim, dtype=np.intp),
+                gathered=np.empty(num_spins * gather_rows * dim, dtype=np.complex128),
+                rows=0,
+            )
+            if gather_rows:
+                amplitudes = np.arange(dim)
+                flipped = [amplitudes ^ (1 << i) for i in range(inner)]
+                if half:
+                    flipped.append(amplitudes[::-1])
+                starts = np.arange(0, gather_rows * dim, dim)[:, None]
+                shared.widest = np.stack(flipped)[:, None, :] + starts
+        self._shared = shared
+        self._spans = {}
         self._views = None
         if num_spins * rows * dim <= _GATHER_MAX:
-            amplitudes = np.arange(dim)
-            flipped = [amplitudes ^ (1 << i) for i in range(inner)]
-            if half:
-                flipped.append(amplitudes[::-1])
-            starts = np.arange(0, rows * dim, dim)[:, None]
-            self._index = np.stack(flipped)[:, None, :] + starts
-            self._gathered = np.empty(self._index.shape, dtype=np.complex128)
+            size = num_spins * rows * dim
+            self._index = shared.index[:size].reshape(num_spins, rows, dim)
+            self._gathered = shared.gathered[:size].reshape(num_spins, rows, dim)
         else:
             self._views = []
             for i in range(inner):
@@ -276,7 +311,9 @@ class _Kernel:
                 )
             if half:
                 self._views.append((flips, state[:, ::-1]))
-        self._spans = {}
+        # scratch of the Taylor loop's stopping test when this is its span
+        self.peaks = np.empty(rows)
+        self.large = np.empty(rows, dtype=bool)
 
     @classmethod
     def allocate(cls, rows: int, num_spins: int, half: bool = False) -> "_Kernel":
@@ -288,7 +325,8 @@ class _Kernel:
         span = self._spans.get((lo, hi))
         if span is None:
             span = self._spans[lo, hi] = _Kernel(
-                self.state[lo:hi], self.flips[lo:hi], self.num_spins, self.half
+                self.state[lo:hi], self.flips[lo:hi], self.num_spins, self.half,
+                self._shared,
             )
         return span
 
@@ -298,7 +336,11 @@ class _Kernel:
         diag holds s * energies and drive is 1 - s; either may be scaled per row.
         """
         if self._views is None:
-            np.take(self.state, self._index, out=self._gathered, mode="clip")
+            shared, rows = self._shared, self.state.shape[0]
+            if shared.rows != rows:
+                np.copyto(self._index, shared.widest[:, :rows])
+                shared.rows = rows
+            self.state.take(self._index, out=self._gathered, mode="clip")
             np.add.reduce(self._gathered, axis=0, out=self.flips, initial=_NEG_ZERO)
         else:
             (out, flipped), *rest = self._views
@@ -329,12 +371,21 @@ def _exp_step(
     Rows inside the span that have stopped are computed and discarded, so
     every row sees the same operations whatever the other rows do.
 
+    A row stops only when all its parts are below TAYLOR_TOL, the real part
+    of its first amplitude among them. So the exact per-row test runs only
+    after a term in which that one part is not at or above TAYLOR_TOL in
+    some row of the span; on most terms it is in every row, and three calls
+    on one part per row settle it. The magnitudes go into the span's free
+    flips buffer and the compares into the span's own scratch, so the term
+    loop allocates nothing.
+
     diag and drive are complex here, once per exponential: the kernel's
     products would otherwise cast them on every term, and the cast
-    (x -> x + 0j) is exact. diag is written into the real part of a zeroed
-    complex array, so no float64 temporary of its size sits beside it, and
-    the stopping test takes its magnitudes into the span's free flips
-    buffer, so the term loop allocates nothing per amplitude.
+    (x -> x + 0j) is exact. Each is written into the real part of a zeroed
+    complex array, so no float64 temporary of its size sits beside it. A
+    gather kernel's drive fills the shape of the state, which the kernel
+    multiplies elementwise instead of broadcasting a column; a view
+    kernel's stays one column, as its state can be large.
     """
     bound = (1.0 - s) * kernel.num_spins + s * emax
     substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
@@ -342,13 +393,16 @@ def _exp_step(
     diag = np.zeros(tables.shape, dtype=np.complex128)
     np.multiply(s[:, None], tables, out=diag.real)
     np.multiply(diag.real, h_sub, out=diag.real)
-    drive = ((1.0 - s)[:, None] * h_sub).astype(np.complex128)
+    column = kernel._views is not None
+    drive = np.zeros(h_sub.shape if column else tables.shape, dtype=np.complex128)
+    np.multiply((1.0 - s)[:, None], h_sub, out=drive.real)
     for j in range(int(substeps.max())):
         active = substeps > j
         np.copyto(kernel.state, psi)
+        live = np.count_nonzero(active)
         count = 0
         k = 0
-        while live := np.count_nonzero(active):
+        while live:
             if live != count:
                 count = live
                 summing = np.flatnonzero(active)
@@ -360,16 +414,19 @@ def _exp_step(
                 adding = True if live == hi - lo else still[:, None]
                 parts = term.view(np.float64)
                 magnitudes = span.flips.view(np.float64)
-                peaks = np.empty(hi - lo)
-                large = np.empty(hi - lo, dtype=bool)
+                firsts, peaks, large = parts[:, 0], span.peaks, span.large
             k += 1
             span.apply(span_diag, span_drive)
-            np.multiply(term, -1j / k, out=term)
+            np.multiply(term, _TERM_FACTORS[k], out=term)
             np.add(sums, term, out=sums, where=adding)
-            np.abs(parts, out=magnitudes)
-            np.maximum.reduce(magnitudes, axis=1, out=peaks)
-            np.greater_equal(peaks, TAYLOR_TOL, out=large)
-            np.logical_and(still, large, out=still)
+            np.abs(firsts, out=peaks)
+            np.greater_equal(peaks, _TOL, out=large)
+            if np.count_nonzero(large) < large.size:
+                np.abs(parts, out=magnitudes)
+                np.maximum.reduce(magnitudes, axis=1, out=peaks)
+                np.greater_equal(peaks, _TOL, out=large)
+                np.logical_and(still, large, out=still)
+                live = np.count_nonzero(active)
 
 
 def _schedule(tau: float, steps: int):
@@ -388,17 +445,24 @@ def _schedule(tau: float, steps: int):
         yield 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2), 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
 
 
-def _check_cost(shapes: Sequence[tuple[int, int]], steps: int) -> None:
-    """Refuse a call whose batches together exceed MAX_AMPLITUDE_STEPS.
+def _check_cost(batches: Sequence[tuple[int, Sequence[AnnealSchedule]]]) -> None:
+    """Refuse a call whose rows together exceed MAX_AMPLITUDE_STEPS.
 
-    ``shapes`` holds (rows, kept amplitudes) of each batch; the check runs
-    before any batch is integrated.
+    ``batches`` holds (kept amplitudes, schedule of each row) of each batch.
+    A row at tau > 0 costs 2 x kept x its own steps, for its fine and coarse
+    runs. The check runs before any batch is integrated.
     """
-    estimate = sum(2 * rows * kept * steps for rows, kept in shapes)
+    rows = Counter(  # per batch and step count, in order of first appearance
+        (b, kept, schedule.steps)
+        for b, (kept, schedules) in enumerate(batches)
+        for schedule in schedules
+        if schedule.tau > 0.0
+    )
+    estimate = sum(2 * n * kept * steps for (_, kept, steps), n in rows.items())
     if estimate > MAX_AMPLITUDE_STEPS:
         terms = " + ".join(
-            f"2 x {rows} rows x {kept} amplitudes x {steps} steps"
-            for rows, kept in shapes
+            f"2 x {n} rows x {kept} amplitudes x {steps} steps"
+            for (_, kept, steps), n in rows.items()
         )
         raise ModelTooLargeError(
             f"integration needs {estimate:.3g} amplitude-steps ({terms}), "
@@ -417,101 +481,145 @@ def _kept_tables(tables: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _cfm4_weights(
-    tables: np.ndarray, half: bool, tau: float, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """|psi|^2 rows at ``steps`` and at ceil(steps/2) CFM4 steps, for each table.
+    tables: np.ndarray, half: bool, schedules: Sequence[AnnealSchedule]
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """|psi|^2 rows at each row's steps and at ceil(steps/2) CFM4 steps.
 
-    ``tables`` and ``half`` come from ``_kept_tables``. Both runs are rows of
-    one batch: rows 0..R-1 take the fine steps and rows R..2R-1 the coarse
-    ones. Coarse exponential j, of length dt_c/2 at dt_c = tau/ceil(steps/2),
-    shares the first exponential of fine step j; the second runs on the fine
-    rows only. For odd ``steps`` the coarse rows take one more exponential
-    after the loop. On the half space each row is rebuilt from the kept half
-    and its mirror image.
+    ``tables`` and ``half`` come from ``_kept_tables``; ``schedules`` holds
+    each table's own, and each row reads its values from its own generator.
+    Both runs of every table are rows of one batch, taken through all their
+    steps by one loop. Step j of the loop has two exponential slots: fine
+    step j of a row takes both, and coarse exponential j, of length dt_c/2
+    at dt_c = tau/ceil(steps/2), the first. An odd step count gives the
+    coarse row one exponential more, in the first slot of step ``steps``; a
+    row at tau = 0 takes none.
+
+    The coarse rows come first, in ascending step count, then the fine rows
+    in descending step count. A finished coarse row so leaves the start of
+    the rows still running and a finished fine row their end, and each slot
+    runs on one contiguous span. On the half space each row is rebuilt from
+    the kept half and its mirror image. Returns the weights of the batch
+    and, for each table, the indices of its fine and its coarse row in them.
     """
     rows, kept = tables.shape
     num_spins = kept.bit_length() - 1 + half
-    both = np.concatenate([tables, tables])
+    # tables by step count, those with nothing to integrate (tau = 0) first
+    order = sorted(
+        range(rows),
+        key=lambda r: (schedules[r].steps * (schedules[r].tau > 0), schedules[r].tau),
+    )
+    both = tables[order + order[::-1]]
     psi = np.tile(initial_state(num_spins)[:kept], (2 * rows, 1))
-    if tau > 0.0:
+    h = np.empty(2 * rows)
+    # per row at tau > 0: its first-slot exponentials and their s values,
+    # and its fine steps and their (s_a, s_b) values
+    runs = []
+    for a, r in enumerate(order):
+        tau, n = schedules[r].tau, schedules[r].steps
+        c = (n + 1) // 2
+        h[a], h[-1 - a] = 0.5 * (tau / c), 0.5 * (tau / n)
+        if tau > 0.0:
+            coarse = itertools.chain.from_iterable(_schedule(tau, c))
+            runs.append((2 * c, coarse, n, _schedule(tau, n)))
+    if runs:
         kernel = _Kernel.allocate(2 * rows, num_spins, half)
-        fine, coarse = kernel.rows(0, rows), kernel.rows(rows, 2 * rows)
         emax = np.abs(both).max(axis=1)
-        coarse_steps = (steps + 1) // 2
-        coarse_s = itertools.chain.from_iterable(_schedule(tau, coarse_steps))
-        h = np.repeat([0.5 * (tau / steps), 0.5 * (tau / coarse_steps)], rows)
         s = np.empty(2 * rows)
-        for s_a, s_b in _schedule(tau, steps):
-            s[:rows] = s_a
-            s[rows:] = next(coarse_s)
-            _exp_step(kernel, psi, both, s, h, emax)
-            s[:rows] = s_b
-            _exp_step(fine, psi[:rows], tables, s[:rows], h[:rows], emax[:rows])
-        if steps % 2:
-            s[rows:] = next(coarse_s)
-            _exp_step(coarse, psi[rows:], tables, s[rows:], h[rows:], emax[rows:])
+        for j in itertools.count():
+            first = [next(values) for count, values, _, _ in runs if count > j]
+            if not first:
+                break
+            pairs = [next(values) for _, _, n, values in runs if n > j][::-1]
+            s_a, s_b = zip(*pairs) if pairs else ((), ())
+            # the first slot's span starts at the coarse rows, the second's
+            # at the fine rows; both end at the last fine row still running
+            for lo, values in ((rows - len(first), first + list(s_a)), (rows, s_b)):
+                hi = lo + len(values)
+                if hi > lo:
+                    s[lo:hi] = values
+                    at = slice(lo, hi)
+                    span = kernel.rows(lo, hi)
+                    _exp_step(span, psi[at], both[at], s[at], h[at], emax[at])
     weights = np.abs(psi) ** 2
     if half:
         weights = np.concatenate([weights, weights[:, ::-1]], axis=1)
-    return weights[:rows], weights[rows:]
+    # each table's fine row, then its coarse row
+    rows_of = [None] * rows
+    for pos, r in enumerate(order):
+        rows_of[r] = (2 * rows - 1 - pos, pos)
+    return weights, rows_of
 
 
 def evolve_many(
     models: Sequence[IsingModel],
-    schedule: AnnealSchedule,
+    schedule: AnnealSchedule | Sequence[AnnealSchedule],
     *,
     enforce_drift: bool = True,
 ) -> list[EvolutionResult]:
-    """Evolve several models under one schedule, one batch per spin count.
+    """Evolve several models, one batch per spin count.
 
-    Models of one spin count form one batch, in order of first appearance;
-    results come back in input order. The cost guard applies to the sum of
-    all batches and runs before the first one is integrated. Each row also
-    runs at ceil(steps/2) steps, as extra rows of the same batch, for its
-    error estimate. Probabilities are renormalized by each row's squared
-    norm. With ``enforce_drift`` the call raises IntegrationAccuracyError if
-    any row's norm drift or error estimate is over the budget, or not
-    finite; sweeps disable it and handle failures row by row. All results
-    are attached to the raised error.
+    ``schedule`` is one schedule shared by every model or one per model, in
+    the models' order; a count that does not match raises ValueError.
+    Models of one spin count form one batch, in order of first appearance,
+    whatever their schedules; results come back in input order. The cost
+    guard sums every row's own steps over all batches and runs before the
+    first one is integrated. Each row also runs at ceil(steps/2) steps, as
+    extra rows of the same batch, for its error estimate. Probabilities are
+    renormalized by each row's squared norm. With ``enforce_drift`` the
+    call raises IntegrationAccuracyError if any row's norm drift or error
+    estimate is over the budget, or not finite; sweeps disable it and
+    handle failures row by row. All results are attached to the raised
+    error.
     """
+    if isinstance(schedule, AnnealSchedule):
+        schedule = [schedule] * len(models)
+    elif len(schedule) != len(models):
+        raise ValueError(f"{len(schedule)} schedules for {len(models)} models")
+    elif not all(isinstance(item, AnnealSchedule) for item in schedule):
+        raise TypeError("schedules must be AnnealSchedule instances")
     indices: dict[int, list[int]] = {}
     for i, model in enumerate(models):
         indices.setdefault(model.num_spins, []).append(i)
     batches = [
-        (members, *_kept_tables(np.stack([energy_table(models[i]) for i in members])))
+        (
+            members,
+            [schedule[i] for i in members],
+            *_kept_tables(np.stack([energy_table(models[i]) for i in members])),
+        )
         for members in indices.values()
     ]
-    if schedule.tau > 0.0:
-        _check_cost([tables.shape for _, tables, _ in batches], schedule.steps)
-    coarse_steps = (schedule.steps + 1) // 2
+    _check_cost([(tables.shape[1], own) for _, own, tables, _ in batches])
     results = [None] * len(models)
-    for members, tables, half in batches:
-        fine, coarse = _cfm4_weights(tables, half, schedule.tau, schedule.steps)
-        norm_sq = fine.sum(axis=1)
-        probs = fine / norm_sq[:, None]
-        if coarse_steps < schedule.steps:
-            richardson = (schedule.steps / coarse_steps) ** 4 - 1.0
-            coarse = coarse / coarse.sum(axis=1)[:, None]
-            estimates = np.abs(probs - coarse).max(axis=1) / richardson
-        else:
-            estimates = np.full(len(members), 0.0 if schedule.tau == 0.0 else math.inf)
-        for i, p, n2, est in zip(members, probs, norm_sq, estimates):
+    for members, own, tables, half in batches:
+        weights, rows_of = _cfm4_weights(tables, half, own)
+        norm_sq = weights.sum(axis=1)
+        weights /= norm_sq[:, None]
+        for i, (fine, coarse) in zip(members, rows_of):
+            tau, steps = schedule[i].tau, schedule[i].steps
+            p, n2 = weights[fine], norm_sq[fine]
+            coarse_steps = (steps + 1) // 2
+            if coarse_steps < steps:
+                richardson = (steps / coarse_steps) ** 4 - 1.0
+                estimate = np.abs(p - weights[coarse]).max() / richardson
+            else:
+                estimate = 0.0 if tau == 0.0 else math.inf
             results[i] = EvolutionResult(
                 final_probabilities=ProbabilityVector(p),
                 norm_drift=float(abs(1.0 - n2)),
-                tau=schedule.tau,
-                steps=schedule.steps,
+                tau=tau,
+                steps=steps,
                 norm_squared=float(n2),
-                error_estimate=float(est),
+                error_estimate=float(estimate),
             )
 
     if enforce_drift:
-        failures = [f for f in map(accuracy_failure, results) if f is not None]
-        if failures:
-            raise IntegrationAccuracyError(
-                f"{failures[0]}; rerun with more steps (e.g. {2 * schedule.steps})",
-                result=results if len(results) > 1 else results[0],
-            )
+        for result in results:
+            failure = accuracy_failure(result)
+            if failure is not None:
+                raise IntegrationAccuracyError(
+                    f"{failure}; rerun with more steps (e.g. {2 * result.steps})",
+                    result=results if len(results) > 1 else results[0],
+                )
     return results
 
 

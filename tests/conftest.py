@@ -6,7 +6,9 @@ own vectorized code paths: energies come from a plain Python loop and dense
 Hamiltonians from Kronecker products. A full-width copy of the CFM4
 integrator, which never uses inversion symmetry and runs the step-doubling
 estimate as a separate integration, lets the package's half-space and fused
-results be compared with it bit for bit. Per-config loop versions
+results be compared with it bit for bit, and ``reference_exp_step`` keeps
+the Taylor term loop as it was before its stopping pre-test, for the
+package loop to match byte for byte. Per-config loop versions
 of the energy table, the effective PT matrices and the gap analysis do the
 same for the package's array versions. ``kernel_apply`` is the one helper
 that runs package code: it drives the integrator's kernel on one state, for
@@ -374,6 +376,57 @@ def kernel_apply(model: qf.IsingModel, s: float, psi: np.ndarray) -> np.ndarray:
     kernel.state[0] = psi
     kernel.apply(s * qf.energy_table(model), 1.0 - s)
     return kernel.state[0]
+
+
+def reference_exp_step(
+    kernel: _Kernel,
+    psi: np.ndarray,
+    tables: np.ndarray,
+    s: np.ndarray,
+    h: np.ndarray,
+    emax: np.ndarray,
+) -> None:
+    """The Taylor term loop as it was before its cheap stopping pre-test.
+
+    Kept as the oracle of ``evolve._exp_step``: every term runs the exact
+    per-row stopping test, multiplies by the Python complex ``-1j / k``
+    and by the (rows, 1) drive column. The package loop must leave ``psi``
+    with the same bytes.
+    """
+    bound = (1.0 - s) * kernel.num_spins + s * emax
+    substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
+    h_sub = (h / substeps)[:, None]
+    diag = np.zeros(tables.shape, dtype=np.complex128)
+    np.multiply(s[:, None], tables, out=diag.real)
+    np.multiply(diag.real, h_sub, out=diag.real)
+    drive = ((1.0 - s)[:, None] * h_sub).astype(np.complex128)
+    for j in range(int(substeps.max())):
+        active = substeps > j
+        np.copyto(kernel.state, psi)
+        count = 0
+        k = 0
+        while live := np.count_nonzero(active):
+            if live != count:
+                count = live
+                summing = np.flatnonzero(active)
+                lo, hi = summing[0], summing[-1] + 1
+                span = kernel.rows(lo, hi)
+                term, sums, still = span.state, psi[lo:hi], active[lo:hi]
+                span_diag, span_drive = diag[lo:hi], drive[lo:hi]
+                # where=True is numpy's unmasked add: every row in the span sums
+                adding = True if live == hi - lo else still[:, None]
+                parts = term.view(np.float64)
+                magnitudes = span.flips.view(np.float64)
+                peaks = np.empty(hi - lo)
+                large = np.empty(hi - lo, dtype=bool)
+            k += 1
+            span.apply(span_diag, span_drive)
+            np.multiply(term, -1j / k, out=term)
+            np.add(sums, term, out=sums, where=adding)
+            np.abs(parts, out=magnitudes)
+            np.maximum.reduce(magnitudes, axis=1, out=peaks)
+            np.greater_equal(peaks, TAYLOR_TOL, out=large)
+            np.logical_and(still, large, out=still)
 
 
 class FullSpaceKernel:

@@ -1,6 +1,7 @@
 """Analysis module: folding, fairness ratio, gap ratios, sweeps, CSV output."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -514,6 +515,22 @@ def test_sweep_tau_structure(toy_source, toy_template):
         assert total <= 1.0 + 1e-9
         assert total + r.excited_weight == pytest.approx(1.0, abs=1e-9)
         assert r.ratio >= 0.0
+
+
+def test_sweep_tau_is_one_evolve_call(monkeypatch, toy_source, toy_template):
+    # every variant at every tau, each row with its own schedule
+    module = importlib.import_module("qa_fairsample.analysis")
+    calls = []
+    evolve_many = module.evolve_many
+
+    def recording(models, schedules, **kwargs):
+        calls.append([(m.num_spins, s.tau, s.steps) for m, s in zip(models, schedules)])
+        return evolve_many(models, schedules, **kwargs)
+
+    monkeypatch.setattr(module, "evolve_many", recording)
+    embeddings = [("embedded[jf=1]", toy_template.with_chain_strength(1.0))]
+    qf.sweep_tau(toy_source, embeddings, (1.0, 5.0), steps=8)
+    assert calls == [[(5, 1.0, 8), (6, 1.0, 8), (5, 5.0, 8), (6, 5.0, 8)]]
 
 
 @pytest.mark.parametrize("same_size", [False, True], ids=["alone", "batched"])

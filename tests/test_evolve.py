@@ -15,6 +15,7 @@ from conftest import (
     dense_annealing_hamiltonian,
     full_space_evolve_many,
     kernel_apply,
+    reference_exp_step,
 )
 
 
@@ -189,6 +190,49 @@ def test_apply_matches_gather_kernel_bitwise(monkeypatch, n):
                 kernel.state[:] = psi
                 kernel.apply(diag, drive)
                 assert kernel.state.tobytes() == expected.tobytes(), (half, rows, limit)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_taylor_loop_matches_the_reference_bitwise(monkeypatch, n):
+    # random rows on the full and the half space, through both forms of the
+    # flip sum, with 1-3 substeps and their own stopping terms per row; one
+    # start state is real, so every part of its first term's real half is
+    # zero and the stopping pre-test fires on a term no row stops at
+    module = importlib.import_module("qa_fairsample.evolve")
+    widths = []
+    apply = module._Kernel.apply
+
+    def recording_apply(kernel, diag, drive):
+        widths.append(kernel.state.shape[0])
+        return apply(kernel, diag, drive)
+
+    monkeypatch.setattr(module._Kernel, "apply", recording_apply)
+    rng = np.random.default_rng(900 + n)
+    for half in (False, True):
+        dim = 1 << (n - 1 if half else n)
+        for rows, real in ((1, False), (3, True), (8, False)):
+            scale = rng.uniform(0.5, 4.0, size=(rows, 1))
+            tables = rng.normal(size=(rows, dim)) * scale
+            emax = np.abs(tables).max(axis=1)
+            s = rng.uniform(0.0, 1.0, size=rows)
+            # 1, 2 and 3 substeps in turn, each row at its own length
+            bound = (1.0 - s) * n + s * emax
+            lengths = np.resize([0.7, 1.6, 2.6], rows) * rng.uniform(0.9, 1.1, size=rows)
+            h = lengths * module.THETA / bound
+            psi = rng.normal(size=(rows, dim)).astype(np.complex128)
+            if not real:
+                psi.imag = rng.normal(size=(rows, dim))
+            for limit in (0, 1 << 30):
+                monkeypatch.setattr(module, "_GATHER_MAX", limit)
+                results = []
+                for exp_step in (reference_exp_step, module._exp_step):
+                    widths.clear()
+                    out = psi.copy()
+                    exp_step(module._Kernel.allocate(rows, n, half), out, tables, s, h, emax)
+                    results.append(out.tobytes())
+                assert results[0] == results[1], (half, rows, real, limit)
+                # rows leave the span at their own substep and term
+                assert rows < 8 or min(widths) < rows
 
 
 def test_apply_rejects_dimension_mismatch(toy_source):
@@ -510,6 +554,97 @@ def test_mixed_sizes_batch_by_spin_count(toy_source, embedded_models):
         qf.evolve_many(models, schedule)
     assert str(excinfo.value).startswith(failures[2])
     assert [_result_bits(r) for r in excinfo.value.result] == want
+
+
+def _mixed_schedule_rows(toy_source, embedded_models):
+    """(model, schedule) rows mixing tau, step count, spin count and fields."""
+    fielded = qf.IsingModel(5, toy_source.couplings, (0.5, 0.0, 0.0, -0.25, 0.0))
+    six = embedded_models[1.0].model
+    three = qf.IsingModel(3, ((0, 1, 1.0), (1, 2, -1.0)), (0.25, 0.0, 0.0))
+    schedule = qf.AnnealSchedule
+    return [
+        (toy_source, schedule(20.0, 40)),
+        (six, schedule(3.0, 7)),
+        (fielded, schedule(20.0, 1)),
+        (toy_source, schedule(0.0, 5)),
+        (six, schedule(12.0, 2)),
+        (fielded, schedule(3.0, 7)),
+        (toy_source, schedule(3.0, 7)),
+        (three, schedule(5.0, 3)),
+        (six, schedule(0.0, 1)),
+        (toy_source, schedule(40.0, 4)),
+        (six, schedule(3.0, 7)),
+    ]
+
+
+def test_mixed_schedules_batch_bitwise_like_rows_alone(toy_source, embedded_models):
+    # even, odd and single steps and tau = 0 share batches of 5 spins (zero
+    # field and fielded, so the full space) and of 6 spins (the half space);
+    # each row is bitwise its own run, in input order
+    rows = _mixed_schedule_rows(toy_source, embedded_models)
+    models, schedules = zip(*rows)
+    batch = qf.evolve_many(models, schedules, enforce_drift=False)
+    alone = [qf.evolve_many((m,), sch, enforce_drift=False)[0] for m, sch in rows]
+    assert [_result_bits(r) for r in batch] == [_result_bits(r) for r in alone]
+    assert [(r.tau, r.steps) for r in batch] == [(s.tau, s.steps) for s in schedules]
+
+
+@st.composite
+def scheduled_models(draw):
+    """One to four random models of 1-4 spins, each with its own schedule."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 4))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        values = st.floats(-2.0, 2.0)
+        couplings = tuple((i, j, draw(values)) for i, j in sorted(chosen))
+        fields = tuple(draw(values) for _ in range(n)) if draw(st.booleans()) else ()
+        schedule = qf.AnnealSchedule(
+            draw(st.sampled_from((0.0, 0.5, 3.0, 12.0))), draw(st.integers(1, 7))
+        )
+        rows.append((qf.IsingModel(n, couplings, fields), schedule))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(scheduled_models())
+def test_rows_of_any_schedules_batch_bitwise_like_rows_alone(rows):
+    models, schedules = zip(*rows)
+    batch = qf.evolve_many(models, schedules, enforce_drift=False)
+    alone = [qf.evolve_many((m,), sch, enforce_drift=False)[0] for m, sch in rows]
+    assert [_result_bits(r) for r in batch] == [_result_bits(r) for r in alone]
+
+
+def test_cost_guard_sums_each_rows_own_steps(toy_source, embedded_models, monkeypatch):
+    # 2 x 2 x 16 x 3e7 + 2 x 1 x 32 x 2e6 = 2.048e9 is over the 2e9 budget:
+    # each row counts its own steps, and the tau = 0 row, which takes no
+    # step, costs none
+    schedule = qf.AnnealSchedule
+    models = (toy_source, embedded_models[1.0].model, toy_source, toy_source)
+    schedules = (
+        schedule(20.0, 30_000_000), schedule(20.0, 2_000_000),
+        schedule(0.0, 10**12), schedule(5.0, 30_000_000),
+    )
+    _forbid_integration(monkeypatch)
+    with pytest.raises(ModelTooLargeError) as excinfo:
+        qf.evolve_many(models, schedules, enforce_drift=False)
+    assert str(excinfo.value) == (
+        "integration needs 2.05e+09 amplitude-steps "
+        "(2 x 2 rows x 16 amplitudes x 30000000 steps + "
+        "2 x 1 rows x 32 amplitudes x 2000000 steps), "
+        "over the budget of 2e+09"
+    )
+
+
+def test_schedules_must_be_one_or_one_per_model(toy_source):
+    schedule = qf.AnnealSchedule(3.0, 4)
+    with pytest.raises(ValueError, match="2 schedules for 1 models"):
+        qf.evolve_many((toy_source,), (schedule, schedule))
+    with pytest.raises(ValueError, match="1 schedules for 2 models"):
+        qf.evolve_many((toy_source, toy_source), [schedule])
+    with pytest.raises(TypeError, match="AnnealSchedule"):
+        qf.evolve_many((toy_source,), (3.0,))
 
 
 def test_batch_on_views_matches_rows_alone_on_the_gather(monkeypatch):
