@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -175,6 +176,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if not Path(args.out).parent.is_dir():
+        raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
     source_path = resolve_model_path(args.source)
     embedded_path = resolve_embedding_path(args.embedded)
     report = validate_toy_model(source_path, embedded_path)

@@ -39,33 +39,30 @@ A unitary step keeps the norm whatever its error, so the accuracy guard is
 step doubling: every run also integrates at ceil(steps/2) steps, and the
 change in the final probabilities, divided by the fourth-order Richardson
 factor (15 for an even step count), estimates the error of the full run.
-The coarse run rides in the same batch as extra rows: its exponential j
-goes through the first exponential of fine step j, the second exponential
-of each fine step runs on the fine rows only, and an odd step count gives
-the coarse row one more exponential after its fine row has finished. So
-one loop does both runs, with about a third fewer kernel calls than two
-runs: at small N a Taylor term costs mostly the fixed overhead of its ten
-numpy calls, whatever the rows.
-This estimate is the package's one convergence measure: the coarse rows of
-a run at 2n steps are bitwise a separate run at n steps, so comparing n with
-2n steps is two ``evolve_many`` calls and needs no API of its own.
+The coarse run is one more row of the same batch, with its own step count,
+so one loop does both runs, with about a third fewer kernel calls than two
+loops: at small N a Taylor term costs mostly the fixed overhead of its
+numpy calls, whatever the rows. This estimate is the package's one
+convergence measure: the coarse row of a run at 2n steps is bitwise a
+separate run at n steps, so comparing n with 2n steps is two
+``evolve_many`` calls and needs no API of its own.
 
 ``evolve_many`` batches its models by spin count, whatever their schedules:
-the models of one size evolve together as rows of one array in one loop,
-and results come back in input order. Every operation is row-independent,
-and each row keeps its own schedule, exponential length, substep count and
-stopping point. Rows are laid out so that those still running form one
-contiguous span, which a row leaves when its run ends, and each Taylor term
-applies the kernel to the contiguous span of rows still summing; rows that
-have stopped inside it are computed and discarded, rows outside it are
-skipped, and neither changes what any other row computes. So results are
-bitwise identical whether models run alone or batched, under one schedule
-or several, and with or without the coarse rows beside them.
+the rows of one size evolve together in one array and one loop, and
+results come back in input order. Every operation is row-independent, and
+each row keeps its own schedule, exponential length, substep count and
+stopping point. Rows are laid out in descending step count, so those still
+running are always a leading span that a row leaves after its last step,
+and each Taylor term applies the kernel to the contiguous span of rows
+still summing; rows that have stopped inside it are computed and
+discarded, rows outside it are skipped, and neither changes what any other
+row computes. So results are bitwise identical whether models run alone or
+batched, under one schedule or several, and with or without the coarse
+rows beside them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -90,11 +87,12 @@ TAYLOR_TOL = 1e-15
 
 # Largest 2 * rows * kept amplitudes * steps one integration may take on:
 # the fine and coarse rows of a batch, each carrying 2^N amplitudes (2^(N-1)
-# on the half space) through every step, summed over the spin-count batches
-# of one call. fig3a, the largest preset, needs 5.12e6 (40 rows of 32
-# amplitudes, 2000 steps), and the 15-spin anneal of the perfbench
-# wide-state workload 1.6e6; the budget leaves 390x over the former. Larger
-# work is refused up front rather than started.
+# on the half space) through every step, times a bound on each row's Taylor
+# substeps, summed over the spin-count batches of one call. fig3a, the
+# largest preset, needs 5.12e6 (40 rows of 32 amplitudes, 2000 steps, one
+# substep), and the 15-spin anneal of the perfbench wide-state workload
+# 1.6e6; the budget leaves 390x over the former. Larger work is refused up
+# front rather than started.
 MAX_AMPLITUDE_STEPS = 2_000_000_000
 
 # CFM4: Gauss nodes of the unit step and the weights mixing H at them.
@@ -429,40 +427,40 @@ def _exp_step(
                 live = np.count_nonzero(active)
 
 
-def _schedule(tau: float, steps: int):
-    """Schedule values (s_a, s_b) of each CFM4 step, in step order.
-
-    s_a and s_b lie inside their step, at t/tau plus 1/6 and 5/6 of dt/tau,
-    so 0 <= s <= 1 throughout. They are generated one step at a time, so
-    no step count allocates memory in proportion to it.
-    """
-    dt = tau / steps
-    offsets = (_NODES[0] * dt, _NODES[1] * dt)
-    for k in range(steps):
-        start = k * dt
-        s1 = (start + offsets[0]) / tau
-        s2 = (start + offsets[1]) / tau
-        yield 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2), 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
-
-
-def _check_cost(batches: Sequence[tuple[int, Sequence[AnnealSchedule]]]) -> None:
+def _check_cost(
+    batches: Sequence[tuple[np.ndarray, bool, Sequence[AnnealSchedule]]],
+) -> None:
     """Refuse a call whose rows together exceed MAX_AMPLITUDE_STEPS.
 
-    ``batches`` holds (kept amplitudes, schedule of each row) of each batch.
-    A row at tau > 0 costs 2 x kept x its own steps, for its fine and coarse
-    runs. The check runs before any batch is integrated.
+    ``batches`` holds the kept tables, the half flag and each row's schedule
+    of each batch. A row at tau > 0 costs 2 x kept x its own steps, for its
+    fine and coarse runs, times m = ceil(max(N, max|E|) tau / (2 steps
+    THETA)), a bound on the Taylor substeps of each of its fine
+    exponentials. A row whose bound is not finite is refused as well. The
+    check runs before any batch is integrated.
     """
-    rows = Counter(  # per batch and step count, in order of first appearance
-        (b, kept, schedule.steps)
-        for b, (kept, schedules) in enumerate(batches)
-        for schedule in schedules
-        if schedule.tau > 0.0
-    )
-    estimate = sum(2 * n * kept * steps for (_, kept, steps), n in rows.items())
+    rows = Counter()  # per batch, step count and m, in order of first appearance
+    for b, (tables, half, schedules) in enumerate(batches):
+        kept = tables.shape[1]
+        num_spins = kept.bit_length() - 1 + half
+        norms = np.maximum(np.abs(tables).max(axis=1), num_spins).tolist()
+        for norm, schedule in zip(norms, schedules):
+            tau, steps = schedule.tau, schedule.steps
+            if tau > 0.0:
+                bound = norm * tau / (2 * steps * THETA)
+                if not math.isfinite(bound):
+                    raise ModelTooLargeError(
+                        f"a {num_spins}-spin row at tau = {tau:g} has a Taylor "
+                        f"substep bound max(N, max|E|) x tau / (2 x steps x THETA) "
+                        f"of {bound:g}: its energies are too large to integrate"
+                    )
+                rows[b, kept, steps, max(math.ceil(bound), 1)] += 1
+    estimate = sum(2.0 * n * kept * steps * m for (_, kept, steps, m), n in rows.items())
     if estimate > MAX_AMPLITUDE_STEPS:
         terms = " + ".join(
             f"2 x {n} rows x {kept} amplitudes x {steps} steps"
-            for (_, kept, steps), n in rows.items()
+            + (f" x {m:.6g} substeps" if m > 1 else "")
+            for (_, kept, steps, m), n in rows.items()
         )
         raise ModelTooLargeError(
             f"integration needs {estimate:.3g} amplitude-steps ({terms}), "
@@ -482,72 +480,51 @@ def _kept_tables(tables: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _cfm4_weights(
     tables: np.ndarray, half: bool, schedules: Sequence[AnnealSchedule]
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """|psi|^2 rows at each row's steps and at ceil(steps/2) CFM4 steps.
+) -> tuple[np.ndarray, np.ndarray]:
+    """|psi|^2 of each row after its own schedule's CFM4 steps.
 
-    ``tables`` and ``half`` come from ``_kept_tables``; ``schedules`` holds
-    each table's own, and each row reads its values from its own generator.
-    Both runs of every table are rows of one batch, taken through all their
-    steps by one loop. Step j of the loop has two exponential slots: fine
-    step j of a row takes both, and coarse exponential j, of length dt_c/2
-    at dt_c = tau/ceil(steps/2), the first. An odd step count gives the
-    coarse row one exponential more, in the first slot of step ``steps``; a
-    row at tau = 0 takes none.
-
-    The coarse rows come first, in ascending step count, then the fine rows
-    in descending step count. A finished coarse row so leaves the start of
-    the rows still running and a finished fine row their end, and each slot
-    runs on one contiguous span. On the half space each row is rebuilt from
-    the kept half and its mirror image. Returns the weights of the batch
-    and, for each table, the indices of its fine and its coarse row in them.
+    ``tables`` and ``half`` come from ``_kept_tables``. ``schedules`` holds
+    one schedule per row, and row r integrates table r mod len(tables), so
+    a table runs once under each of its schedules without being copied
+    first. All rows are taken through their steps by one loop. They are
+    laid out in descending step count, rows at tau = 0, which take no step,
+    last, so the rows still running are always a leading span [0, live)
+    that a row leaves after its last step. Loop step j applies both
+    exponentials of step j, each of length dt/2, to that span, at schedule
+    values s_a and s_b that lie inside the step, at t/tau plus 1/6 and 5/6
+    of dt/tau, so 0 <= s <= 1 throughout. On the half space each row is
+    rebuilt from the kept half and its mirror image. Returns the weights in
+    that layout and the index of each row in them.
     """
+    tau = np.array([schedule.tau for schedule in schedules], dtype=float)
+    steps = np.array([schedule.steps for schedule in schedules])
+    running = np.where(tau > 0.0, steps, 0)
+    order = np.argsort(-running, kind="stable")
+    tables = tables[order % len(tables)]
+    tau, running = tau[order], running[order]
     rows, kept = tables.shape
     num_spins = kept.bit_length() - 1 + half
-    # tables by step count, those with nothing to integrate (tau = 0) first
-    order = sorted(
-        range(rows),
-        key=lambda r: (schedules[r].steps * (schedules[r].tau > 0), schedules[r].tau),
-    )
-    both = tables[order + order[::-1]]
-    psi = np.tile(initial_state(num_spins)[:kept], (2 * rows, 1))
-    h = np.empty(2 * rows)
-    # per row at tau > 0: its first-slot exponentials and their s values,
-    # and its fine steps and their (s_a, s_b) values
-    runs = []
-    for a, r in enumerate(order):
-        tau, n = schedules[r].tau, schedules[r].steps
-        c = (n + 1) // 2
-        h[a], h[-1 - a] = 0.5 * (tau / c), 0.5 * (tau / n)
-        if tau > 0.0:
-            coarse = itertools.chain.from_iterable(_schedule(tau, c))
-            runs.append((2 * c, coarse, n, _schedule(tau, n)))
-    if runs:
-        kernel = _Kernel.allocate(2 * rows, num_spins, half)
-        emax = np.abs(both).max(axis=1)
-        s = np.empty(2 * rows)
-        for j in itertools.count():
-            first = [next(values) for count, values, _, _ in runs if count > j]
-            if not first:
-                break
-            pairs = [next(values) for _, _, n, values in runs if n > j][::-1]
-            s_a, s_b = zip(*pairs) if pairs else ((), ())
-            # the first slot's span starts at the coarse rows, the second's
-            # at the fine rows; both end at the last fine row still running
-            for lo, values in ((rows - len(first), first + list(s_a)), (rows, s_b)):
-                hi = lo + len(values)
-                if hi > lo:
-                    s[lo:hi] = values
-                    at = slice(lo, hi)
-                    span = kernel.rows(lo, hi)
-                    _exp_step(span, psi[at], both[at], s[at], h[at], emax[at])
+    psi = np.tile(initial_state(num_spins)[:kept], (rows, 1))
+    kernel = _Kernel.allocate(np.count_nonzero(running), num_spins, half)
+    emax = np.abs(tables).max(axis=1)
+    dt = tau / steps[order]
+    h = 0.5 * dt
+    offsets = (_NODES[0] * dt, _NODES[1] * dt)
+    for j in range(running[0]):
+        live = np.count_nonzero(running > j)
+        at = slice(0, live)
+        start = j * dt[at]
+        s1 = (start + offsets[0][at]) / tau[at]
+        s2 = (start + offsets[1][at]) / tau[at]
+        s_a = 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2)
+        s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
+        span = kernel.rows(0, live)
+        for s in (s_a, s_b):
+            _exp_step(span, psi[at], tables[at], s, h[at], emax[at])
     weights = np.abs(psi) ** 2
     if half:
         weights = np.concatenate([weights, weights[:, ::-1]], axis=1)
-    # each table's fine row, then its coarse row
-    rows_of = [None] * rows
-    for pos, r in enumerate(order):
-        rows_of[r] = (2 * rows - 1 - pos, pos)
-    return weights, rows_of
+    return weights, np.argsort(order)
 
 
 def evolve_many(
@@ -562,14 +539,14 @@ def evolve_many(
     the models' order; a count that does not match raises ValueError.
     Models of one spin count form one batch, in order of first appearance,
     whatever their schedules; results come back in input order. The cost
-    guard sums every row's own steps over all batches and runs before the
-    first one is integrated. Each row also runs at ceil(steps/2) steps, as
-    extra rows of the same batch, for its error estimate. Probabilities are
-    renormalized by each row's squared norm. With ``enforce_drift`` the
-    call raises IntegrationAccuracyError if any row's norm drift or error
-    estimate is over the budget, or not finite; sweeps disable it and
-    handle failures row by row. All results are attached to the raised
-    error.
+    guard sums every row's own steps and substeps over all batches and runs
+    before the first one is integrated. Each model also runs at ceil(steps/2) steps,
+    as one more row of the same batch, for its error estimate.
+    Probabilities are renormalized by each row's squared norm. With
+    ``enforce_drift`` the call raises IntegrationAccuracyError if any row's
+    norm drift or error estimate is over the budget, or not finite; sweeps
+    disable it and handle failures row by row. All results are attached to
+    the raised error.
     """
     if isinstance(schedule, AnnealSchedule):
         schedule = [schedule] * len(models)
@@ -583,19 +560,21 @@ def evolve_many(
     batches = [
         (
             members,
-            [schedule[i] for i in members],
             *_kept_tables(np.stack([energy_table(models[i]) for i in members])),
+            [schedule[i] for i in members],
         )
         for members in indices.values()
     ]
-    _check_cost([(tables.shape[1], own) for _, own, tables, _ in batches])
+    _check_cost([batch[1:] for batch in batches])
     results = [None] * len(models)
-    for members, own, tables, half in batches:
-        weights, rows_of = _cfm4_weights(tables, half, own)
+    for members, tables, half, own in batches:
+        halved = [AnnealSchedule(s.tau, (s.steps + 1) // 2) for s in own]
+        weights, at = _cfm4_weights(tables, half, own + halved)
         norm_sq = weights.sum(axis=1)
         weights /= norm_sq[:, None]
-        for i, (fine, coarse) in zip(members, rows_of):
+        for row, i in enumerate(members):
             tau, steps = schedule[i].tau, schedule[i].steps
+            fine, coarse = at[row], at[row + len(members)]
             p, n2 = weights[fine], norm_sq[fine]
             coarse_steps = (steps + 1) // 2
             if coarse_steps < steps:

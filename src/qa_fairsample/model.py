@@ -193,11 +193,11 @@ class GroundManifold:
     """All minimum-energy configurations of a model, in ascending bits order.
 
     The PT and gap analysis look configs up by binary search on their bits
-    values, so the order is checked here: bits strictly ascending and one
-    spin count for all configs. Construction also derives ``bits``, the
-    configs' bits values as a read-only int64 array in the same order, which
-    PT, folding and embedding verification read; it takes no part in
-    equality or hashing.
+    values, so the order is checked here: at least one config, bits
+    strictly ascending and one spin count for all configs. Construction
+    also derives ``bits``, the configs' bits values as a read-only int64
+    array in the same order, which PT, folding and embedding verification
+    read; it takes no part in equality or hashing.
     """
 
     energy: float
@@ -206,6 +206,8 @@ class GroundManifold:
 
     def __post_init__(self):
         configs = self.configs
+        if not configs:
+            raise ValueError("a ground manifold needs at least one config")
         if len({c.num_spins for c in configs}) > 1:
             raise ValueError("ground configs must all have the same spin count")
         bits = [c.bits for c in configs]

@@ -243,7 +243,13 @@ def test_anneal_rejects_bad_tau(capsys, tau):
 
 
 @pytest.mark.parametrize(
-    "argv", [("--tau", "1e9"), ("--tau", "20", "--steps", "10000000000")]
+    "argv",
+    [
+        ("--tau", "1e9"),
+        ("--tau", "20", "--steps", "10000000000"),
+        # 50 steps, but about 2.5e297 Taylor substeps in each exponential
+        ("--embedding", "matsuda5_embedded", "--jf", "1e300", "--tau", "1"),
+    ],
 )
 def test_anneal_over_the_cost_budget_exits_2(capsys, argv):
     start = time.perf_counter()
@@ -260,6 +266,25 @@ def test_anneal_tau_beyond_any_step_count_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "default policy" in err and "over the budget of 2e+09" in err
+
+
+def test_anneal_with_overflowing_energies_exits_2(tmp_path):
+    # finite couplings whose sums overflow: the energy table holds +-inf, and
+    # the Taylor substep count once ended in an OverflowError traceback
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "num_spins": 4,
+        "couplings": [[0, 1, 1], [0, 2, 1], [1, 2, -1], [0, 3, 1e308], [1, 3, 1e308]],
+    }))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qa_fairsample", "anneal", str(path), "--tau", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "substep bound" in done.stderr and "too large to integrate" in done.stderr
 
 
 def test_anneal_bad_model_exits_2(capsys, tmp_path):
@@ -607,6 +632,22 @@ def test_reproduce_fig3a_single_point(capsys, tmp_path, monkeypatch):
     assert se_cells[-1] != ""  # SE rows report their norm drift
     assert float(se_cells[-1]) <= 1e-6
     assert_matches_golden(out_path, "fig3a_jf_1.csv")
+
+
+def test_reproduce_into_a_missing_directory_exits_2_before_any_work(
+    capsys, tmp_path, monkeypatch
+):
+    def work(*args, **kwargs):
+        raise AssertionError("the preset ran before --out was checked")
+
+    monkeypatch.setattr(cli, "validate_toy_model", work)
+    out_path = tmp_path / "missing" / "fig3b.csv"
+    code, out, err = run(capsys, "reproduce", "fig3b", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: cannot write --out {out_path}: its directory does not exist\n"
+    )
 
 
 def test_reproduce_aborts_on_validation_failure(capsys, tmp_path):

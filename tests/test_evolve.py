@@ -637,6 +637,43 @@ def test_cost_guard_sums_each_rows_own_steps(toy_source, embedded_models, monkey
     )
 
 
+def test_cost_guard_counts_taylor_substeps(toy_source, toy_template, monkeypatch):
+    # at J_F = 1e6, max|E| = 1000004: at tau = 1000 and 2000 steps each fine
+    # exponential takes up to ceil(1000004 x 1000 / (2 x 2000 x 4)) = 62501
+    # substeps, and counting steps alone let the run start and last hours
+    strong = qf.apply_embedding(
+        toy_source, toy_template.with_chain_strength(1e6)
+    ).model
+    _forbid_integration(monkeypatch)
+    with pytest.raises(ModelTooLargeError) as excinfo:
+        qf.evolve(strong, qf.AnnealSchedule.for_tau(1000.0))
+    assert str(excinfo.value) == (
+        "integration needs 8e+09 amplitude-steps "
+        "(2 x 1 rows x 32 amplitudes x 2000 steps x 62501 substeps), "
+        "over the budget of 2e+09"
+    )
+    # at tau = 1 (50 steps) the estimate is 8e6: within the budget, so that
+    # run is allowed; the estimate shows under a lower budget
+    monkeypatch.setattr(
+        importlib.import_module("qa_fairsample.evolve"), "MAX_AMPLITUDE_STEPS", 10**6
+    )
+    with pytest.raises(ModelTooLargeError, match="x 50 steps x 2501 substeps"):
+        qf.evolve(strong, qf.AnnealSchedule.for_tau(1.0))
+
+
+def test_overflowing_energies_are_refused_before_integrating(monkeypatch):
+    # finite couplings whose sums overflow to +-inf in the energy table
+    couplings = ((0, 1, 1.0), (0, 2, 1.0), (1, 2, -1.0), (0, 3, 1e308), (1, 3, 1e308))
+    model = qf.IsingModel(4, couplings)
+    with np.errstate(over="ignore"):
+        assert np.isinf(qf.energy_table(model)).any()
+        # no step, no exponential: tau = 0 still returns the start state
+        assert qf.evolve(model, qf.AnnealSchedule(0.0, 1)).error_estimate == 0.0
+        _forbid_integration(monkeypatch)
+        with pytest.raises(ModelTooLargeError, match="substep bound .* of inf"):
+            qf.evolve(model, qf.AnnealSchedule(1.0, 50))
+
+
 def test_schedules_must_be_one_or_one_per_model(toy_source):
     schedule = qf.AnnealSchedule(3.0, 4)
     with pytest.raises(ValueError, match="2 schedules for 1 models"):
@@ -750,8 +787,8 @@ def test_fused_coarse_rows_match_separate_runs_bitwise(models, tau, steps):
 def test_active_span_shrinking_from_both_ends_keeps_rows_bitwise(
     monkeypatch, toy_source, steps
 ):
-    # weak, strong, weak: in the shared slot rows 0..2 run fine and 3..5
-    # coarse, and the weak rows stop first, so the span of rows still
+    # weak, strong, weak: rows 0..2 run fine and 3..5 coarse in one span
+    # of live rows, and the weak rows stop first, so the span of rows still
     # summing loses rows at both of its ends
     models = [
         qf.IsingModel(5, tuple((i, j, f * J) for i, j, J in toy_source.couplings))
@@ -770,6 +807,27 @@ def test_active_span_shrinking_from_both_ends_keeps_rows_bitwise(
     results = qf.evolve_many(models, schedule, enforce_drift=False)
     assert any(width == 6 and 0 < lo and hi < 6 for width, lo, hi in spans)
     _assert_bitwise_equal(results, full_space_evolve_many(models, schedule))
+
+
+@pytest.mark.parametrize("steps", [50, 51])
+def test_batch_makes_two_exponentials_per_step_of_its_longest_row(
+    monkeypatch, toy_source, steps
+):
+    # the coarse row of an odd step count takes its ceil(steps/2) steps
+    # inside the loop steps of its fine row, with no exponential of its own
+    module = importlib.import_module("qa_fairsample.evolve")
+    calls = []
+    exp_step = module._exp_step
+
+    def counting_exp_step(*args):
+        calls.append(args)
+        return exp_step(*args)
+
+    monkeypatch.setattr(module, "_exp_step", counting_exp_step)
+    schedules = [qf.AnnealSchedule(3.0, steps), qf.AnnealSchedule(3.0, 7),
+                 qf.AnnealSchedule(0.0, 9)]
+    qf.evolve_many([toy_source] * 3, schedules, enforce_drift=False)
+    assert len(calls) == 2 * steps
 
 
 def _mixed_batch(toy_source):

@@ -142,12 +142,14 @@ def test_ground_manifold_bits_array(toy_manifold):
         ((3, 0), (2, 2), "ascending"),
         ((0, 0), (2, 2), "ascending"),
         ((0, 3), (2, 3), "same spin count"),
+        ((), (), "at least one config"),
     ],
-    ids=["reversed", "repeated", "mixed-size"],
+    ids=["reversed", "repeated", "mixed-size", "empty"],
 )
 def test_ground_manifold_rejects_malformed_input(bits, sizes, message):
     # PT and the gap analysis find configs by binary search on their bits: on
-    # a reversed manifold gap_ratio once reported no second-order connections
+    # a reversed manifold gap_ratio once reported no second-order connections,
+    # and an empty one made the fold and the class partition raise IndexError
     configs = tuple(cfg(b, n) for b, n in zip(bits, sizes))
     with pytest.raises(ValueError, match=message):
         qf.GroundManifold(energy=-1.0, configs=configs)
