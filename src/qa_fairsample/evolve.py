@@ -21,8 +21,9 @@ enough that a norm bound of the substep's exponent stays below THETA, and
 each substep sums terms until that row's own largest term falls below
 TAYLOR_TOL. The Hamiltonian is applied matrix-free: the diagonal term scales
 each amplitude by its configuration energy, and the driver term adds the
-amplitudes of all single-spin-flip neighbors, gathered in one call for a
-small batch and through reshaped views of the state for a large one.
+amplitudes of all single-spin-flip neighbors: gathered in one call for a
+small batch; for a large one, the low spins' flips taken through an index
+each and the rest added through reshaped views of the state.
 
 Without fields every energy table is inversion symmetric, E(c) == E(~c).
 H(s) then commutes with the global spin flip and the uniform start state is
@@ -107,6 +108,16 @@ _ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _GATHER_MAX = 1 << 15
 _NEG_ZERO = complex(-0.0, -0.0)
 
+# Shortest run, in amplitudes, that a view kernel adds through a reversed
+# view; flips that move shorter runs are taken through an index into a
+# scratch and added contiguously (see _Kernel). Spin i's view adds its 2^i
+# amplitude runs as one numpy inner loop each. On a 2-CPU x86-64 host, at
+# N = 11-16 and 1-8 rows, a take and an add beat the view's add for runs of
+# 1-4 amplitudes and lose from 8 on, and the perfbench wide-state anneal is
+# fastest at this value (BENCH_19.json). It must exceed 1, so that the
+# first flip is taken.
+_VIEW_MIN_RUN = 1 << 3
+
 # TAYLOR_TOL and the factor -1j/k of Taylor term k (at index k) as numpy
 # scalars, so no term converts a Python number. A substep's exponent has
 # norm at most THETA, so term k of a state of norm r is at most
@@ -157,7 +168,8 @@ class AnnealSchedule:
     """Total annealing time and uniform step count; weights are fixed linear.
 
     tau = 0 is allowed as a degenerate edge: no time passes and the final
-    state equals the initial uniform superposition exactly.
+    state equals the initial uniform superposition exactly, at any step
+    count, as no step is taken.
     """
 
     tau: float
@@ -239,15 +251,23 @@ class _Kernel:
       an all -0.0 sum positive.
     - Above it, where the buffer costs more memory traffic than it saves in
       calls, spin i's flip reverses the middle axis of the view
-      y.reshape(rows, 2**(N-1-i), 2, 2**i), and the views of both buffers,
-      built once, are added one after another.
+      y.reshape(rows, 2**(N-1-i), 2, 2**i), whose runs of 2**i amplitudes
+      numpy adds as one inner loop each. Flips with runs shorter than
+      _VIEW_MIN_RUN, spins 0-2, are taken instead: the first with
+      ``state.take(index, axis=1, out=flips)``, each later one into a
+      scratch of the state's size and then added contiguously. The views
+      of both buffers for the other flips, built once, are added after
+      them, one after another. Each amplitude sees the same adds in the
+      same order either way.
 
     With ``half`` the buffers hold only the inversion-symmetric sector: the
     2^(N-1) amplitudes with bit N-1 clear of a state with psi(c) == psi(~c).
     Spins 0..N-2 flip within that half as above, and spin N-1's flip is the
     reversed half, since psi(c ^ 2^(N-1)) = psi(~c ^ 2^(N-1)) =
     half[2^(N-1) - 1 - c]. It is added last, so each kept amplitude sees
-    the same operations in the same order as in the full space.
+    the same operations in the same order as in the full space. Its run is
+    the whole half, so a view kernel takes it only when the half is shorter
+    than _VIEW_MIN_RUN.
 
     ``rows(lo, hi)`` is a kernel over rows lo..hi-1 of the same buffers. It
     does the same elementwise work on those rows only, so each row's result
@@ -256,8 +276,10 @@ class _Kernel:
     gather span uses the leading part of one gather buffer and one index
     buffer, allocated with the kernel, and copies its index into it out of
     the widest one when it applies at another width than the last gather
-    did. So a batch of many schedules, whose spans take many widths, holds
-    no gather buffer per span.
+    did; every view span takes through the one index per taken flip and
+    into the leading rows of the one scratch allocated with the kernel.
+    So a batch of many schedules, whose spans take many widths, holds no
+    buffer per span.
 
     ``apply`` writes all of ``flips`` before it reads any of it, so between
     applies the buffer is free scratch of the state's size.
@@ -277,37 +299,48 @@ class _Kernel:
         self.flips = flips
         rows, dim = state.shape
         inner = num_spins - 1 if half else num_spins
+        gather = num_spins * rows * dim <= _GATHER_MAX
+        # the flips a view kernel takes: those whose runs, 2^i amplitudes for
+        # spin i and the whole half for its reversal, are short; a prefix,
+        # as the runs grow in spin order
+        runs = [1 << i for i in range(inner)] + [dim] * half
+        taken = 0 if gather else sum(run < _VIEW_MIN_RUN for run in runs)
         if shared is None:
-            # buffers for the gather spans, which hold no kernel: a kernel
-            # and its spans are freed as soon as the last of them is unused
+            # buffers for the spans, which hold no kernel: a kernel and its
+            # spans are freed as soon as the last of them is unused
             gather_rows = min(rows, _GATHER_MAX // (num_spins * dim))
+            amplitudes = np.arange(dim)
+            flipped = [
+                amplitudes ^ (1 << i) if i < inner else amplitudes[::-1]
+                for i in range(num_spins if gather_rows else taken)
+            ]
             shared = SimpleNamespace(
                 index=np.empty(num_spins * gather_rows * dim, dtype=np.intp),
                 gathered=np.empty(num_spins * gather_rows * dim, dtype=np.complex128),
                 rows=0,
+                taken=flipped[:taken],
+                scratch=np.empty((0 if gather else rows, dim), dtype=np.complex128),
             )
             if gather_rows:
-                amplitudes = np.arange(dim)
-                flipped = [amplitudes ^ (1 << i) for i in range(inner)]
-                if half:
-                    flipped.append(amplitudes[::-1])
                 starts = np.arange(0, gather_rows * dim, dim)[:, None]
                 shared.widest = np.stack(flipped)[:, None, :] + starts
         self._shared = shared
         self._spans = {}
         self._views = None
-        if num_spins * rows * dim <= _GATHER_MAX:
+        if gather:
             size = num_spins * rows * dim
             self._index = shared.index[:size].reshape(num_spins, rows, dim)
             self._gathered = shared.gathered[:size].reshape(num_spins, rows, dim)
         else:
+            self._taken = shared.taken
+            self._scratch = shared.scratch[:rows]
             self._views = []
-            for i in range(inner):
+            for i in range(taken, inner):
                 shape = (rows, dim >> (i + 1), 2, 1 << i)
                 self._views.append(
                     (flips.reshape(shape), state.reshape(shape)[:, :, ::-1, :])
                 )
-            if half:
+            if half and taken <= inner:
                 self._views.append((flips, state[:, ::-1]))
         # scratch of the Taylor loop's stopping test when this is its span
         self.peaks = np.empty(rows)
@@ -341,9 +374,12 @@ class _Kernel:
             self.state.take(self._index, out=self._gathered, mode="clip")
             np.add.reduce(self._gathered, axis=0, out=self.flips, initial=_NEG_ZERO)
         else:
-            (out, flipped), *rest = self._views
-            np.copyto(out, flipped)
-            for out, flipped in rest:
+            first, *rest = self._taken
+            self.state.take(first, axis=1, out=self.flips, mode="clip")
+            for index in rest:
+                self.state.take(index, axis=1, out=self._scratch, mode="clip")
+                np.add(self.flips, self._scratch, out=self.flips)
+            for out, flipped in self._views:
                 np.add(out, flipped, out=out)
         np.multiply(self.state, diag, out=self.state)
         np.multiply(self.flips, drive, out=self.flips)
@@ -436,8 +472,10 @@ def _check_cost(
     of each batch. A row at tau > 0 costs 2 x kept x its own steps, for its
     fine and coarse runs, times m = ceil(max(N, max|E|) tau / (2 steps
     THETA)), a bound on the Taylor substeps of each of its fine
-    exponentials. A row whose bound is not finite is refused as well. The
-    check runs before any batch is integrated.
+    exponentials. A row whose bound is not finite is refused as well, and
+    so is one whose own 2 x steps is over the budget, before its step count
+    is converted to a float. Rows at tau = 0 cost nothing, whatever their
+    step count. The check runs before any batch is integrated.
     """
     rows = Counter()  # per batch, step count and m, in order of first appearance
     for b, (tables, half, schedules) in enumerate(batches):
@@ -447,6 +485,14 @@ def _check_cost(
         for norm, schedule in zip(norms, schedules):
             tau, steps = schedule.tau, schedule.steps
             if tau > 0.0:
+                # the row costs at least 2 x steps; compared as integers, as
+                # the count may be too large to convert to a float
+                if 2 * steps > MAX_AMPLITUDE_STEPS:
+                    raise ModelTooLargeError(
+                        f"a row at tau = {tau:g} takes more than "
+                        f"{MAX_AMPLITUDE_STEPS // 2} steps, each at least 2 "
+                        f"amplitude-steps: over the budget of {MAX_AMPLITUDE_STEPS:.3g}"
+                    )
                 bound = norm * tau / (2 * steps * THETA)
                 if not math.isfinite(bound):
                     raise ModelTooLargeError(
@@ -472,10 +518,10 @@ def _kept_tables(tables: np.ndarray) -> tuple[np.ndarray, bool]:
     """The energy tables a batch integrates, and whether they are the half space.
 
     When every table equals its reverse (no fields), only the half with bit
-    N-1 clear is kept.
+    N-1 clear is kept, as a copy, so the full tables can be freed.
     """
     half = np.array_equal(tables, tables[:, ::-1])
-    return (tables[:, : tables.shape[1] // 2] if half else tables), half
+    return (tables[:, : tables.shape[1] // 2].copy() if half else tables), half
 
 
 def _cfm4_weights(
@@ -497,8 +543,9 @@ def _cfm4_weights(
     that layout and the index of each row in them.
     """
     tau = np.array([schedule.tau for schedule in schedules], dtype=float)
-    steps = np.array([schedule.steps for schedule in schedules])
-    running = np.where(tau > 0.0, steps, 0)
+    # a row at tau = 0 takes no step, whatever its step count, which the cost
+    # guard has not bounded
+    running = np.array([sched.steps if sched.tau > 0.0 else 0 for sched in schedules])
     order = np.argsort(-running, kind="stable")
     tables = tables[order % len(tables)]
     tau, running = tau[order], running[order]
@@ -507,7 +554,7 @@ def _cfm4_weights(
     psi = np.tile(initial_state(num_spins)[:kept], (rows, 1))
     kernel = _Kernel.allocate(np.count_nonzero(running), num_spins, half)
     emax = np.abs(tables).max(axis=1)
-    dt = tau / steps[order]
+    dt = tau / np.maximum(running, 1)
     h = 0.5 * dt
     offsets = (_NODES[0] * dt, _NODES[1] * dt)
     for j in range(running[0]):
@@ -521,9 +568,13 @@ def _cfm4_weights(
         span = kernel.rows(0, live)
         for s in (s_a, s_b):
             _exp_step(span, psi[at], tables[at], s, h[at], emax[at])
-    weights = np.abs(psi) ** 2
+    # written into one array of the rebuilt width, so no temporary of the
+    # state's size sits beside the kernel
+    weights = np.empty((rows, kept << half))
+    kept_weights = weights[:, :kept]
+    np.square(np.abs(psi, out=kept_weights), out=kept_weights)
     if half:
-        weights = np.concatenate([weights, weights[:, ::-1]], axis=1)
+        weights[:, kept:] = kept_weights[:, ::-1]
     return weights, np.argsort(order)
 
 

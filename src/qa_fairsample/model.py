@@ -167,6 +167,14 @@ class IsingModel:
                 f"got {len(fields)} fields for {self.num_spins} spins"
             )
         object.__setattr__(self, "fields", fields)
+        # bounds every partial sum of the energy table; a plain sum, as fsum
+        # raises where it overflows
+        scale = sum(abs(J) for _, _, J in couplings) + sum(map(abs, fields))
+        if not math.isfinite(scale):
+            raise ValueError(
+                "sum of |J| and |h| must be finite, so that every energy is: "
+                "it overflows to inf"
+            )
 
     @property
     def has_fields(self) -> bool:

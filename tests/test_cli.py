@@ -268,14 +268,18 @@ def test_anneal_tau_beyond_any_step_count_exits_2(capsys):
     assert "default policy" in err and "over the budget of 2e+09" in err
 
 
+OVERFLOWING_MODEL = {
+    "num_spins": 4,
+    "couplings": [[0, 1, 1], [0, 2, 1], [1, 2, -1], [0, 3, 1e308], [1, 3, 1e308]],
+}
+
+
 def test_anneal_with_overflowing_energies_exits_2(tmp_path):
-    # finite couplings whose sums overflow: the energy table holds +-inf, and
-    # the Taylor substep count once ended in an OverflowError traceback
+    # finite couplings whose sums overflow: the energy table would hold
+    # +-inf, and the Taylor substep count once ended in an OverflowError
+    # traceback; the model is refused as it loads
     path = tmp_path / "overflow.json"
-    path.write_text(json.dumps({
-        "num_spins": 4,
-        "couplings": [[0, 1, 1], [0, 2, 1], [1, 2, -1], [0, 3, 1e308], [1, 3, 1e308]],
-    }))
+    path.write_text(json.dumps(OVERFLOWING_MODEL))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-m", "qa_fairsample", "anneal", str(path), "--tau", "1"],
@@ -284,7 +288,37 @@ def test_anneal_with_overflowing_energies_exits_2(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
-    assert "substep bound" in done.stderr and "too large to integrate" in done.stderr
+    assert "sum of |J| and |h| must be finite" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "command", [["solve"], ["pt"], ["anneal", "--tau", "1"]], ids=["solve", "pt", "anneal"]
+)
+def test_models_whose_energies_overflow_exit_2(capsys, tmp_path, command):
+    # solve once printed E_0 = -inf after a numpy RuntimeWarning, and pt
+    # answered "resolved": true, both with exit 0
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOWING_MODEL))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "sum of |J| and |h| must be finite" in err
+
+
+def test_anneal_step_count_too_large_for_a_float(capsys):
+    # a 401-digit count once ended in an OverflowError traceback; at tau > 0
+    # it is over the budget, at tau = 0 no step is taken
+    steps = str(10**400 + 1)
+    code, out, err = run(capsys, "anneal", "matsuda5", "--tau", "20", "--steps", steps)
+    assert code == 2
+    assert out == ""
+    assert "more than 1000000000 steps" in err and "over the budget of 2e+09" in err
+    code, out, _ = run(capsys, "anneal", "matsuda5", "--tau", "0", "--steps", steps)
+    assert code == 0
+    answer = json.loads(out)
+    assert answer["steps"] == 10**400 + 1
+    assert answer["error_estimate"] == 0.0
+    assert set(answer["probabilities"].values()) == {1 / 32}
 
 
 def test_anneal_bad_model_exits_2(capsys, tmp_path):

@@ -49,10 +49,10 @@ def test_initial_state_guard():
 
 
 def test_integration_over_the_cost_budget_is_refused(toy_source):
-    # 2 x 1 row x 16 kept amplitudes x 10^10 steps, refused before any
-    # allocation in proportion to the step count
+    # 10^10 steps, each at least 2 amplitude-steps, so over the budget on
+    # their own: refused before any allocation in proportion to the count
     schedule = qf.AnnealSchedule(tau=20.0, steps=10**10)
-    with pytest.raises(ModelTooLargeError, match="3.2e\\+11 amplitude-steps"):
+    with pytest.raises(ModelTooLargeError, match="more than 1000000000 steps"):
         qf.evolve(toy_source, schedule)
     # the default policy refuses a step count no integration could afford,
     # before 2 * tau overflows it
@@ -190,6 +190,67 @@ def test_apply_matches_gather_kernel_bitwise(monkeypatch, n):
                 kernel.state[:] = psi
                 kernel.apply(diag, drive)
                 assert kernel.state.tobytes() == expected.tobytes(), (half, rows, limit)
+
+
+def _signed_zero_rows(rng, rows, dim):
+    psi = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    psi.real[rng.random(psi.shape) < 0.3] = -0.0
+    psi.imag[rng.random(psi.shape) < 0.3] = -0.0
+    return psi
+
+
+@pytest.mark.parametrize("n", range(11, 16))
+def test_wide_view_kernel_matches_the_reference_bitwise(monkeypatch, n):
+    # the view form takes its short flips (runs of 1, 2 and 4 amplitudes)
+    # through an index and adds the long ones as views, on the full and the
+    # half space at 1-3 rows, with signed zeros; a gather limit of 0 keeps
+    # the narrow shapes on the views too
+    module = importlib.import_module("qa_fairsample.evolve")
+    monkeypatch.setattr(module, "_GATHER_MAX", 0)
+    rng = np.random.default_rng(400 + n)
+    for half in (False, True):
+        dim = 1 << (n - 1 if half else n)
+        for rows in (1, 2, 3):
+            psi = _signed_zero_rows(rng, rows, dim)
+            diag = rng.normal(size=(rows, dim))
+            drive = rng.normal(size=(rows, 1))
+            expected = psi * diag - _sequential_flip_sum(psi, n, half) * drive
+            kernel = module._Kernel.allocate(rows, n, half)
+            assert len(kernel._taken) == 3
+            assert len(kernel._views) == n - 3
+            kernel.state[:] = psi
+            kernel.apply(diag, drive)
+            assert kernel.state.tobytes() == expected.tobytes(), (half, rows)
+
+
+def test_spans_share_one_scratch_and_index_without_leaking():
+    # N = 11 at 3 rows: the kernel and its 2-row spans take their short flips
+    # into one scratch through one index per flip, and its 1-row spans
+    # gather; spans applied in alternation to fresh rows each match the
+    # reference, so nothing one span leaves in the scratch reaches another
+    module = importlib.import_module("qa_fairsample.evolve")
+    n, rows = 11, 3
+    dim = 1 << n
+    kernel = module._Kernel.allocate(rows, n)
+    shared = kernel._shared
+    assert shared.scratch.shape == kernel.state.shape
+    assert len(shared.taken) == 3
+    rng = np.random.default_rng(41)
+    spans = [(0, 3), (1, 3), (1, 2), (0, 2), (2, 3), (0, 1), (1, 3), (0, 3)]
+    for lo, hi in spans * 2:
+        span = kernel.rows(lo, hi)
+        if span._views is not None:
+            assert np.shares_memory(span._scratch, shared.scratch)
+            assert all(a is b for a, b in zip(span._taken, shared.taken))
+        psi = _signed_zero_rows(rng, hi - lo, dim)
+        diag = rng.normal(size=(hi - lo, dim))
+        drive = rng.normal(size=(hi - lo, 1))
+        expected = psi * diag - _sequential_flip_sum(psi, n, False) * drive
+        span.state[:] = psi
+        span.apply(diag, drive)
+        assert span.state.tobytes() == expected.tobytes(), (lo, hi)
+    forms = {hi - lo: kernel.rows(lo, hi)._views is None for lo, hi in spans}
+    assert forms == {3: False, 2: False, 1: True}
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -662,16 +723,45 @@ def test_cost_guard_counts_taylor_substeps(toy_source, toy_template, monkeypatch
 
 
 def test_overflowing_energies_are_refused_before_integrating(monkeypatch):
-    # finite couplings whose sums overflow to +-inf in the energy table
+    # finite couplings whose sums overflow to +-inf are refused as a model;
+    # finite energies whose Taylor substep bound overflows at a long tau are
+    # refused by the cost guard
     couplings = ((0, 1, 1.0), (0, 2, 1.0), (1, 2, -1.0), (0, 3, 1e308), (1, 3, 1e308))
-    model = qf.IsingModel(4, couplings)
-    with np.errstate(over="ignore"):
-        assert np.isinf(qf.energy_table(model)).any()
-        # no step, no exponential: tau = 0 still returns the start state
-        assert qf.evolve(model, qf.AnnealSchedule(0.0, 1)).error_estimate == 0.0
-        _forbid_integration(monkeypatch)
-        with pytest.raises(ModelTooLargeError, match="substep bound .* of inf"):
-            qf.evolve(model, qf.AnnealSchedule(1.0, 50))
+    with pytest.raises(ValueError, match="sum of \\|J\\| and \\|h\\| must be finite"):
+        qf.IsingModel(4, couplings)
+    model = qf.IsingModel(4, couplings[:3] + ((0, 3, 1e300),))
+    assert np.isfinite(qf.energy_table(model)).all()
+    # no step, no exponential: tau = 0 still returns the start state
+    assert qf.evolve(model, qf.AnnealSchedule(0.0, 1)).error_estimate == 0.0
+    _forbid_integration(monkeypatch)
+    with pytest.raises(ModelTooLargeError, match="substep bound .* of inf"):
+        qf.evolve(model, qf.AnnealSchedule(1e10, 50))
+
+
+@pytest.mark.parametrize("fields", [(), (0.5, 0.0, 0.0, -0.25, 0.0)])
+def test_step_counts_too_large_for_a_float(fields):
+    # a tau > 0 row takes at least 2 x steps amplitude-steps, so a count
+    # over half the budget is refused, however many digits it has; at tau = 0
+    # no step is taken and any count returns the start state, with no error
+    model = qf.IsingModel(5, ((0, 1, 1.0), (1, 2, -1.0), (3, 4, 1.0)), fields)
+    huge = 10**400 + 1
+    with pytest.raises(ModelTooLargeError, match="more than 1000000000 steps.*2e\\+09"):
+        qf.evolve(model, qf.AnnealSchedule(20.0, huge))
+    with pytest.raises(ModelTooLargeError, match="more than 1000000000 steps"):
+        qf.evolve_many(
+            (model, model), [qf.AnnealSchedule(0.0, 3), qf.AnnealSchedule(1.0, 10**9 + 1)]
+        )
+    results = qf.evolve_many(
+        (model, model), [qf.AnnealSchedule(0.0, huge), qf.AnnealSchedule(2.0, 20)]
+    )
+    start = qf.evolve(model, qf.AnnealSchedule(0.0, 1))
+    assert results[0].steps == huge
+    assert results[0].error_estimate == 0.0
+    assert results[0].final_probabilities.vector.tobytes() == (
+        start.final_probabilities.vector.tobytes()
+    )
+    alone = qf.evolve(model, qf.AnnealSchedule(2.0, 20))
+    assert _result_bits(results[1]) == _result_bits(alone)
 
 
 def test_schedules_must_be_one_or_one_per_model(toy_source):
