@@ -41,11 +41,8 @@ from .errors import (
 from .evolve import (
     AnnealSchedule,
     EvolutionResult,
-    accuracy_failure,
-    default_steps,
     evolve,
     evolve_many,
-    initial_state,
 )
 from .model import (
     GroundManifold,
@@ -59,8 +56,6 @@ from .model import (
 from .pt import (
     PerturbationSetup,
     PTResult,
-    embedded_toy_reference_matrix,
-    find_basis_permutation,
     first_order_matrix,
     perturbative_probabilities,
     second_order_matrix,

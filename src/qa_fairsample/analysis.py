@@ -23,20 +23,22 @@ from .embed import (
     Embedding,
     _lift_bits,
     _lift_manifold,
+    _require_lifts,
     apply_embedding,
     identity_embedding,
 )
 from .errors import UndefinedRatioError
-from .evolve import AnnealSchedule, EvolutionResult, accuracy_failure, evolve_many
+from .evolve import AnnealSchedule, EvolutionResult, _accuracy_failure, evolve_many
 from .model import (
     GroundManifold,
     IsingModel,
     ProbabilityVector,
     SpinConfiguration,
     _integer,
+    energy_table,
     enumerate_ground_states,
 )
-from .pt import PerturbationSetup, perturbative_probabilities, second_order_links
+from .pt import PerturbationSetup, _answer, _first_order, _links, second_order_links
 
 
 def inversion_classes(
@@ -175,39 +177,46 @@ def gap_ratio(
             f"partition members have {partition_spins} spins but the model has "
             f"{model.num_spins}"
         )
+    gaps, _, neighbours = second_order_links(model, manifold)
+    return _gap_report(manifold, gaps, _gap_shape(manifold, neighbours, partition))
+
+
+def _gap_shape(manifold: GroundManifold, neighbours, partition: FairnessPartition):
+    """What the manifold's bits fix of the gap analysis, refusals included:
+    mediating flips, their count per state, states counted on S and on C."""
     if manifold.degeneracy < 2:
         raise ValueError("gap analysis needs a degenerate manifold")
-    gaps, _, neighbours = second_order_links(model, manifold)
-
     # a flip mediates when it reaches a ground state other than its own
     mediating = (neighbours >= 0).sum(axis=2) >= 2
     if not mediating.any():
         raise ValueError("no second-order connections inside the manifold")
     sides = {c.bits: "S" for c in partition.s_set}
     sides.update((c.bits, "C") for c in partition.c_set)
-    mask = (1 << model.num_spins) - 1
-    per_state: dict[SpinConfiguration, float] = {}
-    side_gaps = {"S": [], "C": []}
-    excluded = []
-    for g, row, use in zip(manifold.configs, gaps.tolist(), mediating.tolist()):
-        state_gaps = [gap for gap, m in zip(row, use) if m]
-        side = sides.get(g.bits) or sides.get(min(g.bits, g.bits ^ mask))
-        if state_gaps:
-            per_state[g] = sum(state_gaps) / len(state_gaps)
-        if state_gaps and side:
-            side_gaps[side].append(per_state[g])
-        else:
-            excluded.append(g)
-    if not side_gaps["S"] or not side_gaps["C"]:
+    mask = (1 << partition.s_set[0].num_spins) - 1
+    side = [sides.get(g) or sides.get(min(g, g ^ mask)) for g in manifold.bits.tolist()]
+    counts = mediating.sum(axis=1)
+    on_s = (counts > 0) & [s == "S" for s in side]
+    on_c = (counts > 0) & [s == "C" for s in side]
+    if not on_s.any() or not on_c.any():
         raise ValueError("a partition set has no state with mediating intermediates")
-    delta_s = sum(side_gaps["S"]) / len(side_gaps["S"])
-    delta_c = sum(side_gaps["C"]) / len(side_gaps["C"])
+    return mediating, counts, on_s, on_c
+
+
+def _gap_report(manifold: GroundManifold, gaps, shape) -> GapReport:
+    """The report from the gaps of ``second_order_links`` and ``_gap_shape``.
+    Each mean is a sequential sum over the counted terms, which a Python 3.11
+    ``sum`` also gives: gaps are positive, and a term left out adds ±0.0."""
+    mediating, counts, on_s, on_c = shape
+    means = (gaps * mediating).cumsum(axis=1)[:, -1] / counts.clip(1)
+    delta_s = float((means * on_s).cumsum()[-1] / on_s.sum())
+    delta_c = float((means * on_c).cumsum()[-1] / on_c.sum())
+    configs = manifold.configs
     return GapReport(
-        per_state=per_state,
+        per_state={g: m for g, m, n in zip(configs, means.tolist(), counts) if n},
         delta_e_s=delta_s,
         delta_e_c=delta_c,
         ratio=delta_s / delta_c,
-        excluded=tuple(excluded),
+        excluded=tuple(g for g, on in zip(configs, on_s | on_c) if not on),
     )
 
 
@@ -243,16 +252,20 @@ def project_and_fold(
             f"embedding maps {embedding.num_logical} logical spins but the "
             f"manifold has {logical_spins}"
         )
-    lifted = _lift_manifold(source_manifold, embedding)
+    return _fold(probabilities, _lift_manifold(source_manifold, embedding), logical_spins)
+
+
+def _fold(probabilities: ProbabilityVector, lifted, num_spins: int):
+    """``project_and_fold`` from the lifts of a ``num_spins`` manifold."""
     values = probabilities.vector[[b for b, _ in lifted]].tolist()
-    mask = (1 << logical_spins) - 1
+    mask = (1 << num_spins) - 1
     folded: dict[int, float] = {}
     ground_weight = 0.0
     for (_, g), p in zip(lifted, values):
         rep = min(g, g ^ mask)
         folded[rep] = folded.get(rep, 0.0) + p
         ground_weight += p
-    classes = {SpinConfiguration(rep, logical_spins): p for rep, p in folded.items()}
+    classes = {SpinConfiguration(rep, num_spins): p for rep, p in folded.items()}
     return classes, 1.0 - ground_weight
 
 
@@ -278,28 +291,25 @@ class SweepRecord:
 
 
 def _record(
-    label: str,
-    parameter: str,
-    value: float,
-    method: str,
+    row: tuple[str, str, float, str],
     probabilities: ProbabilityVector,
-    embedding: Embedding,
-    source_manifold: GroundManifold,
+    lifted: list[tuple[int, int]],
     partition: FairnessPartition,
     gap: float | None,
     result: EvolutionResult | None = None,
 ) -> SweepRecord:
     """The one builder of sweep rows: fold ``probabilities``, take the ratio.
 
-    ``result`` is the evolution behind an SE row; a row that misses the
-    accuracy budget becomes an error row, as ``SweepRecord`` describes.
+    ``row`` is (label, parameter, value, method), ``lifted`` the source
+    manifold's ``_lift_manifold`` and ``result`` the evolution behind an SE
+    row; one that misses the accuracy budget is an error row, as
+    ``SweepRecord`` describes.
     """
     drift = None if result is None else result.norm_drift
-    failure = None if result is None else accuracy_failure(result)
-    row = (label, parameter, value, method)
+    failure = None if result is None else _accuracy_failure(result)
     if failure is not None:
         return SweepRecord(*row, None, None, gap, None, drift, failure)
-    folded, excited = project_and_fold(probabilities, embedding, source_manifold)
+    folded, excited = _fold(probabilities, lifted, partition.s_set[0].num_spins)
     ratio = fairness_ratio(folded, partition)
     return SweepRecord(*row, folded, ratio, gap, excited, drift)
 
@@ -340,8 +350,8 @@ def sweep_tau(
     rows = itertools.product(taus, embedded)
     return [
         _record(
-            label, "tau", tau, "SE", result.final_probabilities,
-            em.embedding, source_manifold, partition, None, result,
+            (label, "tau", tau, "SE"), result.final_probabilities,
+            _lift_manifold(source_manifold, em.embedding), partition, None, result,
         )
         for (tau, (label, em)), result in zip(rows, results)
     ]
@@ -363,6 +373,12 @@ def sweep_chain_strength(
     checks each J_F. Ratios use the default partition of the source
     manifold. The gap ratio reads it lifted through the chains, once per
     sweep, since every J_F variant shares them.
+
+    Each row is bitwise what the public calls give at its J_F; like ``pt``,
+    it refuses intact chains off the lifts. The lifts are taken once, and
+    the links, gap sides and first-order eigensystem, which read only the
+    ground bits, are reused while the bits repeat: a row builds its energy
+    table and gaps, and W when the first order does not resolve.
     """
     unknown = set(methods) - {"PT", "SE"}
     if unknown:
@@ -375,7 +391,8 @@ def sweep_chain_strength(
         for jf in chain_strengths
     ]
     # every variant has the template's chains, so one lift serves each J_F
-    lifted = _lift_partition(partition, embedding_template) if variants else None
+    gap_partition = _lift_partition(partition, embedding_template) if variants else None
+    lifted = _lift_manifold(source_manifold, embedding_template)
 
     se_results = [None] * len(variants)
     if "SE" in methods:
@@ -384,25 +401,25 @@ def sweep_chain_strength(
         se_results = evolve_many(models, schedule, enforce_drift=False)
 
     records = []
+    bits = None
     for (jf, em), result in zip(variants, se_results):
-        label = f"embedded[jf={jf:g}]"
-        manifold = enumerate_ground_states(em.model)
-        gap = gap_ratio(em.model, manifold, lifted).ratio
+        row = (f"embedded[jf={jf:g}]", "jf", jf)
+        setup = PerturbationSetup.from_model(em.model)
+        manifold = setup.manifold
+        if manifold.bits.tobytes() != bits:
+            bits = manifold.bits.tobytes()
+            _require_lifts(manifold, em.embedding, source_manifold)
+            flips, excited, neighbours = _links(manifold.bits, em.model.num_spins)
+            shape = _gap_shape(manifold, neighbours, gap_partition)
+            first = _first_order(setup) if "PT" in methods else None
+        gaps = energy_table(em.model)[flips] - manifold.energy
+        gap = _gap_report(manifold, gaps, shape).ratio
         if "PT" in methods:
-            pt = perturbative_probabilities(PerturbationSetup(em.model, manifold))
-            records.append(
-                _record(
-                    label, "jf", jf, "PT", pt.probabilities,
-                    em.embedding, source_manifold, partition, gap,
-                )
-            )
+            pt = _answer(setup, first, (gaps, excited, neighbours)).probabilities
+            records.append(_record((*row, "PT"), pt, lifted, partition, gap))
         if "SE" in methods:
-            records.append(
-                _record(
-                    label, "jf", jf, "SE", result.final_probabilities,
-                    em.embedding, source_manifold, partition, gap, result,
-                )
-            )
+            se = result.final_probabilities
+            records.append(_record((*row, "SE"), se, lifted, partition, gap, result))
     return records
 
 

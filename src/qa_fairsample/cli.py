@@ -26,6 +26,7 @@ from .analysis import (
 from .data import resolve_embedding_path, resolve_model_path
 from .embed import (
     Embedding,
+    _require_lifts,
     apply_embedding,
     identity_embedding,
     lift_state,
@@ -128,6 +129,8 @@ def cmd_embed(args) -> int:
         resolve_embedding_path(args.embedding), chain_strength=args.jf
     )
     embedded = apply_embedding(source, embedding)
+    manifold = enumerate_ground_states(embedded.model)
+    _require_lifts(manifold, embedding, enumerate_ground_states(source))
     report = verify_embedding(embedded)
     _print_json({"model": embedded.model.to_dict(), "report": report.to_dict()})
     return 0
@@ -140,6 +143,7 @@ def cmd_pt(args) -> int:
     target, embedding = _target(args, source)
 
     setup = PerturbationSetup.from_model(target)
+    _require_lifts(setup.manifold, embedding, source_manifold)
     result = perturbative_probabilities(setup)
     folded, _ = project_and_fold(result.probabilities, embedding, source_manifold)
 

@@ -153,7 +153,8 @@ def apply_embedding(source: IsingModel, embedding: Embedding) -> EmbeddedModel:
     """Build the physical model: reassigned logical couplings plus chain bonds.
 
     Chain bonds are +J_F between consecutive chain members; any local fields
-    attach to the first member of their chain.
+    attach to the first member of their chain. Chains partition the spins,
+    so checked inputs give checked couplings: ``IsingModel._from_checked``.
     """
     if embedding.num_logical != source.num_spins:
         raise EmbeddingError(
@@ -179,10 +180,8 @@ def apply_embedding(source: IsingModel, embedding: Embedding) -> EmbeddedModel:
         if h:
             fields[embedding.chains[i][0]] = h
 
-    physical = IsingModel(
-        num_spins=embedding.num_physical,
-        couplings=tuple(couplings),
-        fields=tuple(fields),
+    physical = IsingModel._from_checked(
+        embedding.num_physical, tuple(couplings), tuple(fields)
     )
     return EmbeddedModel(model=physical, embedding=embedding, source=source)
 
@@ -203,6 +202,26 @@ def _lift_manifold(
     return sorted(
         (_lift_bits(g, embedding.chain_masks), g) for g in manifold.bits.tolist()
     )
+
+
+def _require_lifts(
+    manifold: GroundManifold, embedding: Embedding, source_manifold: GroundManifold
+) -> None:
+    """Refuse an all-intact manifold that is not the source's lift set.
+
+    Intact configs cost their source energy less J_F per chain bond, so in
+    exact arithmetic it is; else J_F swamped the source's levels, through
+    the tie window relative to |E_0| or through float absorption.
+    """
+    bits = manifold.bits.tolist()
+    lifted = [b for b, _ in _lift_manifold(source_manifold, embedding)]
+    if bits != lifted and all(
+        (b & m) in (0, m) for b in bits for m in embedding.chain_masks
+    ):
+        raise ValueError(
+            f"chain strength J_F = {embedding.chain_strength!r} swamps the source's "
+            "levels: intact embedded ground states that are not its lifts"
+        )
 
 
 def lift_state(config: SpinConfiguration, embedding: Embedding) -> SpinConfiguration:

@@ -132,7 +132,7 @@ def _check_tau(tau) -> None:
         raise ValueError(f"tau must be >= 0, got {tau}")
 
 
-def default_steps(tau: float) -> int:
+def _default_steps(tau: float) -> int:
     """Step count max(50, min(ceil(5 * tau), 2000), ceil(2 * tau)).
 
     That is dt = min(0.2, tau/50) up to tau = 400, 2000 steps from there to
@@ -183,7 +183,7 @@ class AnnealSchedule:
 
     @classmethod
     def for_tau(cls, tau: float, steps: int | None = None) -> "AnnealSchedule":
-        return cls(tau=tau, steps=default_steps(tau) if steps is None else steps)
+        return cls(tau=tau, steps=_default_steps(tau) if steps is None else steps)
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class EvolutionResult:
     error_estimate: float
 
 
-def accuracy_failure(result: EvolutionResult) -> str | None:
+def _accuracy_failure(result: EvolutionResult) -> str | None:
     """Why a result misses the accuracy budget, or None if it meets it.
 
     Written as ``not (x <= budget)`` so that NaN fails too.
@@ -219,7 +219,7 @@ def accuracy_failure(result: EvolutionResult) -> str | None:
     )
 
 
-def initial_state(num_spins: int) -> np.ndarray:
+def _initial_state(num_spins: int) -> np.ndarray:
     """Uniform superposition 2^(-N/2) on every configuration: the driver ground state."""
     num_spins = _integer(num_spins, "num_spins")
     if num_spins < 1:
@@ -551,7 +551,7 @@ def _cfm4_weights(
     tau, running = tau[order], running[order]
     rows, kept = tables.shape
     num_spins = kept.bit_length() - 1 + half
-    psi = np.tile(initial_state(num_spins)[:kept], (rows, 1))
+    psi = np.tile(_initial_state(num_spins)[:kept], (rows, 1))
     kernel = _Kernel.allocate(np.count_nonzero(running), num_spins, half)
     emax = np.abs(tables).max(axis=1)
     dt = tau / np.maximum(running, 1)
@@ -644,7 +644,7 @@ def evolve_many(
 
     if enforce_drift:
         for result in results:
-            failure = accuracy_failure(result)
+            failure = _accuracy_failure(result)
             if failure is not None:
                 raise IntegrationAccuracyError(
                     f"{failure}; rerun with more steps (e.g. {2 * result.steps})",

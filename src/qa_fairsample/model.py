@@ -123,6 +123,21 @@ def _finite(value, what: str) -> float:
     raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
+def _check_bounds(num_spins: int, couplings=(), fields=()) -> None:
+    """The size guard, and the refusal of energies that overflow: a plain
+    sum bounds every partial sum of the energy table (fsum would raise)."""
+    if num_spins > MAX_SPINS:
+        raise ModelTooLargeError(
+            f"{num_spins} spins exceeds the enumeration guard of {MAX_SPINS}"
+        )
+    scale = sum(abs(J) for _, _, J in couplings) + sum(map(abs, fields))
+    if not math.isfinite(scale):
+        raise ValueError(
+            "sum of |J| and |h| must be finite, so that every energy is: "
+            "it overflows to inf"
+        )
+
+
 @dataclass(frozen=True)
 class IsingModel:
     """Diagonal target Hamiltonian -sum_ij J_ij s_i s_j - sum_i h_i s_i.
@@ -139,10 +154,7 @@ class IsingModel:
         _integer(self.num_spins, "num_spins")
         if self.num_spins < 1:
             raise ValueError(f"num_spins must be >= 1, got {self.num_spins}")
-        if self.num_spins > MAX_SPINS:
-            raise ModelTooLargeError(
-                f"{self.num_spins} spins exceeds the enumeration guard of {MAX_SPINS}"
-            )
+        _check_bounds(self.num_spins)
         couplings = tuple(
             (
                 _integer(i, "coupling index"),
@@ -167,14 +179,15 @@ class IsingModel:
                 f"got {len(fields)} fields for {self.num_spins} spins"
             )
         object.__setattr__(self, "fields", fields)
-        # bounds every partial sum of the energy table; a plain sum, as fsum
-        # raises where it overflows
-        scale = sum(abs(J) for _, _, J in couplings) + sum(map(abs, fields))
-        if not math.isfinite(scale):
-            raise ValueError(
-                "sum of |J| and |h| must be finite, so that every energy is: "
-                "it overflows to inf"
-            )
+        _check_bounds(self.num_spins, couplings, fields)
+
+    @classmethod
+    def _from_checked(cls, num_spins: int, couplings: tuple, fields: tuple):
+        """A model of parts that passed ``__post_init__``; checks only bounds."""
+        _check_bounds(num_spins, couplings, fields)
+        model = object.__new__(cls)
+        model.__dict__.update(num_spins=num_spins, couplings=couplings, fields=fields)
+        return model
 
     @property
     def has_fields(self) -> bool:

@@ -114,15 +114,21 @@ def second_order_links(
       excited flip.
 
     An excited flip k links a to b exactly when b is among its neighbours,
-    and then <a|V|k><k|V|b> = (-1)(-1) = 1. Memory is O(d*N^2).
+    and then <a|V|k><k|V|b> = (-1)(-1) = 1. Memory is O(d*N^2). Only the
+    gaps read energies; ``_links`` builds the rest from the bits alone.
     """
-    basis = manifold.bits
-    spins = 1 << np.arange(model.num_spins, dtype=np.int64)
+    flips, excited, neighbours = _links(manifold.bits, model.num_spins)
+    return energy_table(model)[flips] - manifold.energy, excited, neighbours
+
+
+def _links(basis: np.ndarray, num_spins: int):
+    """``flips``, ``excited`` and ``neighbours`` of ``second_order_links``."""
+    spins = 1 << np.arange(num_spins, dtype=np.int64)
     flips = basis[:, None] ^ spins
     excited = _index_in(basis, flips) < 0
     neighbours = _index_in(basis, flips[:, :, None] ^ spins)
     neighbours[~excited] = -1
-    return energy_table(model)[flips] - manifold.energy, excited, neighbours
+    return flips, excited, neighbours
 
 
 def first_order_matrix(setup: PerturbationSetup) -> np.ndarray:
@@ -147,8 +153,11 @@ def second_order_matrix(setup: PerturbationSetup) -> np.ndarray:
     of ``second_order_links``: one reciprocal per excited flip, added into W
     in the order of the per-config sum, which gives bitwise the same entries.
     """
-    manifold = setup.manifold
-    gaps, excited, neighbours = second_order_links(setup.model, manifold)
+    return _second_order(*second_order_links(setup.model, setup.manifold))
+
+
+def _second_order(gaps, excited, neighbours) -> np.ndarray:
+    """``second_order_matrix`` from the arrays of ``second_order_links``."""
     # E_0 - E_k is exactly -gap, and 1 / (-gap) is exactly -1 / gap
     weights = np.divide(-1.0, gaps, out=np.zeros(gaps.shape), where=excited)
     # The per-config sum adds the terms of entry (a, b) by ascending spin i.
@@ -159,7 +168,7 @@ def second_order_matrix(setup: PerturbationSetup) -> np.ndarray:
     # has a term.
     a, i, j = np.nonzero(neighbours >= 0)
     b = neighbours[a, i, j]
-    entries = np.zeros((manifold.degeneracy, manifold.degeneracy))
+    entries = np.zeros((len(gaps), len(gaps)))
     np.fill_diagonal(entries, np.cumsum(weights, axis=1)[:, -1])
     for term in (i < j, i > j):
         entries[a[term], b[term]] += weights[a[term], i[term]]
@@ -190,14 +199,26 @@ def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
     by g, which reduces to squared eigenvector components at g = 1; unless
     that eigenspace is an inversion doublet, ``resolved`` is then false.
     """
+    return _answer(setup, _first_order(setup))
+
+
+def _first_order(setup: PerturbationSetup) -> tuple[np.ndarray, float, bool]:
+    """Minimal first-order eigenspace, its eigenvalue and whether it resolves;
+    it reads the manifold's bits and whether there are fields, no energy."""
     vals, vecs = np.linalg.eigh(first_order_matrix(setup))
     u = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
+    return u, float(vals[0]), u.shape[1] == 1 or _is_inversion_doublet(setup, u)
+
+
+def _answer(setup: PerturbationSetup, first, links=None) -> PTResult:
+    """``perturbative_probabilities`` from ``_first_order``; W is built from
+    ``links``, the arrays of ``second_order_links``, or else from the model."""
+    u, minimal, resolved = first
     resolved_order = 1
-    minimal = float(vals[0])
     span = u
-    resolved = u.shape[1] == 1 or _is_inversion_doublet(setup, u)
     if not resolved:
-        projected = u.T @ second_order_matrix(setup) @ u
+        links = links or second_order_links(setup.model, setup.manifold)
+        projected = u.T @ _second_order(*links) @ u
         projected = 0.5 * (projected + projected.T)
         vals2, vecs2 = np.linalg.eigh(projected)
         v = vecs2[:, vals2 <= vals2[0] + DEGENERACY_TOL]
@@ -217,7 +238,7 @@ def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
     )
 
 
-def embedded_toy_reference_matrix(chain_strength: float) -> np.ndarray:
+def _embedded_toy_reference_matrix(chain_strength: float) -> np.ndarray:
     """Closed-form -P2 W P2 for the shipped embedded toy model.
 
     Its six ground states form a ring of second-order couplings. Off-diagonal
@@ -239,7 +260,7 @@ def embedded_toy_reference_matrix(chain_strength: float) -> np.ndarray:
     return m
 
 
-def find_basis_permutation(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
+def _find_basis_permutation(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
     """Permutation p with a[p][:, p] == b entrywise within 1e-9, or None.
 
     Brute force over d! orderings; fine for the d <= 6 manifolds this
@@ -344,7 +365,7 @@ def validate_toy_model(
                 f"max |entry| = {max_first:g}",
             )
         )
-        reference = embedded_toy_reference_matrix(jf)
+        reference = _embedded_toy_reference_matrix(jf)
         built = -second_order_matrix(setup)
         if built.shape != reference.shape:
             perm = None
@@ -352,7 +373,7 @@ def validate_toy_model(
                 f"dimension mismatch: built {built.shape}, reference {reference.shape}"
             )
         else:
-            perm = find_basis_permutation(built, reference)
+            perm = _find_basis_permutation(built, reference)
             if perm is None:
                 detail = (
                     "no basis permutation matches within 1e-9;\nbuilt =\n"

@@ -37,6 +37,7 @@ from qa_fairsample.evolve import (
     _NODES,
     TAYLOR_TOL,
     THETA,
+    _initial_state,
     _Kernel,
 )
 
@@ -477,7 +478,7 @@ def full_space_cfm4_weights(tables: np.ndarray, tau: float, steps: int) -> np.nd
     """|psi|^2 rows of one CFM4 run that always integrates all 2^N amplitudes."""
     rows, dim = tables.shape
     num_spins = dim.bit_length() - 1
-    psi = np.tile(qf.initial_state(num_spins), (rows, 1))
+    psi = np.tile(_initial_state(num_spins), (rows, 1))
     dt = tau / steps
     if dt > 0.0:
         kernel = FullSpaceKernel(rows, num_spins)

@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qa_fairsample as qf
+from qa_fairsample import analysis
 from qa_fairsample.errors import UndefinedRatioError
+from qa_fairsample.evolve import _accuracy_failure
 from qa_fairsample.pt import second_order_links
 
 from conftest import (
@@ -671,7 +675,7 @@ def composed_chain_sweep(source, template, strengths, methods, tau=1000.0):
             answers.append(("SE", result.final_probabilities, result))
         for method, probabilities, result in answers:
             drift = None if result is None else result.norm_drift
-            failure = None if result is None else qf.accuracy_failure(result)
+            failure = None if result is None else _accuracy_failure(result)
             if failure is not None:
                 rows.append(
                     qf.SweepRecord(
@@ -730,6 +734,111 @@ def test_sweep_chain_strength_matches_compositions_on_random_instances(
         return
     got = qf.sweep_chain_strength(source, template, strengths, methods=("PT",))
     assert_same_rows(got, want)
+
+
+def swept_pt_rows(source, template, strengths):
+    """Each (row, PT vector bytes) a PT-only sweep builds, refused or not,
+    and what it raised, if anything."""
+    built = []
+    record = analysis._record
+
+    def spy(row, probabilities, *rest):
+        built.append((record(row, probabilities, *rest), probabilities.vector.tobytes()))
+        return built[-1][0]
+
+    with mock.patch.object(analysis, "_record", spy):
+        try:
+            qf.sweep_chain_strength(source, template, strengths, methods=("PT",))
+        except Exception as exc:
+            return built, exc
+    return built, None
+
+
+def public_pt_rows(source, template, strengths):
+    """Each J_F's row and PT vector bytes from the public calls, up to the
+    first J_F they refuse, and that refusal."""
+    rows = []
+    for jf in strengths:
+        try:
+            (row,) = composed_chain_sweep(source, template, (jf,), ("PT",))
+        except Exception as exc:
+            return rows, exc
+        em = qf.apply_embedding(source, template.with_chain_strength(jf))
+        pt = qf.perturbative_probabilities(qf.PerturbationSetup.from_model(em.model))
+        rows.append((row, pt.probabilities.vector.tobytes()))
+    return rows, None
+
+
+def has_two_classes(instance) -> bool:
+    """The source has a default partition, so its sweep can reach a row."""
+    return len(qf.inversion_classes(qf.enumerate_ground_states(instance[0]))) > 1
+
+
+# Unordered grids across the chain-break point: from row to row the embedded
+# manifold repeats (both J_F above the break) and changes, and the rows
+# built before a refusal are compared too. In one 250-example draw, 85
+# sweeps were answered, 85 repeated a manifold and 6 changed it.
+@settings(max_examples=250, deadline=None)
+@given(
+    embedded_instances().filter(has_two_classes),
+    st.lists(
+        st.sampled_from((0.05, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0)),
+        min_size=2, max_size=6, unique=True,
+    ),
+)
+def test_sweep_rows_are_bitwise_the_public_calls_across_the_break_point(
+    instance, strengths
+):
+    source, template = instance
+    got, got_exc = swept_pt_rows(source, template, strengths)
+    want, want_exc = public_pt_rows(source, template, strengths)
+    assert type(got_exc) is type(want_exc)
+    assert str(got_exc) == str(want_exc)
+    assert_same_rows([row for row, _ in got], [row for row, _ in want])
+    assert [vector for _, vector in got] == [vector for _, vector in want]
+
+
+def test_sweep_solves_the_first_order_once_per_distinct_manifold(toy_source):
+    # logical spin 4 on a 3-member chain: J* = 1, so the manifold at J_F = 1
+    # holds broken chains and the lifts, and every J_F above 1 the lifts alone
+    assignment = tuple(
+        ((i, j), (p, q))
+        for (i, j), (p, q) in zip(
+            ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)),
+            ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 5)),
+        )
+    )
+    template = qf.Embedding(5, ((0,), (1,), (2,), (3,), (4, 5, 6)), 1.0, assignment)
+    strengths = (1.0, 1.1, 1.5, 2.0, 3.0)
+    degeneracies = [
+        qf.enumerate_ground_states(
+            qf.apply_embedding(toy_source, template.with_chain_strength(jf)).model
+        ).degeneracy
+        for jf in strengths
+    ]
+    assert degeneracies == [10, 6, 6, 6, 6]
+    first_order = analysis._first_order
+    with mock.patch.object(analysis, "_first_order", side_effect=first_order) as spy:
+        got, refusal = swept_pt_rows(toy_source, template, strengths)
+    assert spy.call_count == 2
+    assert refusal is None
+    assert got == public_pt_rows(toy_source, template, strengths)[0]
+
+
+@pytest.mark.parametrize("jf", [3000000000000.5, 1e17])
+def test_sweep_refuses_a_chain_strength_that_swamps_the_source(
+    toy_source, toy_template, jf
+):
+    # every embedded ground state keeps its chain intact, yet rounding at
+    # |E_0| ~ J_F merges lifts of excited source states into the manifold
+    em = qf.apply_embedding(toy_source, toy_template.with_chain_strength(jf))
+    report = qf.verify_embedding(em)
+    assert report.chains_unbroken and not report.bijective
+    with pytest.raises(ValueError, match=re.escape(f"J_F = {jf!r} swamps")):
+        qf.sweep_chain_strength(toy_source, toy_template, (1.0, jf), methods=("PT",))
+    # 1e16 is still exact: its manifold is the lift set, and it is answered
+    (row,) = qf.sweep_chain_strength(toy_source, toy_template, (1e16,), methods=("PT",))
+    assert row.ratio is not None
 
 
 # -------------------------------------------------------------------- CSV

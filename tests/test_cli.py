@@ -508,6 +508,26 @@ def test_embed_rejects_non_finite_chain_strength(capsys, jf):
     assert "chain strength must be positive and finite" in err
 
 
+@pytest.mark.parametrize("jf", ["3000000000000.5", "1e17"])
+@pytest.mark.parametrize(
+    "command",
+    [["pt", "matsuda5", "--embedding", "matsuda5_embedded"],
+     ["embed", "matsuda5", "matsuda5_embedded"]],
+    ids=["pt", "embed"],
+)
+def test_chain_strength_that_swamps_the_source_exits_2(capsys, command, jf):
+    # at this J_F the tie window relative to |E_0|, or float absorption,
+    # merges lifts of excited source states into an all-intact manifold:
+    # 14 and 32 ground states where exact arithmetic gives the 6 lifts
+    code, out, err = run(capsys, *command, "--jf", jf)
+    assert code == 2
+    assert out == ""
+    assert f"chain strength J_F = {float(jf)!r} swamps the source's levels" in err
+    # 1e16 is still exact, and is answered
+    code, out, _ = run(capsys, *command, "--jf", "1e16")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("stored", [True, "0.5"])
 @pytest.mark.parametrize("override", [(), ("--jf", "1.0")], ids=["stored", "override"])
 def test_embedding_file_non_numeric_chain_strength_exits_2(

@@ -190,6 +190,38 @@ def test_fields_attach_to_first_chain_member(toy_template):
     assert embedded.model.fields[5] == 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(embedded_instances(), st.sampled_from((0.05, 1.0, 2.5, 1e300)))
+def test_applied_model_is_a_fully_checked_model(instance, jf):
+    # apply_embedding skips the per-coupling checks; the model it builds
+    # must still be the one the checked constructor gives, down to types
+    source, template = instance
+    model = qf.apply_embedding(source, template.with_chain_strength(jf)).model
+    checked = qf.IsingModel(model.num_spins, model.couplings, model.fields)
+    assert model == checked and hash(model) == hash(checked)
+    assert repr(model) == repr(checked)
+    for got, want in zip(model.couplings, checked.couplings):
+        assert list(map(type, got)) == list(map(type, want)) == [int, int, float]
+    assert list(map(type, model.fields)) == [float] * model.num_spins
+    qf.energy_table.cache_clear()
+    table = qf.energy_table(model).tobytes()
+    qf.energy_table.cache_clear()
+    assert qf.energy_table(checked).tobytes() == table
+
+
+def test_apply_keeps_the_size_and_overflow_refusals():
+    # two bonds of a 3-member chain at 1e308 sum to inf
+    source = qf.IsingModel(2, ((0, 1, 1.0),))
+    embedding = qf.Embedding(2, ((0, 1, 2), (3,)), 1e308, (((0, 1), (2, 3)),))
+    with pytest.raises(ValueError, match="overflows to inf"):
+        qf.apply_embedding(source, embedding)
+    # two bonds at half of it sum to a finite 1e308
+    qf.apply_embedding(source, embedding.with_chain_strength(1e308 / 2))
+    wide = qf.Embedding(2, (tuple(range(20)), tuple(range(20, 26))), 1.0, ())
+    with pytest.raises(qf.ModelTooLargeError, match="26 spins"):
+        qf.apply_embedding(qf.IsingModel(2, ()), wide)
+
+
 def test_apply_rejects_size_mismatch(toy_template):
     small = qf.IsingModel(2, ((0, 1, 1.0),))
     with pytest.raises(EmbeddingError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.errors import IntegrationAccuracyError, ModelTooLargeError
+from qa_fairsample.evolve import _accuracy_failure, _default_steps, _initial_state
 
 from conftest import (
     dense_anneal_probabilities,
@@ -27,25 +28,25 @@ def cfg(bits, n):
 
 
 def test_initial_state_single_spin():
-    psi = qf.initial_state(1)
+    psi = _initial_state(1)
     assert np.allclose(psi, 0.7071067811865476)
     assert psi.dtype == np.complex128
 
 
 def test_initial_state_amplitudes():
-    assert np.all(qf.initial_state(2) == 0.5)
-    assert np.all(qf.initial_state(6) == 0.125)
+    assert np.all(_initial_state(2) == 0.5)
+    assert np.all(_initial_state(6) == 0.125)
 
 
 @pytest.mark.parametrize("num_spins", [0, -1, True, 2.0, "3"])
 def test_initial_state_rejects_a_bad_spin_count(num_spins):
     with pytest.raises(ValueError, match="num_spins"):
-        qf.initial_state(num_spins)
+        _initial_state(num_spins)
 
 
 def test_initial_state_guard():
     with pytest.raises(ModelTooLargeError):
-        qf.initial_state(25)
+        _initial_state(25)
 
 
 def test_integration_over_the_cost_budget_is_refused(toy_source):
@@ -61,7 +62,7 @@ def test_integration_over_the_cost_budget_is_refused(toy_source):
             ModelTooLargeError, match="default policy.*over the budget of 2e\\+09"
         ):
             qf.AnnealSchedule.for_tau(tau)
-    assert qf.default_steps(5e8) == 10**9
+    assert _default_steps(5e8) == 10**9
 
 
 def _forbid_integration(monkeypatch):
@@ -114,7 +115,7 @@ def test_apply_at_s_one_is_diagonal(toy_source):
 
 
 def test_apply_at_s_zero_uniform_is_eigenstate(toy_source):
-    psi = qf.initial_state(5)
+    psi = _initial_state(5)
     out = kernel_apply(toy_source, 0.0, psi)
     assert np.allclose(out, -5.0 * psi)
 
@@ -332,14 +333,14 @@ def test_step_policy_rejects_nonfinite_tau(tau):
     with pytest.raises(ValueError):
         qf.AnnealSchedule.for_tau(tau)
     with pytest.raises(ValueError):
-        qf.default_steps(tau)
+        _default_steps(tau)
 
 
 def test_default_step_policy(toy_source):
     # dt = 0.2 up to tau = 400, 2000 steps up to tau = 1000, dt = 0.5 beyond
     for tau, steps in ((1.0, 50), (100.0, 500), (400.0, 2000), (1000.0, 2000),
                        (3000.0, 6000)):
-        assert qf.default_steps(tau) == steps
+        assert _default_steps(tau) == steps
     assert qf.AnnealSchedule.for_tau(0.0).steps == 50
     assert qf.AnnealSchedule.for_tau(10.0, steps=50).steps == 50
     # the policy resolves the toy anneal; a tenth of its steps trips the estimate
@@ -387,7 +388,7 @@ def test_short_time_against_matrix_exponential(toy_source):
     # over a tiny window the midpoint propagator is exact to O(tau^3)
     tau = 1e-3
     schedule = qf.AnnealSchedule(tau=tau, steps=10)
-    psi = qf.initial_state(5)
+    psi = _initial_state(5)
     # s at the midpoint of [0, tau] is 1/2 regardless of tau
     vals, vecs = np.linalg.eigh(dense_annealing_hamiltonian(toy_source, 0.5))
     propagator = vecs @ np.diag(np.exp(-1j * vals * tau)) @ vecs.conj().T
@@ -427,12 +428,12 @@ def test_norm_drift_raises_with_result_attached(toy_source):
 )
 def test_accuracy_guard_rejects_nan_and_overruns(drift, estimate):
     result = qf.EvolutionResult({}, drift, 1.0, 1, 1.0 - drift, estimate)
-    assert qf.accuracy_failure(result) is not None
+    assert _accuracy_failure(result) is not None
 
 
 def test_accuracy_guard_accepts_budget():
     result = qf.EvolutionResult({}, 1e-6, 1.0, 1, 1.0 - 1e-6, 1e-6)
-    assert qf.accuracy_failure(result) is None
+    assert _accuracy_failure(result) is None
 
 
 def test_single_step_has_no_estimate(toy_source):
@@ -524,7 +525,7 @@ def doubling_difference(model, tau, steps):
 
 
 def test_convergence_default_policy_unflagged(toy_source):
-    steps = qf.default_steps(5.0)
+    steps = _default_steps(5.0)
     diff, _ = doubling_difference(toy_source, 5.0, steps)
     assert diff <= 1e-6
 
@@ -609,7 +610,7 @@ def test_mixed_sizes_batch_by_spin_count(toy_source, embedded_models):
     six = qf.evolve_many(models[1:2], schedule, enforce_drift=False)
     want = [_result_bits(r) for r in (five[0], six[0], five[1])]
     assert [_result_bits(r) for r in mixed] == want
-    failures = [qf.accuracy_failure(r) for r in mixed]
+    failures = [_accuracy_failure(r) for r in mixed]
     assert failures[0] is None and failures[1] is None and failures[2] is not None
     with pytest.raises(IntegrationAccuracyError) as excinfo:
         qf.evolve_many(models, schedule)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.data import toy_embedding_path, toy_source_path
+from qa_fairsample.pt import _embedded_toy_reference_matrix, _find_basis_permutation
 
 from conftest import (
     FIXTURE_MODELS,
@@ -162,7 +163,7 @@ def test_probabilities_embedded_fair_point(embedded_models):
 @pytest.mark.parametrize("jf", [0.5, 1.5])
 def test_probabilities_match_reference_eigenvector(embedded_models, jf):
     # independent route: Perron vector of the closed-form matrix
-    reference = qf.embedded_toy_reference_matrix(jf)
+    reference = _embedded_toy_reference_matrix(jf)
     vals, vecs = np.linalg.eigh(reference)
     perron = vecs[:, -1]
     ref_folded = sorted(
@@ -389,34 +390,34 @@ def test_array_layer_without_second_order_connections():
 
 
 def test_reference_matrix_values():
-    m = qf.embedded_toy_reference_matrix(1.5)
+    m = _embedded_toy_reference_matrix(1.5)
     diag = sorted({float(x) for x in np.diag(m)})
     assert diag == [pytest.approx(9.0 / 4.5), pytest.approx(8.0 / 3.5)]
     off = sorted({float(x) for x in m[~np.eye(6, dtype=bool)] if x > 0})
     assert off == [pytest.approx(1.0 / 1.5), pytest.approx(1.0)]
-    unit = qf.embedded_toy_reference_matrix(1.0)
+    unit = _embedded_toy_reference_matrix(1.0)
     assert np.allclose(np.diag(unit), 7.0 / 3.0)
 
 
 @pytest.mark.parametrize("jf", [0, -1.0, float("nan"), float("inf"), True, "2"])
 def test_reference_matrix_rejects_a_bad_chain_strength(jf):
     with pytest.raises(qf.EmbeddingError, match="chain strength"):
-        qf.embedded_toy_reference_matrix(jf)
+        _embedded_toy_reference_matrix(jf)
 
 
 def test_find_basis_permutation():
-    m = qf.embedded_toy_reference_matrix(0.5)
-    assert qf.find_basis_permutation(m, m) == (0, 1, 2, 3, 4, 5)
+    m = _embedded_toy_reference_matrix(0.5)
+    assert _find_basis_permutation(m, m) == (0, 1, 2, 3, 4, 5)
     shuffle = (2, 0, 5, 1, 4, 3)
     p = np.asarray(shuffle)
     shuffled = m[np.ix_(p, p)]
-    found = qf.find_basis_permutation(shuffled, m)
+    found = _find_basis_permutation(shuffled, m)
     assert found is not None
     q = np.asarray(found)
     assert np.allclose(shuffled[np.ix_(q, q)], m)
-    assert qf.find_basis_permutation(m, np.eye(6)) is None
+    assert _find_basis_permutation(m, np.eye(6)) is None
     with pytest.raises(ValueError):
-        qf.find_basis_permutation(np.eye(9), np.eye(9))
+        _find_basis_permutation(np.eye(9), np.eye(9))
 
 
 # ------------------------------------------------------------ validation
