@@ -34,11 +34,13 @@ from .model import (
     IsingModel,
     ProbabilityVector,
     SpinConfiguration,
+    _check_bounds,
+    _ground_bits,
     _integer,
-    energy_table,
+    _table,
     enumerate_ground_states,
 )
-from .pt import PerturbationSetup, _answer, _first_order, _links, second_order_links
+from .pt import _answer, _first_order, _links, second_order_links
 
 
 def inversion_classes(
@@ -178,13 +180,20 @@ def gap_ratio(
             f"{model.num_spins}"
         )
     gaps, _, neighbours = second_order_links(model, manifold)
-    return _gap_report(manifold, gaps, _gap_shape(manifold, neighbours, partition))
+    shape = _gap_shape(manifold.bits, neighbours, partition)
+    means, delta_s, delta_c = _gap_means(gaps, shape)
+    _, counts, on_s, on_c = shape
+    return GapReport(
+        {g: m for g, m, n in zip(manifold.configs, means.tolist(), counts) if n},
+        delta_s, delta_c, delta_s / delta_c,
+        tuple(g for g, on in zip(manifold.configs, on_s | on_c) if not on),
+    )
 
 
-def _gap_shape(manifold: GroundManifold, neighbours, partition: FairnessPartition):
-    """What the manifold's bits fix of the gap analysis, refusals included:
-    mediating flips, their count per state, states counted on S and on C."""
-    if manifold.degeneracy < 2:
+def _gap_shape(bits, neighbours, partition: FairnessPartition):
+    """What the ascending ground ``bits`` fix of the gap analysis, refusals
+    included: mediating flips, their count per state, states on S and on C."""
+    if len(bits) < 2:
         raise ValueError("gap analysis needs a degenerate manifold")
     # a flip mediates when it reaches a ground state other than its own
     mediating = (neighbours >= 0).sum(axis=2) >= 2
@@ -193,7 +202,7 @@ def _gap_shape(manifold: GroundManifold, neighbours, partition: FairnessPartitio
     sides = {c.bits: "S" for c in partition.s_set}
     sides.update((c.bits, "C") for c in partition.c_set)
     mask = (1 << partition.s_set[0].num_spins) - 1
-    side = [sides.get(g) or sides.get(min(g, g ^ mask)) for g in manifold.bits.tolist()]
+    side = [sides.get(g) or sides.get(min(g, g ^ mask)) for g in bits.tolist()]
     counts = mediating.sum(axis=1)
     on_s = (counts > 0) & [s == "S" for s in side]
     on_c = (counts > 0) & [s == "C" for s in side]
@@ -202,22 +211,15 @@ def _gap_shape(manifold: GroundManifold, neighbours, partition: FairnessPartitio
     return mediating, counts, on_s, on_c
 
 
-def _gap_report(manifold: GroundManifold, gaps, shape) -> GapReport:
-    """The report from the gaps of ``second_order_links`` and ``_gap_shape``.
-    Each mean is a sequential sum over the counted terms, which a Python 3.11
-    ``sum`` also gives: gaps are positive, and a term left out adds ±0.0."""
+def _gap_means(gaps, shape):
+    """Per-state and S and C mean gaps from ``second_order_links`` and
+    ``_gap_shape``, each a sequential sum over the counted terms, as a Python
+    3.11 ``sum`` gives: gaps are positive, and a term left out adds ±0.0."""
     mediating, counts, on_s, on_c = shape
     means = (gaps * mediating).cumsum(axis=1)[:, -1] / counts.clip(1)
     delta_s = float((means * on_s).cumsum()[-1] / on_s.sum())
     delta_c = float((means * on_c).cumsum()[-1] / on_c.sum())
-    configs = manifold.configs
-    return GapReport(
-        per_state={g: m for g, m, n in zip(configs, means.tolist(), counts) if n},
-        delta_e_s=delta_s,
-        delta_e_c=delta_c,
-        ratio=delta_s / delta_c,
-        excluded=tuple(g for g, on in zip(configs, on_s | on_c) if not on),
-    )
+    return means, delta_s, delta_c
 
 
 def project_and_fold(
@@ -375,10 +377,13 @@ def sweep_chain_strength(
     sweep, since every J_F variant shares them.
 
     Each row is bitwise what the public calls give at its J_F; like ``pt``,
-    it refuses intact chains off the lifts. The lifts are taken once, and
-    the links, gap sides and first-order eigensystem, which read only the
-    ground bits, are reused while the bits repeat: a row builds its energy
-    table and gaps, and W when the first order does not resolve.
+    it refuses intact chains off the lifts. J_F enters only through the
+    chain bonds ``apply_embedding`` appends, once, after the source
+    couplings: a row copies the shared table of those, subtracts its bonds
+    and fields and scans it by the helpers of ``energy_table`` and
+    ``enumerate_ground_states``; only SE rows get a model per J_F. What
+    reads only the ground bits is reused while they repeat. No 2^N array
+    is left in this frame where a row can refuse (a traceback keeps it).
     """
     unknown = set(methods) - {"PT", "SE"}
     if unknown:
@@ -386,37 +391,52 @@ def sweep_chain_strength(
     source_manifold = enumerate_ground_states(source)
     partition = default_partition(source_manifold)
 
-    variants = [
-        (jf, apply_embedding(source, embedding_template.with_chain_strength(jf)))
-        for jf in chain_strengths
-    ]
+    variants = []
+    for jf in chain_strengths:
+        embedding = embedding_template.with_chain_strength(jf)
+        if not variants:
+            physical = apply_embedding(source, embedding).model
+            head = physical.couplings[: len(source.couplings)]
+        strength = embedding.chain_strength
+        bonds = tuple((p, q, strength) for p, q, _ in physical.couplings[len(head) :])
+        _check_bounds(physical.num_spins, head + bonds, physical.fields)
+        variants.append((jf, embedding, bonds))
+    if not variants:
+        return []
     # every variant has the template's chains, so one lift serves each J_F
-    gap_partition = _lift_partition(partition, embedding_template) if variants else None
+    gap_partition = _lift_partition(partition, embedding_template)
     lifted = _lift_manifold(source_manifold, embedding_template)
 
     se_results = [None] * len(variants)
     if "SE" in methods:
         schedule = AnnealSchedule.for_tau(tau, steps)
-        models = [em.model for _, em in variants]
+        models = [apply_embedding(source, e).model for _, e, _ in variants]
         se_results = evolve_many(models, schedule, enforce_drift=False)
 
+    num_spins, has_fields = physical.num_spins, physical.has_fields
     records = []
     bits = None
-    for (jf, em), result in zip(variants, se_results):
+    for (jf, embedding, bonds), result in zip(variants, se_results):
         row = (f"embedded[jf={jf:g}]", "jf", jf)
-        setup = PerturbationSetup.from_model(em.model)
-        manifold = setup.manifold
-        if manifold.bits.tobytes() != bits:
-            bits = manifold.bits.tobytes()
-            _require_lifts(manifold, em.embedding, source_manifold)
-            flips, excited, neighbours = _links(manifold.bits, em.model.num_spins)
-            shape = _gap_shape(manifold, neighbours, gap_partition)
-            first = _first_order(setup) if "PT" in methods else None
-        gaps = energy_table(em.model)[flips] - manifold.energy
-        gap = _gap_report(manifold, gaps, shape).ratio
+        table = _table(num_spins, head, bonds, physical.fields)
+        integer = source.is_integer_valued and all(J.is_integer() for *_, J in bonds)
+        e0, ground = _ground_bits(table, integer)
+        if ground.tobytes() != bits:
+            bits, shape = ground.tobytes(), None
+            flips, excited, neighbours = _links(ground, num_spins)
+        energies = table[flips]
+        del table
+        if shape is None:
+            _require_lifts(ground.tolist(), embedding, source_manifold)
+            shape = _gap_shape(ground, neighbours, gap_partition)
+            first = _first_order(ground, has_fields) if "PT" in methods else None
+        gaps = energies - e0
+        _, delta_s, delta_c = _gap_means(gaps, shape)
+        gap = delta_s / delta_c
         if "PT" in methods:
-            pt = _answer(setup, first, (gaps, excited, neighbours)).probabilities
-            records.append(_record((*row, "PT"), pt, lifted, partition, gap))
+            pt = _answer(ground, num_spins, has_fields, first, (gaps, excited, neighbours))
+            records.append(_record((*row, "PT"), pt.probabilities, lifted, partition, gap))
+            del pt
         if "SE" in methods:
             se = result.final_probabilities
             records.append(_record((*row, "SE"), se, lifted, partition, gap, result))

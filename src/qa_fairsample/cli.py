@@ -130,7 +130,7 @@ def cmd_embed(args) -> int:
     )
     embedded = apply_embedding(source, embedding)
     manifold = enumerate_ground_states(embedded.model)
-    _require_lifts(manifold, embedding, enumerate_ground_states(source))
+    _require_lifts(manifold.bits.tolist(), embedding, enumerate_ground_states(source))
     report = verify_embedding(embedded)
     _print_json({"model": embedded.model.to_dict(), "report": report.to_dict()})
     return 0
@@ -143,7 +143,7 @@ def cmd_pt(args) -> int:
     target, embedding = _target(args, source)
 
     setup = PerturbationSetup.from_model(target)
-    _require_lifts(setup.manifold, embedding, source_manifold)
+    _require_lifts(setup.manifold.bits.tolist(), embedding, source_manifold)
     result = perturbative_probabilities(setup)
     folded, _ = project_and_fold(result.probabilities, embedding, source_manifold)
 

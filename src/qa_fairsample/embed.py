@@ -205,15 +205,14 @@ def _lift_manifold(
 
 
 def _require_lifts(
-    manifold: GroundManifold, embedding: Embedding, source_manifold: GroundManifold
+    bits: list[int], embedding: Embedding, source_manifold: GroundManifold
 ) -> None:
-    """Refuse an all-intact manifold that is not the source's lift set.
+    """Refuse all-intact ascending ground ``bits`` off the source's lift set.
 
     Intact configs cost their source energy less J_F per chain bond, so in
-    exact arithmetic it is; else J_F swamped the source's levels, through
-    the tie window relative to |E_0| or through float absorption.
+    exact arithmetic they are the lifts; else J_F swamped the source's
+    levels, through the tie window relative to |E_0| or float absorption.
     """
-    bits = manifold.bits.tolist()
     lifted = [b for b, _ in _lift_manifold(source_manifold, embedding)]
     if bits != lifted and all(
         (b & m) in (0, m) for b in bits for m in embedding.chain_masks

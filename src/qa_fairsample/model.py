@@ -243,23 +243,44 @@ class GroundManifold:
         return len(self.configs)
 
 
-def _subtract_couplings(table: np.ndarray, idx: np.ndarray, couplings) -> None:
-    # J*s_i*s_j is exactly -J where bits i and j differ and J where they
-    # agree. It depends on the low j+1 bits only, so one period of 2^(j+1)
-    # entries is computed and subtracted from every period of the table.
+# _AGREE[i, b] is 1.0 where bit i of b is clear and -1.0 where it is set.
+_RUN_BITS = 6
+_AGREE = 1.0 - 2.0 * ((np.arange(1 << _RUN_BITS) >> np.arange(_RUN_BITS)[:, None]) & 1)
+
+
+def _subtract_couplings(table: np.ndarray, couplings) -> None:
+    # J*s_i*s_j is exactly J where bits i and j agree and -J where they
+    # differ: bit i's pattern, negated where bit j is set. It is subtracted
+    # from the table viewed as blocks split at bit j; for a low i it spans
+    # the bits below min(j, _RUN_BITS), so that its rows are not 2^i short.
     for i, j, J in couplings:
-        low = idx[: 2 << j]
-        periods = table.reshape(-1, low.size)
-        periods -= np.where(((low >> i) ^ (low >> j)) & 1, -J, J)
+        if i < _RUN_BITS:
+            width = min(j, _RUN_BITS)
+            blocks = table.reshape(-1, 2, 1 << (j - width), 1 << width)
+            blocks -= np.multiply.outer((J, -J), _AGREE[i, : 1 << width])[:, None]
+        else:
+            blocks = table.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+            blocks -= np.array([[J, -J], [-J, J]])[:, None, :, None]
 
 
 @functools.lru_cache(maxsize=2)
 def _shared_table(num_spins: int, couplings: tuple) -> np.ndarray:
     """Read-only table of the ``couplings`` terms alone, in their order."""
-    idx = np.arange(1 << num_spins, dtype=np.int64)
-    table = np.zeros(idx.shape, dtype=np.float64)
-    _subtract_couplings(table, idx, couplings)
+    table = np.zeros(1 << num_spins)
+    _subtract_couplings(table, couplings)
     table.setflags(write=False)
+    return table
+
+
+def _table(num_spins: int, head: tuple, tail, fields) -> np.ndarray:
+    """A copy of the shared table of the ``head`` couplings, less the ``tail``
+    couplings and then each field term h*s_i: -h where bit i is clear, else h."""
+    table = _shared_table(num_spins, head).copy()
+    _subtract_couplings(table, tail)
+    for i, h in enumerate(fields):
+        if h:
+            blocks = table.reshape(-1, 2, 1 << i)
+            blocks -= ((-h,), (h,))
     return table
 
 
@@ -269,14 +290,7 @@ def _energy_table(model: IsingModel) -> np.ndarray:
     split = len(couplings)
     while split and couplings[split - 1][2] == couplings[-1][2]:
         split -= 1
-    idx = np.arange(1 << model.num_spins, dtype=np.int64)
-    table = _shared_table(model.num_spins, couplings[:split]).copy()
-    _subtract_couplings(table, idx, couplings[split:])
-    for i, h in enumerate(model.fields):
-        if h:
-            low = idx[: 2 << i]
-            periods = table.reshape(-1, low.size)
-            periods -= np.where((low >> i) & 1, h, -h)
+    table = _table(model.num_spins, couplings[:split], couplings[split:], model.fields)
     table.setflags(write=False)
     return table
 
@@ -285,14 +299,14 @@ class _EnergyTables:
     """Energies of all 2^N configurations of a model, indexed by bits value.
 
     ``energy_table(model)`` returns a read-only float64 array, memoised per
-    model (4 of them, least recently used first out). The table is built
-    by subtracting each coupling term and then each field term, in the
-    model's order, from zeros. The couplings before the trailing run that
-    shares the last coupling's value are summed once into a table kept for
-    the next model with the same leading couplings: the J_F variants of one
-    embedding differ only in the chain bonds ``apply_embedding`` appends, so
-    they share it. Each model then copies it and subtracts its own run and
-    its fields, so every table holds bitwise what the one-pass sum gives.
+    model (4 of them, least recently used first out). Each entry is 0.0 less
+    each coupling term and then each field term, in the model's order. The
+    couplings before the trailing run that shares the last coupling's value
+    are summed once into a shared table (two are kept), which the model
+    copies before it subtracts its run and its fields. The J_F variants of
+    one embedding differ only in the chain bonds ``apply_embedding``
+    appends, so they share it, as do the model-free rows of
+    ``sweep_chain_strength``. Every table is bitwise the one-pass sum.
     ``cache_info()`` reports the per-model memo, and ``cache_clear()``
     empties it and the shared tables.
     """
@@ -311,6 +325,14 @@ class _EnergyTables:
 energy_table = _EnergyTables()
 
 
+def _ground_bits(table: np.ndarray, integer_valued: bool) -> tuple[float, np.ndarray]:
+    """The minimum of an energy table and the ascending bits values that reach
+    it: exactly for integer-valued models, else within the tie window."""
+    e0 = float(table.min())
+    window = 0.0 if integer_valued else TIE_EPS * max(1.0, abs(e0))
+    return e0, np.flatnonzero(table <= e0 + window)
+
+
 def enumerate_ground_states(model: IsingModel) -> GroundManifold:
     """Exhaustive scan over all 2^N configurations for the exact minimum.
 
@@ -318,15 +340,8 @@ def enumerate_ground_states(model: IsingModel) -> GroundManifold:
     integers, exact in float64) and within a 1e-12 relative tolerance
     otherwise, so rounding cannot split a true degeneracy.
     """
-    table = energy_table(model)
-    e0 = float(table.min())
-    if model.is_integer_valued:
-        mask = table == e0
-    else:
-        mask = table <= e0 + TIE_EPS * max(1.0, abs(e0))
-    configs = tuple(
-        SpinConfiguration(int(b), model.num_spins) for b in np.flatnonzero(mask)
-    )
+    e0, bits = _ground_bits(energy_table(model), model.is_integer_valued)
+    configs = tuple(SpinConfiguration(b, model.num_spins) for b in bits.tolist())
     return GroundManifold(energy=e0, configs=configs)
 
 

@@ -136,7 +136,10 @@ def first_order_matrix(setup: PerturbationSetup) -> np.ndarray:
 
     A read-only float64 (d, d) array over ``setup.manifold.configs`` in order.
     """
-    bits = setup.manifold.bits
+    return _first_order_matrix(setup.manifold.bits)
+
+
+def _first_order_matrix(bits: np.ndarray) -> np.ndarray:
     x = bits[:, None] ^ bits
     entries = np.where((x != 0) & ((x & (x - 1)) == 0), -1.0, 0.0)
     entries.setflags(write=False)
@@ -176,13 +179,13 @@ def _second_order(gaps, excited, neighbours) -> np.ndarray:
     return entries
 
 
-def _is_inversion_doublet(setup: PerturbationSetup, u: np.ndarray) -> bool:
+def _is_inversion_doublet(has_fields: bool, u: np.ndarray) -> bool:
     """True when a 2-dim eigenspace maps onto itself under global spin flip.
 
     Without fields the manifold is closed under inversion, and inverting
     (bits -> mask - bits) reverses its ascending order.
     """
-    if u.shape[1] != 2 or setup.model.has_fields:
+    if u.shape[1] != 2 or has_fields:
         return False
     proj = u @ u.T
     return bool(np.abs(proj[::-1, ::-1] - proj).max() < DEGENERACY_TOL)
@@ -199,25 +202,28 @@ def perturbative_probabilities(setup: PerturbationSetup) -> PTResult:
     by g, which reduces to squared eigenvector components at g = 1; unless
     that eigenspace is an inversion doublet, ``resolved`` is then false.
     """
-    return _answer(setup, _first_order(setup))
+    model, bits = setup.model, setup.manifold.bits
+    first = _first_order(bits, model.has_fields)
+    links = None if first[2] else second_order_links(model, setup.manifold)
+    return _answer(bits, model.num_spins, model.has_fields, first, links)
 
 
-def _first_order(setup: PerturbationSetup) -> tuple[np.ndarray, float, bool]:
-    """Minimal first-order eigenspace, its eigenvalue and whether it resolves;
-    it reads the manifold's bits and whether there are fields, no energy."""
-    vals, vecs = np.linalg.eigh(first_order_matrix(setup))
+def _first_order(bits: np.ndarray, has_fields: bool) -> tuple[np.ndarray, float, bool]:
+    """Minimal first-order eigenspace of the manifold with these ground bits,
+    its eigenvalue and whether it resolves; no energy is read."""
+    vals, vecs = np.linalg.eigh(_first_order_matrix(bits))
     u = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
-    return u, float(vals[0]), u.shape[1] == 1 or _is_inversion_doublet(setup, u)
+    return u, float(vals[0]), u.shape[1] == 1 or _is_inversion_doublet(has_fields, u)
 
 
-def _answer(setup: PerturbationSetup, first, links=None) -> PTResult:
-    """``perturbative_probabilities`` from ``_first_order``; W is built from
-    ``links``, the arrays of ``second_order_links``, or else from the model."""
+def _answer(bits: np.ndarray, num_spins: int, has_fields: bool, first, links) -> PTResult:
+    """``perturbative_probabilities`` from ``_first_order`` on ground ``bits``;
+    W is built from ``links``, the arrays of ``second_order_links``, which
+    are read only when the first order does not resolve."""
     u, minimal, resolved = first
     resolved_order = 1
     span = u
     if not resolved:
-        links = links or second_order_links(setup.model, setup.manifold)
         projected = u.T @ _second_order(*links) @ u
         projected = 0.5 * (projected + projected.T)
         vals2, vecs2 = np.linalg.eigh(projected)
@@ -225,10 +231,10 @@ def _answer(setup: PerturbationSetup, first, links=None) -> PTResult:
         span = u @ v
         resolved_order = 2
         minimal = float(vals2[0])
-        resolved = span.shape[1] == 1 or _is_inversion_doublet(setup, span)
+        resolved = span.shape[1] == 1 or _is_inversion_doublet(has_fields, span)
     multiplicity = span.shape[1]
-    vector = np.zeros(1 << setup.model.num_spins)
-    vector[setup.manifold.bits] = (span ** 2).sum(axis=1) / multiplicity
+    vector = np.zeros(1 << num_spins)
+    vector[bits] = (span ** 2).sum(axis=1) / multiplicity
     return PTResult(
         resolved_order=resolved_order,
         minimal_eigenvalue=minimal,

@@ -158,20 +158,25 @@ def embedded_instances(draw):
     """A random model with N <= 4 and a chain embedding of it.
 
     Chains have 1-3 members drawn from a random permutation of the physical
-    spins, so lifting is not monotone in bits. Coupling and field magnitudes
-    come from {1, 2, 3}, so chains of strength J_F <= 1.5 often break in the
-    embedded ground states.
+    spins, so lifting is not monotone in bits; one template in four has
+    1-member chains only, so it has no chain bond. Coupling and field
+    magnitudes come from {1, 2, 3}, and couplings also from 1.5, so chains
+    of strength J_F <= 1.5 often break in the embedded ground states, and
+    models that are not integer-valued take the tie-window scan.
     """
     n = draw(st.integers(1, 4))
     couplings = tuple(
-        (i, j, draw(st.sampled_from(MAGNITUDES)))
+        (i, j, draw(st.sampled_from(MAGNITUDES + (-1.5, 1.5, -0.7, 0.7))))
         for i in range(n)
         for j in range(i + 1, n)
         if draw(st.booleans())
     )
     fields = tuple(draw(st.sampled_from((0.0, 0.0) + MAGNITUDES)) for _ in range(n))
     model = qf.IsingModel(n, couplings, fields)
-    lengths = [draw(st.integers(1, 3)) for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        lengths = [1] * n
+    else:
+        lengths = [draw(st.integers(1, 3)) for _ in range(n)]
     order = draw(st.permutations(range(sum(lengths))))
     chains = tuple(
         tuple(order[sum(lengths[:i]) : sum(lengths[: i + 1])]) for i in range(n)

@@ -619,11 +619,16 @@ def test_sweep_chain_strength_validation(toy_source, toy_template):
 
 
 def test_energy_table_memo_stays_bounded_over_a_sweep(toy_source, toy_template):
-    # one table per J_F variant would pile up 40 here
+    # J_F enters only through the chain bonds: a PT-only sweep embeds once,
+    # for their layout, and memoises only the source's table, not one per J_F
     qf.energy_table.cache_clear()
     strengths = [k / 20.0 for k in range(1, 41)]
-    qf.sweep_chain_strength(toy_source, toy_template, strengths, methods=("PT",))
-    assert qf.energy_table.cache_info().currsize <= 4
+    with mock.patch.object(
+        analysis, "apply_embedding", side_effect=qf.apply_embedding
+    ) as spy:
+        qf.sweep_chain_strength(toy_source, toy_template, strengths, methods=("PT",))
+    assert spy.call_count == 1
+    assert qf.energy_table.cache_info().currsize <= 1
 
 
 def test_sweep_chain_strength_se_smoke(toy_source, toy_template):
@@ -798,6 +803,25 @@ def test_sweep_rows_are_bitwise_the_public_calls_across_the_break_point(
     assert [vector for _, vector in got] == [vector for _, vector in want]
 
 
+@pytest.mark.parametrize(
+    "chains, jf", [(((0,), (1,), (2,)), 0.5), (((0,), (1,), (2, 3)), 1.0)]
+)
+def test_sweep_rows_scan_a_non_integer_source_in_the_tie_window(chains, jf):
+    # float rounding splits the four-fold ground manifold of this source, and
+    # the split survives the bond at J_F = 1, so only the tie-window scan
+    # finds all of it; a row takes that scan whenever the source is not
+    # integer-valued, with or without chain bonds, at an integer J_F too
+    source = qf.IsingModel(3, ((0, 1, -10.3), (0, 2, -10.1), (1, 2, -10.1)))
+    manifold = qf.enumerate_ground_states(source)
+    assert manifold.degeneracy == 4
+    assert len(set(qf.energy_table(source)[manifold.bits].tolist())) > 1
+    assignment = tuple(((i, j), (chains[i][0], chains[j][0])) for i, j, _ in source.couplings)
+    template = qf.Embedding(3, chains, 1.0, assignment)
+    got, refusal = swept_pt_rows(source, template, (jf,))
+    assert refusal is None
+    assert got == public_pt_rows(source, template, (jf,))[0]
+
+
 def test_sweep_solves_the_first_order_once_per_distinct_manifold(toy_source):
     # logical spin 4 on a 3-member chain: J* = 1, so the manifold at J_F = 1
     # holds broken chains and the lifts, and every J_F above 1 the lifts alone
@@ -839,6 +863,32 @@ def test_sweep_refuses_a_chain_strength_that_swamps_the_source(
     # 1e16 is still exact: its manifold is the lift set, and it is answered
     (row,) = qf.sweep_chain_strength(toy_source, toy_template, (1e16,), methods=("PT",))
     assert row.ratio is not None
+
+
+def test_a_refused_sweep_leaves_no_full_table_in_its_traceback():
+    # A caller that keeps the exception keeps every frame of its traceback
+    # alive; no frame may hold an array (or answer) of 2^N entries. Logical
+    # spins 0-7 form a ferromagnetic chain and spin 8 is free: two inversion
+    # classes, but the ground states differ by one flip or by nine, so the
+    # gap analysis finds no second-order connection and refuses the row.
+    source = qf.IsingModel(9, tuple((k, k + 1, 1.0) for k in range(7)))
+    chains = ((0, 9),) + tuple((k,) for k in range(1, 9))
+    assignment = tuple(((k, k + 1), (9 if k == 0 else k, k + 1)) for k in range(7))
+    template = qf.Embedding(9, chains, 1.0, assignment)
+    with pytest.raises(ValueError, match="no second-order connections") as info:
+        qf.sweep_chain_strength(source, template, (0.5, 1.5), methods=("PT",))
+    size = 1 << template.num_physical
+    tb = info.value.__traceback__
+    frames = 0
+    while tb is not None:
+        for name, value in tb.tb_frame.f_locals.items():
+            vector = getattr(value, "vector", value)
+            assert not (isinstance(vector, np.ndarray) and vector.size >= size), (
+                f"{tb.tb_frame.f_code.co_name}: {name}"
+            )
+        frames += 1
+        tb = tb.tb_next
+    assert frames >= 3
 
 
 # -------------------------------------------------------------------- CSV

@@ -95,6 +95,43 @@ def test_chain_strength_variants_share_exact_tables(instances, data):
         assert _shared_table.cache_info().currsize <= 2
 
 
+@st.composite
+def kernel_edge_models(draw):
+    """Models of 1-16 spins whose couplings sit at the table kernel's edge
+    shapes: adjacent pairs, spin 0, the top spin, non-integer values, with
+    or without fields; couplings come in draw order, not sorted."""
+    n = draw(st.integers(1, 16))
+    couplings = ()
+    if n > 1:
+        pairs = st.one_of(
+            st.integers(0, n - 2).map(lambda i: (i, i + 1)),
+            st.integers(1, n - 1).map(lambda j: (0, j)),
+            st.integers(0, n - 2).map(lambda i: (i, n - 1)),
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(
+                lambda p: tuple(sorted(p))
+            ),
+        )
+        values = st.sampled_from((-1.5, -1.0, 0.1, 0.25, 1.0, 3.0))
+        couplings = tuple(
+            (i, j, draw(values)) for i, j in draw(st.lists(pairs, max_size=6, unique=True))
+        )
+    fields = draw(
+        st.one_of(
+            st.just(()),
+            st.lists(st.sampled_from((0.0, -1.0, 0.5, 1.5)), min_size=n, max_size=n),
+        )
+    )
+    return qf.IsingModel(n, couplings, tuple(fields))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_edge_models())
+def test_energy_table_is_bitwise_the_loop_table_at_kernel_edges(model):
+    qf.energy_table.cache_clear()
+    table = qf.energy_table(model)
+    assert table.tobytes() == loop_energy_table(model).tobytes()
+
+
 def test_inversion_symmetry_without_fields():
     rng = np.random.default_rng(42)
     for num_spins in (3, 5, 10):
