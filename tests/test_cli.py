@@ -652,6 +652,63 @@ def assert_matches_golden(out_path, name):
                 )
 
 
+def _assert_close(got, want, where):
+    """Equal keys, strings, types and lengths; floats equal at rel 1e-12."""
+    if isinstance(want, float):
+        assert type(got) is float, f"{where}: {got!r} is not a float"
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (
+            f"{where}: {got!r} != {want!r}"
+        )
+    elif isinstance(want, dict):
+        assert type(got) is dict and list(got) == list(want), f"{where}: keys differ"
+        for key, value in want.items():
+            _assert_close(got[key], value, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert type(got) is list and len(got) == len(want), f"{where}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def assert_output_matches_golden(text, name):
+    """Compare a command's standard output with ``tests/data/<name>``.
+
+    A ``.json`` answer compares value by value as ``_assert_close`` does; a
+    text answer, whose numbers are printed rounded, line for line.
+    """
+    want = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    if name.endswith(".json"):
+        _assert_close(json.loads(text), json.loads(want), name)
+    else:
+        assert text.splitlines() == want.splitlines()
+
+
+# the committed answers of the bundled instance
+CLI_GOLDENS = {
+    "cli_solve.txt": ["solve", "matsuda5"],
+    "cli_validate.txt": ["validate"],
+    "cli_pt.json": ["pt", "matsuda5"],
+    "cli_pt_embedded.json": [
+        "pt", "matsuda5", "--embedding", "matsuda5_embedded", "--jf", "1",
+        "--dump-matrix",
+    ],
+    "cli_embed.json": ["embed", "matsuda5", "matsuda5_embedded", "--jf", "1"],
+    "cli_anneal.json": ["anneal", "matsuda5", "--tau", "20"],
+    "cli_anneal_embedded.json": [
+        "anneal", "matsuda5", "--tau", "20", "--embedding", "matsuda5_embedded",
+        "--jf", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", CLI_GOLDENS)
+def test_cli_answer_matches_its_golden(capsys, name):
+    code, out, err = run(capsys, *CLI_GOLDENS[name])
+    assert (code, err) == (0, "")
+    assert_output_matches_golden(out, name)
+
+
 def test_reproduce_fig3b_matches_the_golden_csv(capsys, tmp_path):
     out_path = tmp_path / "fig3b.csv"
     code, _, _ = run(capsys, "reproduce", "fig3b", "--out", str(out_path))
