@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .embed import (
     Embedding,
-    _lift_bits,
+    _chain_verdict,
     _lift_manifold,
     _require_lifts,
     apply_embedding,
@@ -180,7 +180,9 @@ def gap_ratio(
             f"{model.num_spins}"
         )
     gaps, _, neighbours = second_order_links(model, manifold)
-    shape = _gap_shape(manifold.bits, neighbours, partition)
+    sides = {c.bits: "S" for c in partition.s_set}
+    sides.update((c.bits, "C") for c in partition.c_set)
+    shape = _gap_shape(manifold.bits, neighbours, sides)
     means, delta_s, delta_c = _gap_means(gaps, shape)
     _, counts, on_s, on_c = shape
     return GapReport(
@@ -190,18 +192,19 @@ def gap_ratio(
     )
 
 
-def _gap_shape(bits, neighbours, partition: FairnessPartition):
+def _gap_shape(bits, neighbours, sides: dict[int, str]):
     """What the ascending ground ``bits`` fix of the gap analysis, refusals
-    included: mediating flips, their count per state, states on S and on C."""
+    included: mediating flips, their count per state, states on S and on C.
+
+    ``sides`` maps bits to "S" or "C"; a state missing from it is looked up
+    by its inversion-class representative min(g, ~g)."""
     if len(bits) < 2:
         raise ValueError("gap analysis needs a degenerate manifold")
     # a flip mediates when it reaches a ground state other than its own
     mediating = (neighbours >= 0).sum(axis=2) >= 2
     if not mediating.any():
         raise ValueError("no second-order connections inside the manifold")
-    sides = {c.bits: "S" for c in partition.s_set}
-    sides.update((c.bits, "C") for c in partition.c_set)
-    mask = (1 << partition.s_set[0].num_spins) - 1
+    mask = (1 << neighbours.shape[1]) - 1
     side = [sides.get(g) or sides.get(min(g, g ^ mask)) for g in bits.tolist()]
     counts = mediating.sum(axis=1)
     on_s = (counts > 0) & [s == "S" for s in side]
@@ -339,9 +342,11 @@ def sweep_tau(
         raise ValueError("tau grid must be strictly ascending")
     source_manifold = enumerate_ground_states(source)
     partition = default_partition(source_manifold)
-    variants = [("original", identity_embedding(source)), *embeddings]
-    embedded = [(label, apply_embedding(source, e)) for label, e in variants]
-    models = [em.model for _, em in embedded]
+    variants = [
+        (label, apply_embedding(source, e).model, _lift_manifold(source_manifold, e))
+        for label, e in [("original", identity_embedding(source)), *embeddings]
+    ]
+    models = [model for _, model, _ in variants]
 
     schedules = [AnnealSchedule.for_tau(tau, steps) for tau in taus]
     results = evolve_many(
@@ -349,13 +354,13 @@ def sweep_tau(
         [schedule for schedule in schedules for _ in models],
         enforce_drift=False,
     )
-    rows = itertools.product(taus, embedded)
+    rows = itertools.product(taus, variants)
     return [
         _record(
-            (label, "tau", tau, "SE"), result.final_probabilities,
-            _lift_manifold(source_manifold, em.embedding), partition, None, result,
+            (label, "tau", tau, "SE"), result.final_probabilities, lifted, partition,
+            None, result,
         )
-        for (tau, (label, em)), result in zip(rows, results)
+        for (tau, (label, _, lifted)), result in zip(rows, results)
     ]
 
 
@@ -373,8 +378,8 @@ def sweep_chain_strength(
     Rows come out grouped by J_F in the given order, PT before SE, with the
     gap ratio repeated on both rows of each J_F. ``with_chain_strength``
     checks each J_F. Ratios use the default partition of the source
-    manifold. The gap ratio reads it lifted through the chains, once per
-    sweep, since every J_F variant shares them.
+    manifold. Every J_F variant shares the chains, so the source manifold
+    lifts once per sweep: the rows fold, refuse and side their gaps by it.
 
     Each row is bitwise what the public calls give at its J_F; like ``pt``,
     it refuses intact chains off the lifts. J_F enters only through the
@@ -403,9 +408,14 @@ def sweep_chain_strength(
         variants.append((jf, embedding, bonds))
     if not variants:
         return []
-    # every variant has the template's chains, so one lift serves each J_F
-    gap_partition = _lift_partition(partition, embedding_template)
     lifted = _lift_manifold(source_manifold, embedding_template)
+    # a lift's class representative min(L, ~L) takes its logical class's side
+    s_reps = {c.bits for c in partition.s_set}
+    mask, physical_mask = (1 << source.num_spins) - 1, (1 << physical.num_spins) - 1
+    sides = {
+        min(b, b ^ physical_mask): "S" if min(g, g ^ mask) in s_reps else "C"
+        for b, g in lifted
+    }
 
     se_results = [None] * len(variants)
     if "SE" in methods:
@@ -414,21 +424,24 @@ def sweep_chain_strength(
         se_results = evolve_many(models, schedule, enforce_drift=False)
 
     num_spins, has_fields = physical.num_spins, physical.has_fields
+    integer = source.is_integer_valued
     records = []
     bits = None
     for (jf, embedding, bonds), result in zip(variants, se_results):
         row = (f"embedded[jf={jf:g}]", "jf", jf)
         table = _table(num_spins, head, bonds, physical.fields)
-        integer = source.is_integer_valued and all(J.is_integer() for *_, J in bonds)
-        e0, ground = _ground_bits(table, integer)
+        # the bonds share one strength
+        strength = embedding.chain_strength
+        e0, ground = _ground_bits(table, integer and (not bonds or strength.is_integer()))
         if ground.tobytes() != bits:
             bits, shape = ground.tobytes(), None
             flips, excited, neighbours = _links(ground, num_spins)
         energies = table[flips]
         del table
         if shape is None:
-            _require_lifts(ground.tolist(), embedding, source_manifold)
-            shape = _gap_shape(ground, neighbours, gap_partition)
+            verdict = _chain_verdict(ground.tolist(), lifted, embedding)
+            _require_lifts(verdict, embedding)
+            shape = _gap_shape(ground, neighbours, sides)
             first = _first_order(ground, has_fields) if "PT" in methods else None
         gaps = energies - e0
         _, delta_s, delta_c = _gap_means(gaps, shape)
@@ -441,23 +454,6 @@ def sweep_chain_strength(
             se = result.final_probabilities
             records.append(_record((*row, "SE"), se, lifted, partition, gap, result))
     return records
-
-
-def _lift_partition(
-    partition: FairnessPartition, embedding: Embedding
-) -> FairnessPartition:
-    """Map logical class representatives to physical ones through the chains."""
-    num_spins = embedding.num_physical
-    mask = (1 << num_spins) - 1
-
-    def lift_rep(config: SpinConfiguration) -> SpinConfiguration:
-        lifted = _lift_bits(config.bits, embedding.chain_masks)
-        return SpinConfiguration(min(lifted, lifted ^ mask), num_spins)
-
-    return FairnessPartition(
-        s_set=tuple(lift_rep(c) for c in partition.s_set),
-        c_set=tuple(lift_rep(c) for c in partition.c_set),
-    )
 
 
 def _format_cell(value: float | None) -> str:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .analysis import (
     FairnessPartition,
+    _fold,
     fairness_ratio,
-    project_and_fold,
     sweep_chain_strength,
     sweep_tau,
     write_sweep_csv,
@@ -26,10 +26,11 @@ from .analysis import (
 from .data import resolve_embedding_path, resolve_model_path
 from .embed import (
     Embedding,
+    _chain_verdict,
+    _lift_manifold,
     _require_lifts,
     apply_embedding,
     identity_embedding,
-    lift_state,
     load_embedding,
     verify_embedding,
 )
@@ -97,15 +98,16 @@ def cmd_anneal(args) -> int:
     source_manifold = enumerate_ground_states(source)
     partition = _partition(args, source_manifold)
     target, embedding = _target(args, source)
+    lifted = _lift_manifold(source_manifold, embedding)
 
     schedule = AnnealSchedule.for_tau(args.tau, args.steps)
     result = evolve(target, schedule)
 
     probs = result.final_probabilities
-    folded, excited = project_and_fold(probs, embedding, source_manifold)
+    folded, excited = _fold(probs, lifted, source.num_spins)
+    lift = {g: b for b, g in lifted}
     ground = source_manifold.configs
-    lifts = [lift_state(c, embedding).bits for c in ground]
-    per_config = _by_bitstring(ground, probs.vector[lifts])
+    per_config = _by_bitstring(ground, probs.vector[[lift[c.bits] for c in ground]])
 
     _print_json(
         {
@@ -129,9 +131,8 @@ def cmd_embed(args) -> int:
         resolve_embedding_path(args.embedding), chain_strength=args.jf
     )
     embedded = apply_embedding(source, embedding)
-    manifold = enumerate_ground_states(embedded.model)
-    _require_lifts(manifold.bits.tolist(), embedding, enumerate_ground_states(source))
     report = verify_embedding(embedded)
+    _require_lifts((report.chains_unbroken, report.bijective), embedding)
     _print_json({"model": embedded.model.to_dict(), "report": report.to_dict()})
     return 0
 
@@ -141,11 +142,13 @@ def cmd_pt(args) -> int:
     source_manifold = enumerate_ground_states(source)
     partition = _partition(args, source_manifold)
     target, embedding = _target(args, source)
+    lifted = _lift_manifold(source_manifold, embedding)
 
     setup = PerturbationSetup.from_model(target)
-    _require_lifts(setup.manifold.bits.tolist(), embedding, source_manifold)
+    verdict = _chain_verdict(setup.manifold.bits.tolist(), lifted, embedding)
+    _require_lifts(verdict, embedding)
     result = perturbative_probabilities(setup)
-    folded, _ = project_and_fold(result.probabilities, embedding, source_manifold)
+    folded, _ = _fold(result.probabilities, lifted, source.num_spins)
 
     payload = {
         "resolved_order": result.resolved_order,

@@ -204,19 +204,29 @@ def _lift_manifold(
     )
 
 
-def _require_lifts(
-    bits: list[int], embedding: Embedding, source_manifold: GroundManifold
-) -> None:
-    """Refuse all-intact ascending ground ``bits`` off the source's lift set.
+def _intact(bits: int, chain_masks: tuple[int, ...]) -> bool:
+    """Whether each chain's members, ``bits & mask``, are all clear or all set."""
+    return all((bits & m) in (0, m) for m in chain_masks)
+
+
+def _chain_verdict(
+    bits: list[int], lifted: list[tuple[int, int]], embedding: Embedding
+) -> tuple[bool, bool]:
+    """(every chain intact, the lifts exactly) of ascending embedded ground
+    ``bits`` against ``lifted``, the source manifold's ``_lift_manifold``."""
+    if bits == [b for b, _ in lifted]:
+        return True, True  # a lift sets or clears each chain whole
+    return all(_intact(b, embedding.chain_masks) for b in bits), False
+
+
+def _require_lifts(verdict: tuple[bool, bool], embedding: Embedding) -> None:
+    """Refuse a ``_chain_verdict`` of all-intact ground states off the lifts.
 
     Intact configs cost their source energy less J_F per chain bond, so in
     exact arithmetic they are the lifts; else J_F swamped the source's
     levels, through the tie window relative to |E_0| or float absorption.
     """
-    lifted = [b for b, _ in _lift_manifold(source_manifold, embedding)]
-    if bits != lifted and all(
-        (b & m) in (0, m) for b in bits for m in embedding.chain_masks
-    ):
+    if verdict == (True, False):
         raise ValueError(
             f"chain strength J_F = {embedding.chain_strength!r} swamps the source's "
             "levels: intact embedded ground states that are not its lifts"
@@ -243,13 +253,10 @@ def project_state(
     """
     if config.num_spins != embedding.num_physical:
         raise ValueError("configuration does not match the embedding")
-    bits = 0
-    for i, mask in enumerate(embedding.chain_masks):
-        members = config.bits & mask
-        if members == mask:
-            bits |= 1 << i
-        elif members:
-            return None
+    masks = embedding.chain_masks
+    if not _intact(config.bits, masks):
+        return None
+    bits = sum(1 << i for i, mask in enumerate(masks) if config.bits & mask)
     return SpinConfiguration(bits, embedding.num_logical)
 
 
@@ -280,14 +287,14 @@ def verify_embedding(embedded: EmbeddedModel) -> EmbeddingReport:
     """
     source_manifold = enumerate_ground_states(embedded.source)
     embedded_manifold = enumerate_ground_states(embedded.model)
-    embedding = embedded.embedding
-    unbroken = all(
-        project_state(c, embedding) is not None for c in embedded_manifold.configs
+    unbroken, bijective = _chain_verdict(
+        embedded_manifold.bits.tolist(),
+        _lift_manifold(source_manifold, embedded.embedding),
+        embedded.embedding,
     )
-    lifted = [b for b, _ in _lift_manifold(source_manifold, embedding)]
     return EmbeddingReport(
         chains_unbroken=unbroken,
-        bijective=unbroken and embedded_manifold.bits.tolist() == lifted,
+        bijective=bijective,
         source_energy=source_manifold.energy,
         embedded_energy=embedded_manifold.energy,
         source_degeneracy=source_manifold.degeneracy,

@@ -73,9 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationAccuracyError, ModelTooLargeError
-from .model import (
-    MAX_SPINS, IsingModel, ProbabilityVector, _finite, _integer, energy_table
-)
+from .model import IsingModel, ProbabilityVector, _finite, _integer, energy_table
 
 # Maximum tolerated norm drift |1 - norm^2| and step-doubling error estimate
 # of the final probabilities.
@@ -221,13 +219,6 @@ def _accuracy_failure(result: EvolutionResult) -> str | None:
 
 def _initial_state(num_spins: int) -> np.ndarray:
     """Uniform superposition 2^(-N/2) on every configuration: the driver ground state."""
-    num_spins = _integer(num_spins, "num_spins")
-    if num_spins < 1:
-        raise ValueError(f"num_spins must be >= 1, got {num_spins}")
-    if num_spins > MAX_SPINS:
-        raise ModelTooLargeError(
-            f"{num_spins} spins exceeds the size guard of {MAX_SPINS}"
-        )
     dim = 1 << num_spins
     return np.full(dim, dim ** -0.5, dtype=np.complex128)
 

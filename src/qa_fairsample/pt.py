@@ -29,12 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed import (
-    _chain_strength,
-    apply_embedding,
-    load_embedding,
-    verify_embedding,
-)
+from .embed import apply_embedding, load_embedding, verify_embedding
 from .model import (
     GroundManifold,
     IsingModel,
@@ -47,9 +42,6 @@ from .model import (
 # Eigenvalues closer than this are treated as degenerate; toy-model spectra
 # are rational with O(1) separations.
 DEGENERACY_TOL = 1e-9
-
-# Permutation matching is brute force; beyond this the factorial blows up.
-_MAX_PERMUTATION_DIM = 8
 
 # Entrywise tolerance of a permutation match against the closed form.
 _MATCH_TOL = 1e-9
@@ -244,17 +236,16 @@ def _answer(bits: np.ndarray, num_spins: int, has_fields: bool, first, links) ->
     )
 
 
-def _embedded_toy_reference_matrix(chain_strength: float) -> np.ndarray:
+def _embedded_toy_reference_matrix(jf: float) -> np.ndarray:
     """Closed-form -P2 W P2 for the shipped embedded toy model.
 
     Its six ground states form a ring of second-order couplings. Off-diagonal
     elements around the ring alternate {1, 1/J_F, 1, 1, 1/J_F, 1}: the 1/J_F
     links are mediated by broken-chain intermediates at gap 2*J_F. The
     diagonal is (2J_F+5)/(J_F+2) on the two fully aligned states and
-    (4J_F+3)/(3J_F) on the other four. The chain strength is checked as an
-    embedding's is: anything but a positive finite real raises EmbeddingError.
+    (4J_F+3)/(3J_F) on the other four. ``validate_toy_model`` calls it at
+    each of ``STANDARD_CHAIN_STRENGTHS``.
     """
-    jf = _chain_strength(chain_strength)
     a = (2.0 * jf + 5.0) / (jf + 2.0)
     b = (4.0 * jf + 3.0) / (3.0 * jf)
     ring = [1.0, 1.0 / jf, 1.0, 1.0, 1.0 / jf, 1.0]
@@ -269,17 +260,10 @@ def _embedded_toy_reference_matrix(chain_strength: float) -> np.ndarray:
 def _find_basis_permutation(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
     """Permutation p with a[p][:, p] == b entrywise within 1e-9, or None.
 
-    Brute force over d! orderings; fine for the d <= 6 manifolds this
-    package compares.
+    Brute force over d! orderings of two (d, d) arrays: ``validate_toy_model``
+    compares shapes first, and its closed form has d = 6.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return None
-    d = a.shape[0]
-    if d > _MAX_PERMUTATION_DIM:
-        raise ValueError(f"permutation search limited to dimension {_MAX_PERMUTATION_DIM}")
-    for perm in itertools.permutations(range(d)):
+    for perm in itertools.permutations(range(len(b))):
         p = np.asarray(perm)
         if np.abs(a[np.ix_(p, p)] - b).max() <= _MATCH_TOL:
             return perm

@@ -18,11 +18,13 @@ the given order; it is the oracle for folding a PT answer.
 ``member_project_state`` and ``set_verify_embedding`` project chain by chain,
 member by member, and compare projected ground states as sets.
 ``embedded_instances`` draws random small models with chain embeddings for
-the property tests.
+the property tests. ``count_calls`` records each call of a package function,
+whichever module's binding of it the call goes through.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import numpy as np
@@ -54,6 +56,26 @@ FIXTURE_MODELS = {
     "single_spin_field": qf.IsingModel(1, (), fields=(0.5,)),
     "pinned_pair": qf.IsingModel(2, ((0, 1, 1.0),), fields=(0.5, 0.0)),
 }
+
+
+def count_calls(monkeypatch, name: str) -> list[tuple]:
+    """The positional arguments of every later call of the package function
+    ``name``: each module that binds it is patched with one recorder."""
+    modules = [
+        importlib.import_module(f"qa_fairsample.{m}")
+        for m in ("model", "evolve", "embed", "pt", "analysis", "cli")
+    ]
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 def brute_energy(model: qf.IsingModel, bits: int) -> float:

@@ -20,6 +20,7 @@ from qa_fairsample.pt import second_order_links
 from conftest import (
     FIXTURE_MODELS,
     consensus_project_and_fold,
+    count_calls,
     embedded_instances,
     loop_gap_ratio,
 )
@@ -629,6 +630,28 @@ def test_energy_table_memo_stays_bounded_over_a_sweep(toy_source, toy_template):
         qf.sweep_chain_strength(toy_source, toy_template, strengths, methods=("PT",))
     assert spy.call_count == 1
     assert qf.energy_table.cache_info().currsize <= 1
+
+
+def test_a_pt_sweep_lifts_the_source_manifold_once(
+    monkeypatch, toy_source, toy_template
+):
+    # every J_F shares the chains: the rows fold, refuse and side their gaps
+    # by one lift
+    calls = count_calls(monkeypatch, "_lift_manifold")
+    strengths = [k / 20.0 for k in range(1, 41)]
+    records = qf.sweep_chain_strength(
+        toy_source, toy_template, strengths, methods=("PT",)
+    )
+    assert len(records) == 40
+    assert len(calls) == 1
+
+
+def test_a_tau_sweep_lifts_each_variant_once(monkeypatch, toy_source, toy_template):
+    calls = count_calls(monkeypatch, "_lift_manifold")
+    embeddings = [("embedded[jf=1]", toy_template.with_chain_strength(1.0))]
+    records = qf.sweep_tau(toy_source, embeddings, (1.0, 2.0, 5.0), steps=8)
+    assert len(records) == 6
+    assert [e.num_physical for _, e in calls] == [5, 6]
 
 
 def test_sweep_chain_strength_se_smoke(toy_source, toy_template):

@@ -15,6 +15,8 @@ import qa_fairsample as qf
 import qa_fairsample.cli as cli
 from qa_fairsample.data import toy_embedding_path, toy_source_path
 
+from conftest import count_calls
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -650,6 +652,25 @@ def assert_matches_golden(out_path, name):
                 assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=0.0), (
                     f"{want_row[0]} column {want[0][i]}: {g} != {w}"
                 )
+
+
+@pytest.mark.parametrize("command", ["pt", "anneal"])
+def test_an_embedded_command_lifts_the_source_manifold_once(
+    capsys, monkeypatch, command
+):
+    # refusal and fold read one lift: one lift per source ground state
+    manifolds = count_calls(monkeypatch, "_lift_manifold")
+    configs = count_calls(monkeypatch, "_lift_bits")
+    code, _, _ = run(capsys, *CLI_GOLDENS[f"cli_{command}_embedded.json"])
+    assert code == 0
+    assert (len(manifolds), len(configs)) == (1, 6)
+
+
+def test_embed_enumerates_each_manifold_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "enumerate_ground_states")
+    code, _, _ = run(capsys, *CLI_GOLDENS["cli_embed.json"])
+    assert code == 0
+    assert sorted(model.num_spins for (model,) in calls) == [5, 6]
 
 
 def _assert_close(got, want, where):

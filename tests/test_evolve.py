@@ -38,17 +38,6 @@ def test_initial_state_amplitudes():
     assert np.all(_initial_state(6) == 0.125)
 
 
-@pytest.mark.parametrize("num_spins", [0, -1, True, 2.0, "3"])
-def test_initial_state_rejects_a_bad_spin_count(num_spins):
-    with pytest.raises(ValueError, match="num_spins"):
-        _initial_state(num_spins)
-
-
-def test_initial_state_guard():
-    with pytest.raises(ModelTooLargeError):
-        _initial_state(25)
-
-
 def test_integration_over_the_cost_budget_is_refused(toy_source):
     # 10^10 steps, each at least 2 amplitude-steps, so over the budget on
     # their own: refused before any allocation in proportion to the count

@@ -399,12 +399,6 @@ def test_reference_matrix_values():
     assert np.allclose(np.diag(unit), 7.0 / 3.0)
 
 
-@pytest.mark.parametrize("jf", [0, -1.0, float("nan"), float("inf"), True, "2"])
-def test_reference_matrix_rejects_a_bad_chain_strength(jf):
-    with pytest.raises(qf.EmbeddingError, match="chain strength"):
-        _embedded_toy_reference_matrix(jf)
-
-
 def test_find_basis_permutation():
     m = _embedded_toy_reference_matrix(0.5)
     assert _find_basis_permutation(m, m) == (0, 1, 2, 3, 4, 5)
@@ -416,8 +410,6 @@ def test_find_basis_permutation():
     q = np.asarray(found)
     assert np.allclose(shuffled[np.ix_(q, q)], m)
     assert _find_basis_permutation(m, np.eye(6)) is None
-    with pytest.raises(ValueError):
-        _find_basis_permutation(np.eye(9), np.eye(9))
 
 
 # ------------------------------------------------------------ validation
