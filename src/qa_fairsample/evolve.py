@@ -41,25 +41,20 @@ step doubling: every run also integrates at ceil(steps/2) steps, and the
 change in the final probabilities, divided by the fourth-order Richardson
 factor (15 for an even step count), estimates the error of the full run.
 The coarse run is one more row of the same batch, with its own step count,
-so one loop does both runs, with about a third fewer kernel calls than two
-loops: at small N a Taylor term costs mostly the fixed overhead of its
-numpy calls, whatever the rows. This estimate is the package's one
-convergence measure: the coarse row of a run at 2n steps is bitwise a
-separate run at n steps, so comparing n with 2n steps is two
+so one loop does both runs: at small N a Taylor term costs mostly the fixed
+overhead of its numpy calls, whatever the rows. This estimate is the
+package's one convergence measure: the coarse row of a run at 2n steps is
+bitwise a separate run at n steps, so comparing n with 2n steps is two
 ``evolve_many`` calls and needs no API of its own.
 
 ``evolve_many`` batches its models by spin count, whatever their schedules:
 the rows of one size evolve together in one array and one loop, and
 results come back in input order. Every operation is row-independent, and
 each row keeps its own schedule, exponential length, substep count and
-stopping point. Rows are laid out in descending step count, so those still
-running are always a leading span that a row leaves after its last step,
-and each Taylor term applies the kernel to the contiguous span of rows
-still summing; rows that have stopped inside it are computed and
-discarded, rows outside it are skipped, and neither changes what any other
-row computes. So results are bitwise identical whether models run alone or
-batched, under one schedule or several, and with or without the coarse
-rows beside them.
+stopping point; a row that has stopped or finished is computed and
+discarded or skipped, which changes what no other row computes. So results
+are bitwise identical whether models run alone or batched, under one
+schedule or several, and with or without the coarse rows beside them.
 """
 
 from __future__ import annotations
@@ -99,28 +94,31 @@ _NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _ALPHA1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
+# Most CFM4 steps whose schedule values and substeps are computed together,
+# as arrays over (step, row): a bound on that memory, whatever the steps.
+_STEP_BLOCK = 64
+
 # Largest gather buffer, in elements of N x rows x kept amplitudes, for
 # which a kernel gathers its flip sum; larger kernels add reshaped views
 # (see _Kernel). On a 2-CPU x86-64 host the gather is faster up to 2^15
 # elements at every N and row count measured, and the views from about 2^16.
 _GATHER_MAX = 1 << 15
 _NEG_ZERO = complex(-0.0, -0.0)
+_ADD_REDUCE = np.add.reduce
 
 # Shortest run, in amplitudes, that a view kernel adds through a reversed
-# view; flips that move shorter runs are taken through an index into a
-# scratch and added contiguously (see _Kernel). Spin i's view adds its 2^i
-# amplitude runs as one numpy inner loop each. On a 2-CPU x86-64 host, at
-# N = 11-16 and 1-8 rows, a take and an add beat the view's add for runs of
-# 1-4 amplitudes and lose from 8 on, and the perfbench wide-state anneal is
-# fastest at this value (BENCH_19.json). It must exceed 1, so that the
-# first flip is taken.
+# view; shorter ones are taken through an index (see _Kernel). Spin i's view
+# adds its 2^i amplitude runs as one numpy inner loop each. On a 2-CPU x86-64
+# host, at N = 11-16 and 1-8 rows, a take and an add beat the view's add for
+# runs of 1-4 amplitudes and lose from 8 on, and the perfbench wide-state
+# anneal is fastest at this value (BENCH_19.json). It must exceed 1, so that
+# the first flip is taken.
 _VIEW_MIN_RUN = 1 << 3
 
 # TAYLOR_TOL and the factor -1j/k of Taylor term k (at index k) as numpy
-# scalars, so no term converts a Python number. A substep's exponent has
-# norm at most THETA, so term k of a state of norm r is at most
-# r THETA^k / k!: below TAYLOR_TOL by k = 31 for r = 1, and by k = 63 for
-# any r up to 1e34.
+# scalars, so no term converts a Python number. A substep's exponent has norm
+# at most THETA, so term k of a state of norm r is at most r THETA^k / k!:
+# below TAYLOR_TOL by k = 31 for r = 1, and by k = 63 for any r up to 1e34.
 _TOL = np.float64(TAYLOR_TOL)
 _TERM_FACTORS = (None, *(np.complex128(-1j / k) for k in range(1, 64)))
 
@@ -143,13 +141,12 @@ def _default_steps(tau: float) -> int:
     falls, and fewer, longer steps only add Taylor terms per exponential:
     at 2000 steps the bundled embedding's worst estimate at tau = 1000 over
     J_F in [0.1, 2] is 3.8e-7, and at dt = 0.5 it is 1.2e-7 or less for tau
-    in [1500, 10^4]. A flat 2000 steps would miss the budget
-    at tau = 3000 (4.4e-5). Larger or stronger-coupled models may need more.
+    in [1500, 10^4]. A flat 2000 steps would miss the budget at tau = 3000
+    (4.4e-5). Larger or stronger-coupled models may need more.
 
     Past tau = MAX_AMPLITUDE_STEPS / 4 the cost guard refuses every
     integration at this step count (ceil(2 * tau) steps of at least 2
-    amplitude-steps each), so it is refused here, before the count can
-    overflow.
+    amplitude-steps each), so it is refused here, before it can overflow.
     """
     _check_tau(tau)
     if tau > MAX_AMPLITUDE_STEPS / 4.0:
@@ -224,7 +221,7 @@ def _initial_state(num_spins: int) -> np.ndarray:
 
 
 class _Kernel:
-    """H(s) applied matrix-free, in place, to the rows of a fixed buffer.
+    """H(s) applied matrix-free, in place, to the rows of fixed buffers.
 
     Spin i's flip maps amplitude c to c ^ 2**i. The flip sum adds the N
     flipped amplitudes in fixed spin order, one elementwise add after
@@ -244,50 +241,44 @@ class _Kernel:
       calls, spin i's flip reverses the middle axis of the view
       y.reshape(rows, 2**(N-1-i), 2, 2**i), whose runs of 2**i amplitudes
       numpy adds as one inner loop each. Flips with runs shorter than
-      _VIEW_MIN_RUN, spins 0-2, are taken instead: the first with
-      ``state.take(index, axis=1, out=flips)``, each later one into a
-      scratch of the state's size and then added contiguously. The views
-      of both buffers for the other flips, built once, are added after
-      them, one after another. Each amplitude sees the same adds in the
-      same order either way.
+      _VIEW_MIN_RUN, spins 0-2, are taken instead: the first into flips,
+      each later one into a scratch and then added. The views of the other
+      flips, built once, are added after them, one after another. Each
+      amplitude sees the same adds in the same order either way.
 
     With ``half`` the buffers hold only the inversion-symmetric sector: the
     2^(N-1) amplitudes with bit N-1 clear of a state with psi(c) == psi(~c).
-    Spins 0..N-2 flip within that half as above, and spin N-1's flip is the
-    reversed half, since psi(c ^ 2^(N-1)) = psi(~c ^ 2^(N-1)) =
-    half[2^(N-1) - 1 - c]. It is added last, so each kept amplitude sees
-    the same operations in the same order as in the full space. Its run is
-    the whole half, so a view kernel takes it only when the half is shorter
-    than _VIEW_MIN_RUN.
+    Spins 0..N-2 flip within that half as above, and spin N-1's flip, added
+    last, is the reversed half: psi(c ^ 2^(N-1)) = psi(~c ^ 2^(N-1)) =
+    half[2^(N-1) - 1 - c]. Its run is the whole half, so a view kernel takes
+    it only when the half is shorter than _VIEW_MIN_RUN.
 
-    ``rows(lo, hi)`` is a kernel over rows lo..hi-1 of the same buffers. It
-    does the same elementwise work on those rows only, so each row's result
-    does not depend on which span it was applied in, nor on which form of
-    the flip sum that span uses. Spans are cached, and are views: every
-    gather span uses the leading part of one gather buffer and one index
-    buffer, allocated with the kernel, and copies its index into it out of
-    the widest one when it applies at another width than the last gather
-    did; every view span takes through the one index per taken flip and
-    into the leading rows of the one scratch allocated with the kernel.
-    So a batch of many schedules, whose spans take many widths, holds no
-    buffer per span.
+    A kernel also owns its Taylor loop's complex ``diag`` and ``drive``,
+    imaginary parts zeroed once, and ``active`` mask. A gather kernel's
+    drive fills the state's shape, as an elementwise product is cheaper
+    than a broadcast column; a view kernel's is one column of its rows.
+
+    ``rows(lo, hi)`` is a kernel over rows lo..hi-1 of the same buffers,
+    with its views of them built once. It does the same elementwise work on
+    those rows only, so each row's result does not depend on which span it
+    was applied in, nor on which form of the flip sum that span uses.
+    Spans are cached, and hold no state-sized buffer: a gather span uses
+    the leading part of one gather and one index buffer, allocated with the
+    kernel, and copies its index into it out of the widest one when it
+    applies at another width than the last gather did; a view span takes
+    through the kernel's one index per taken flip into the leading rows of
+    its one scratch.
 
     ``apply`` writes all of ``flips`` before it reads any of it, so between
     applies the buffer is free scratch of the state's size.
     """
 
-    def __init__(
-        self,
-        state: np.ndarray,
-        flips: np.ndarray,
-        num_spins: int,
-        half: bool,
-        shared: SimpleNamespace | None = None,
-    ):
+    def __init__(self, buffers: tuple, num_spins: int, half: bool, shared=None):
         self.num_spins = num_spins
         self.half = half
-        self.state = state
-        self.flips = flips
+        self._buffers = buffers
+        state, flips, self.diag, self.drive, self.active = buffers
+        self.state, self.flips = state, flips
         rows, dim = state.shape
         inner = num_spins - 1 if half else num_spins
         gather = num_spins * rows * dim <= _GATHER_MAX
@@ -316,8 +307,8 @@ class _Kernel:
                 starts = np.arange(0, gather_rows * dim, dim)[:, None]
                 shared.widest = np.stack(flipped)[:, None, :] + starts
         self._shared = shared
-        self._spans = {}
-        self._views = None
+        self._spans, self._views = {}, None
+        self._take, self._width = state.take, rows
         if gather:
             size = num_spins * rows * dim
             self._index = shared.index[:size].reshape(num_spins, rows, dim)
@@ -333,124 +324,125 @@ class _Kernel:
                 )
             if half and taken <= inner:
                 self._views.append((flips, state[:, ::-1]))
-        # scratch of the Taylor loop's stopping test when this is its span
+        # views and scratch of the Taylor loop when this is its span
+        self.parts = state.view(np.float64)
+        self.firsts = self.parts[:, 0]
+        self.magnitudes = flips.view(np.float64)
+        self.adding = self.active[:, None]
         self.peaks = np.empty(rows)
         self.large = np.empty(rows, dtype=bool)
 
     @classmethod
     def allocate(cls, rows: int, num_spins: int, half: bool = False) -> "_Kernel":
-        sector = num_spins - 1 if half else num_spins
-        state = np.empty((rows, 1 << sector), dtype=np.complex128)
-        return cls(state, np.empty_like(state), num_spins, half)
+        state = np.empty((rows, 1 << (num_spins - half)), dtype=np.complex128)
+        width = state.shape[1] if num_spins * state.size <= _GATHER_MAX else 1
+        drive = np.zeros((rows, width), dtype=np.complex128)
+        active = np.empty(rows, dtype=bool)
+        buffers = (state, np.empty_like(state), np.zeros_like(state), drive, active)
+        return cls(buffers, num_spins, half)
 
     def rows(self, lo: int, hi: int) -> "_Kernel":
         span = self._spans.get((lo, hi))
         if span is None:
             span = self._spans[lo, hi] = _Kernel(
-                self.state[lo:hi], self.flips[lo:hi], self.num_spins, self.half,
-                self._shared,
+                tuple(buffer[lo:hi] for buffer in self._buffers),
+                self.num_spins, self.half, self._shared,
             )
         return span
 
     def apply(self, diag: np.ndarray, drive) -> None:
         """state <- diag * state - drive * sum_i X_i state, row by row.
 
-        diag holds s * energies and drive is 1 - s; either may be scaled per row.
+        diag holds s * energies and drive 1 - s, either scaled per row.
         """
+        state, flips = self.state, self.flips
         if self._views is None:
-            shared, rows = self._shared, self.state.shape[0]
+            shared, rows = self._shared, self._width
             if shared.rows != rows:
                 np.copyto(self._index, shared.widest[:, :rows])
                 shared.rows = rows
-            self.state.take(self._index, out=self._gathered, mode="clip")
-            np.add.reduce(self._gathered, axis=0, out=self.flips, initial=_NEG_ZERO)
+            self._take(self._index, out=self._gathered, mode="clip")
+            _ADD_REDUCE(self._gathered, axis=0, out=flips, initial=_NEG_ZERO)
         else:
             first, *rest = self._taken
-            self.state.take(first, axis=1, out=self.flips, mode="clip")
+            self._take(first, axis=1, out=flips, mode="clip")
             for index in rest:
-                self.state.take(index, axis=1, out=self._scratch, mode="clip")
-                np.add(self.flips, self._scratch, out=self.flips)
+                self._take(index, axis=1, out=self._scratch, mode="clip")
+                np.add(flips, self._scratch, out=flips)
             for out, flipped in self._views:
                 np.add(out, flipped, out=out)
-        np.multiply(self.state, diag, out=self.state)
-        np.multiply(self.flips, drive, out=self.flips)
-        np.subtract(self.state, self.flips, out=self.state)
+        # out given by position: the keyword costs a measurable share of a term
+        np.multiply(state, diag, state)
+        np.multiply(flips, drive, flips)
+        np.subtract(state, flips, state)
 
 
-def _exp_step(
-    kernel: _Kernel,
-    psi: np.ndarray,
-    tables: np.ndarray,
-    s: np.ndarray,
-    h: np.ndarray,
-    emax: np.ndarray,
-) -> None:
+def _substeps(num_spins: int, s, h, emax):
+    """Substeps m, length h/m and drive (1 - s) h/m of exponentials, elementwise.
+
+    ((1-s) N + s max|E|) h / m <= THETA bounds each substep's exponent norm.
+    """
+    bound = (1.0 - s) * num_spins + s * emax
+    substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
+    h_sub = h / substeps
+    return substeps, h_sub, (1.0 - s) * h_sub
+
+
+@np.errstate(invalid="ignore")
+def _exp_step(kernel: _Kernel, psi, tables, s, substeps, h_sub, drive) -> None:
     """psi <- exp(-i h_r H_r(s_r)) psi per row r, in place, by Taylor series.
 
-    Row r takes m_r substeps, where ((1-s_r) N + s_r max|E_r|) h_r / m_r <=
-    THETA bounds the norm of each substep's exponent. A row's series stops
-    once the largest real or imaginary part of its own latest term is below
-    TAYLOR_TOL; rows that have stopped keep their sum unchanged. Each term
-    applies the kernel only to the span from the first to the last row still
-    summing, which is found again whenever the count of such rows changes.
-    Rows inside the span that have stopped are computed and discarded, so
-    every row sees the same operations whatever the other rows do.
+    Row r takes substeps[r] substeps of length h_sub[r], at drive[r] (see
+    _substeps). A row's series stops once the largest real or imaginary
+    part of its own latest term is below TAYLOR_TOL; rows that have stopped
+    keep their sum unchanged. Each term applies the kernel only to the span
+    from the first to the last row still summing, found again whenever the
+    count of such rows changes. Rows inside the span that have stopped are
+    computed and discarded, so every row sees the same operations whatever
+    the other rows do. A gather kernel's term is eight numpy calls: five in
+    the kernel, the factor, the sum and the pre-test below.
 
     A row stops only when all its parts are below TAYLOR_TOL, the real part
-    of its first amplitude among them. So the exact per-row test runs only
-    after a term in which that one part is not at or above TAYLOR_TOL in
-    some row of the span; on most terms it is in every row, and three calls
-    on one part per row settle it. The magnitudes go into the span's free
-    flips buffer and the compares into the span's own scratch, so the term
-    loop allocates nothing.
+    x of its first amplitude among them. So the exact per-row test, in the
+    span's free flips buffer and own scratch, runs only after a term in
+    which |x| > TAYLOR_TOL fails in some row of the span. One call shows
+    that it holds in every row, as on most terms: fmod(TAYLOR_TOL, x) is
+    TAYLOR_TOL exactly when |x| > TAYLOR_TOL, smaller otherwise and NaN for
+    x zero or NaN, and no later fmod makes it larger or a number again.
+    Zero x sets the invalid flag, which raises no warning here.
 
-    diag and drive are complex here, once per exponential: the kernel's
-    products would otherwise cast them on every term, and the cast
-    (x -> x + 0j) is exact. Each is written into the real part of a zeroed
-    complex array, so no float64 temporary of its size sits beside it. A
-    gather kernel's drive fills the shape of the state, which the kernel
-    multiplies elementwise instead of broadcasting a column; a view
-    kernel's stays one column, as its state can be large.
+    diag and drive go into the kernel's complex buffers once per exponential,
+    or its products would cast them on every term; (x -> x + 0j) is exact.
     """
-    bound = (1.0 - s) * kernel.num_spins + s * emax
-    substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
-    h_sub = (h / substeps)[:, None]
-    diag = np.zeros(tables.shape, dtype=np.complex128)
-    np.multiply(s[:, None], tables, out=diag.real)
-    np.multiply(diag.real, h_sub, out=diag.real)
-    column = kernel._views is not None
-    drive = np.zeros(h_sub.shape if column else tables.shape, dtype=np.complex128)
-    np.multiply((1.0 - s)[:, None], h_sub, out=drive.real)
-    for j in range(int(substeps.max())):
-        active = substeps > j
+    np.multiply(s[:, None], tables, out=kernel.diag.real)
+    np.multiply(kernel.diag.real, h_sub[:, None], out=kernel.diag.real)
+    np.copyto(kernel.drive.real, drive[:, None])
+    multiply, add, settled = np.multiply, np.add, np.fmod.reduce
+    factors, tol, active = _TERM_FACTORS, _TOL, kernel.active
+    j = 0
+    while live := np.count_nonzero(np.greater(substeps, j, out=active)):
+        j += 1
         np.copyto(kernel.state, psi)
-        live = np.count_nonzero(active)
-        count = 0
-        k = 0
+        count = k = 0
         while live:
             if live != count:
                 count = live
-                summing = np.flatnonzero(active)
+                summing = active.nonzero()[0].tolist()
                 lo, hi = summing[0], summing[-1] + 1
                 span = kernel.rows(lo, hi)
-                term, sums, still = span.state, psi[lo:hi], active[lo:hi]
-                span_diag, span_drive = diag[lo:hi], drive[lo:hi]
+                apply, span_diag, span_drive = span.apply, span.diag, span.drive
+                term, sums, firsts = span.state, psi[lo:hi], span.firsts
                 # where=True is numpy's unmasked add: every row in the span sums
-                adding = True if live == hi - lo else still[:, None]
-                parts = term.view(np.float64)
-                magnitudes = span.flips.view(np.float64)
-                firsts, peaks, large = parts[:, 0], span.peaks, span.large
+                adding = True if live == hi - lo else span.adding
             k += 1
-            span.apply(span_diag, span_drive)
-            np.multiply(term, _TERM_FACTORS[k], out=term)
-            np.add(sums, term, out=sums, where=adding)
-            np.abs(firsts, out=peaks)
-            np.greater_equal(peaks, _TOL, out=large)
-            if np.count_nonzero(large) < large.size:
-                np.abs(parts, out=magnitudes)
-                np.maximum.reduce(magnitudes, axis=1, out=peaks)
-                np.greater_equal(peaks, _TOL, out=large)
-                np.logical_and(still, large, out=still)
+            apply(span_diag, span_drive)
+            multiply(term, factors[k], term)
+            add(sums, term, out=sums, where=adding)
+            if settled(firsts, initial=tol) != tol:
+                np.abs(span.parts, out=span.magnitudes)
+                np.maximum.reduce(span.magnitudes, axis=1, out=span.peaks)
+                np.greater_equal(span.peaks, tol, out=span.large)
+                np.logical_and(span.active, span.large, out=span.active)
                 live = np.count_nonzero(active)
 
 
@@ -526,10 +518,12 @@ def _cfm4_weights(
     first. All rows are taken through their steps by one loop. They are
     laid out in descending step count, rows at tau = 0, which take no step,
     last, so the rows still running are always a leading span [0, live)
-    that a row leaves after its last step. Loop step j applies both
-    exponentials of step j, each of length dt/2, to that span, at schedule
-    values s_a and s_b that lie inside the step, at t/tau plus 1/6 and 5/6
-    of dt/tau, so 0 <= s <= 1 throughout. On the half space each row is
+    that a row leaves after its last step. Step j applies both its
+    exponentials, each of length dt/2, to that span, at schedule values s_a
+    and s_b inside the step, at t/tau plus 1/6 and 5/6 of dt/tau, so 0 <= s
+    <= 1 throughout. Those values and the substeps are computed for up to
+    _STEP_BLOCK steps of one span at a time, as arrays with the same
+    elementwise arithmetic as one step's. On the half space each row is
     rebuilt from the kept half and its mirror image. Returns the weights in
     that layout and the index of each row in them.
     """
@@ -548,17 +542,23 @@ def _cfm4_weights(
     dt = tau / np.maximum(running, 1)
     h = 0.5 * dt
     offsets = (_NODES[0] * dt, _NODES[1] * dt)
-    for j in range(running[0]):
+    j = 0
+    while j < running[0]:
+        # the next steps that the same leading rows all take, as rows of
+        # arrays in the order of the exponentials: s_a, s_b of each step
         live = np.count_nonzero(running > j)
+        end = min(j + _STEP_BLOCK, running[live - 1])
         at = slice(0, live)
-        start = j * dt[at]
+        start = np.arange(j, end)[:, None] * dt[at]
         s1 = (start + offsets[0][at]) / tau[at]
         s2 = (start + offsets[1][at]) / tau[at]
         s_a = 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2)
         s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
-        span = kernel.rows(0, live)
-        for s in (s_a, s_b):
-            _exp_step(span, psi[at], tables[at], s, h[at], emax[at])
+        s = np.stack((s_a, s_b), axis=1).reshape(-1, live)
+        span, sums, table = kernel.rows(0, live), psi[at], tables[at]
+        for exponential in zip(s, *_substeps(num_spins, s, h[at], emax[at])):
+            _exp_step(span, sums, table, *exponential)
+        j = end
     # written into one array of the rebuilt width, so no temporary of the
     # state's size sits beside the kernel
     weights = np.empty((rows, kept << half))

@@ -6,11 +6,13 @@ own vectorized code paths: energies come from a plain Python loop and dense
 Hamiltonians from Kronecker products. A full-width copy of the CFM4
 integrator, which never uses inversion symmetry and runs the step-doubling
 estimate as a separate integration, lets the package's half-space and fused
-results be compared with it bit for bit, and ``reference_exp_step`` keeps
-the Taylor term loop as it was before its stopping pre-test, for the
-package loop to match byte for byte. Per-config loop versions
-of the energy table, the effective PT matrices and the gap analysis do the
-same for the package's array versions. ``kernel_apply`` is the one helper
+results be compared with it bit for bit. ``reference_exp_step`` keeps the
+Taylor term loop as it was before its stopping pre-test, and
+``reference_cfm4_weights`` the step loop as it was before its schedule was
+computed in blocks, for the package loops to match byte for byte; both
+drive the package's kernel. Per-config loop versions of the energy table,
+the effective PT matrices and the gap analysis do the same for the
+package's array versions. ``kernel_apply`` is the one helper
 that runs package code: it drives the integrator's kernel on one state, for
 the tests that check that kernel against the dense and gather oracles.
 ``fold_bits`` folds parallel bits values and weights by inversion class in
@@ -455,6 +457,47 @@ def reference_exp_step(
             np.maximum.reduce(magnitudes, axis=1, out=peaks)
             np.greater_equal(peaks, TAYLOR_TOL, out=large)
             np.logical_and(still, large, out=still)
+
+
+def reference_cfm4_weights(tables: np.ndarray, half: bool, schedules) -> tuple:
+    """The CFM4 step loop as it was before its schedule was computed in blocks.
+
+    Kept as the oracle of ``evolve._cfm4_weights``, on the same arguments:
+    every loop step recounts its rows, computes its two schedule values for
+    them, and calls ``reference_exp_step``, which computes its substeps and
+    builds its own complex diag and drive. The package loop must return
+    weights with the same bytes, in the same row order.
+    """
+    tau = np.array([schedule.tau for schedule in schedules], dtype=float)
+    running = np.array([sched.steps if sched.tau > 0.0 else 0 for sched in schedules])
+    order = np.argsort(-running, kind="stable")
+    tables = tables[order % len(tables)]
+    tau, running = tau[order], running[order]
+    rows, kept = tables.shape
+    num_spins = kept.bit_length() - 1 + half
+    psi = np.tile(_initial_state(num_spins)[:kept], (rows, 1))
+    kernel = _Kernel.allocate(np.count_nonzero(running), num_spins, half)
+    emax = np.abs(tables).max(axis=1)
+    dt = tau / np.maximum(running, 1)
+    h = 0.5 * dt
+    offsets = (_NODES[0] * dt, _NODES[1] * dt)
+    for j in range(running[0]):
+        live = np.count_nonzero(running > j)
+        at = slice(0, live)
+        start = j * dt[at]
+        s1 = (start + offsets[0][at]) / tau[at]
+        s2 = (start + offsets[1][at]) / tau[at]
+        s_a = 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2)
+        s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
+        span = kernel.rows(0, live)
+        for s in (s_a, s_b):
+            reference_exp_step(span, psi[at], tables[at], s, h[at], emax[at])
+    weights = np.empty((rows, kept << half))
+    kept_weights = weights[:, :kept]
+    np.square(np.abs(psi, out=kept_weights), out=kept_weights)
+    if half:
+        weights[:, kept:] = kept_weights[:, ::-1]
+    return weights, np.argsort(order)
 
 
 class FullSpaceKernel:

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.errors import IntegrationAccuracyError, ModelTooLargeError
-from qa_fairsample.evolve import _accuracy_failure, _default_steps, _initial_state
+from qa_fairsample.evolve import THETA, _accuracy_failure, _default_steps, _initial_state
 
 from conftest import (
     dense_anneal_probabilities,
     dense_annealing_hamiltonian,
     full_space_evolve_many,
     kernel_apply,
+    reference_cfm4_weights,
     reference_exp_step,
 )
 
@@ -276,14 +277,86 @@ def test_taylor_loop_matches_the_reference_bitwise(monkeypatch, n):
             for limit in (0, 1 << 30):
                 monkeypatch.setattr(module, "_GATHER_MAX", limit)
                 results = []
-                for exp_step in (reference_exp_step, module._exp_step):
+                for exp_step, schedule in (
+                    (reference_exp_step, (s, h, emax)),
+                    (module._exp_step, (s, *module._substeps(n, s, h, emax))),
+                ):
                     widths.clear()
                     out = psi.copy()
-                    exp_step(module._Kernel.allocate(rows, n, half), out, tables, s, h, emax)
+                    exp_step(module._Kernel.allocate(rows, n, half), out, tables, *schedule)
                     results.append(out.tobytes())
                 assert results[0] == results[1], (half, rows, real, limit)
                 # rows leave the span at their own substep and term
                 assert rows < 8 or min(widths) < rows
+
+
+@st.composite
+def cfm4_batches(draw):
+    """Kept tables of 1-10 spins and 1-8 rows of mixed schedules.
+
+    The tables are random, of the half or the full space. Each row is at
+    tau = 0 or takes 1-7 steps whose exponentials take about 1-4 substeps.
+    """
+    n = draw(st.integers(1, 10))
+    half = draw(st.booleans())
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # |E| about n, so an exponential of length h takes about n h / THETA
+    # substeps at any s; each row's length is drawn in units of THETA / n
+    tables = rng.normal(size=(draw(st.integers(1, rows)), 1 << (n - half))) * n / 2
+    schedules = []
+    for _ in range(rows):
+        steps = draw(st.integers(1, 7))
+        h = draw(st.sampled_from((0.0, 0.5, 1.5, 2.5))) * THETA / n
+        schedules.append(qf.AnnealSchedule(2.0 * steps * h, steps))
+    return tables, half, schedules
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfm4_batches())
+def test_cfm4_loop_matches_the_reference_bitwise(batch):
+    # the whole step loop against its oracle, through both forms of the flip
+    # sum and at schedule blocks of 1, 3 and the package's own number of
+    # steps: the weights and the row order are the same bytes
+    tables, half, schedules = batch
+    module = importlib.import_module("qa_fairsample.evolve")
+    with pytest.MonkeyPatch.context() as patch:
+        for limit in (0, 1 << 30):
+            patch.setattr(module, "_GATHER_MAX", limit)
+            weights, order = reference_cfm4_weights(tables, half, schedules)
+            for block in (1, 3, module._STEP_BLOCK):
+                patch.setattr(module, "_STEP_BLOCK", block)
+                got, got_order = module._cfm4_weights(tables, half, schedules)
+                assert got.tobytes() == weights.tobytes(), (limit, block)
+                assert got_order.tobytes() == order.tobytes(), (limit, block)
+
+
+def test_toy_embedding_batch_makes_a_pinned_number_of_kernel_applies(
+    monkeypatch, embedded_models
+):
+    # the Taylor loop's work is fixed by the arithmetic: 3,054 applies for
+    # the three chain strengths at tau = 20 under the default 100 steps, and
+    # 3,044 beside a short and a tau = 0 schedule; computing the schedule in
+    # blocks or testing for stops differently must not change them
+    module = importlib.import_module("qa_fairsample.evolve")
+    applies = 0
+    apply = module._Kernel.apply
+
+    def counting_apply(kernel, diag, drive):
+        nonlocal applies
+        applies += 1
+        return apply(kernel, diag, drive)
+
+    monkeypatch.setattr(module._Kernel, "apply", counting_apply)
+    models = [embedded_models[jf].model for jf in (0.5, 1.0, 1.5)]
+    schedule = qf.AnnealSchedule
+    for schedules, pinned in (
+        (schedule.for_tau(20.0), 3054),
+        ([schedule(20.0, 100), schedule(5.0, 7), schedule(0.0, 3)], 3044),
+    ):
+        applies = 0
+        qf.evolve_many(models, schedules, enforce_drift=False)
+        assert applies == pinned
 
 
 def test_apply_rejects_dimension_mismatch(toy_source):

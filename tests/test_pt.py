@@ -1,6 +1,7 @@
 """Perturbation-theory module: effective matrices, probabilities, validation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +277,32 @@ def test_brute_force_diagonalization_oracle(name, lam):
     overlaps = exact_ground_overlaps(model, lam)
     for b, p in zip(setup.manifold.bits, ground_probabilities(result, setup.manifold)):
         assert abs(overlaps[b] - p) <= 5.0 * lam
+
+
+@pytest.mark.parametrize("jf", [1.5, 2.0])
+def test_three_spin_chain_pt_matches_exact_diagonalization(toy_source, jf):
+    # the bundled instance with logical spin 4 as the chain [4, 5, 6], at two
+    # chain strengths above J* = 1: the embedded ground states are the six
+    # lifts of the source's, and PT gives the weights of the exact ground
+    # state of H_0 - lam sum X within criterion 7's 5e-3 at lam = 1e-3
+    # (1.3e-4 and 4.3e-5 here). The splitting of the two lowest levels is
+    # third order in lam, 1.5e-9 and 4e-10 at lam = 1e-3, so at 1e-4 (about
+    # 1e-12) the eigenvector would carry eigh's rounding
+    embedding = qf.load_embedding(
+        Path(__file__).parent / "data" / "matsuda5_chain3.json", chain_strength=jf
+    )
+    model = qf.apply_embedding(toy_source, embedding).model
+    setup = setup_for(model)
+    lifts = sorted(
+        qf.lift_state(config, embedding).bits
+        for config in qf.enumerate_ground_states(toy_source).configs
+    )
+    assert len(lifts) == 6
+    assert setup.manifold.bits.tolist() == lifts
+    result = qf.perturbative_probabilities(setup)
+    overlaps = exact_ground_overlaps(model, 1e-3)
+    for b, p in zip(setup.manifold.bits, ground_probabilities(result, setup.manifold)):
+        assert abs(overlaps[b] - p) <= 5e-3
 
 
 # ------------------------------- array layer against the per-config loops
