@@ -11,6 +11,7 @@ and can be serialized to CSV with a fixed column order.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import os
@@ -18,6 +19,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .embed import (
     Embedding,
@@ -364,6 +367,68 @@ def sweep_tau(
     ]
 
 
+def _pt_rows(source, template, chain_strengths, lifted):
+    """Each J_F with its embedding, and an iterator of the PT row of each J_F.
+
+    Every J_F is checked here, before any row: ``with_chain_strength``
+    checks it, and the size guard and the overflow refusal run on its
+    couplings. J_F enters only through the chain bonds ``apply_embedding``
+    appends, once, after the source couplings, so the first J_F's model
+    gives the layout of every one. A row is (ground bits,
+    ``second_order_links`` arrays, ``answer``), and ``answer()`` is its
+    ``PTResult``: bitwise what ``perturbative_probabilities`` gives at its
+    J_F. It copies the shared table of the source couplings, subtracts its
+    bonds and fields and scans it by the helpers of ``energy_table`` and
+    ``enumerate_ground_states``, and refuses intact chains off ``lifted``,
+    the template's lift of the source manifold. What reads only the ground
+    bits is reused while they repeat, the same ``neighbours`` array
+    included. A row drops its table before anything can refuse it, so no
+    2^N array is left in a frame that a traceback keeps.
+    """
+    variants = []
+    for jf in chain_strengths:
+        embedding = template.with_chain_strength(jf)
+        if not variants:
+            physical = apply_embedding(source, embedding).model
+            head = physical.couplings[: len(source.couplings)]
+        strength = embedding.chain_strength
+        bonds = tuple((p, q, strength) for p, q, _ in physical.couplings[len(head) :])
+        _check_bounds(physical.num_spins, head + bonds, physical.fields)
+        variants.append((jf, embedding, bonds))
+
+    def rows():
+        num_spins, has_fields = physical.num_spins, physical.has_fields
+        integer, bits = source.is_integer_valued, None
+
+        def answer(ground, first, links):
+            # the first order is solved once per manifold, on the first answer
+            # asked of it, so never for rows the sweep's gap analysis refuses
+            if not first:
+                first.append(_first_order(ground, has_fields))
+            return _answer(ground, num_spins, has_fields, first[0], links)
+
+        for _, embedding, bonds in variants:
+            table = _table(num_spins, head, bonds, physical.fields)
+            # the bonds share one strength
+            exact = integer and (not bonds or embedding.chain_strength.is_integer())
+            e0, ground = _ground_bits(table, exact)
+            new_manifold = ground.tobytes() != bits
+            if new_manifold:
+                bits, first = ground.tobytes(), []
+                flips, excited, neighbours = _links(ground, num_spins)
+            # a gap past the float range is +inf, so its term -1/gap of W is 0,
+            # the limit: that overflow needs no warning
+            with np.errstate(over="ignore"):
+                links = table[flips] - e0, excited, neighbours
+            del table
+            if new_manifold:
+                verdict = _chain_verdict(ground.tolist(), lifted, embedding)
+                _require_lifts(verdict, embedding)
+            yield ground, links, functools.partial(answer, ground, first, links)
+
+    return [(jf, embedding) for jf, embedding, _ in variants], rows()
+
+
 def sweep_chain_strength(
     source: IsingModel,
     embedding_template: Embedding,
@@ -376,42 +441,31 @@ def sweep_chain_strength(
     """Chain-strength sweep: PT and direct-evolution rows per J_F, plus gap ratios.
 
     Rows come out grouped by J_F in the given order, PT before SE, with the
-    gap ratio repeated on both rows of each J_F. ``with_chain_strength``
-    checks each J_F. Ratios use the default partition of the source
+    gap ratio repeated on both rows of each J_F. Every J_F is checked before
+    any row is built. Ratios use the default partition of the source
     manifold. Every J_F variant shares the chains, so the source manifold
     lifts once per sweep: the rows fold, refuse and side their gaps by it.
 
     Each row is bitwise what the public calls give at its J_F; like ``pt``,
-    it refuses intact chains off the lifts. J_F enters only through the
-    chain bonds ``apply_embedding`` appends, once, after the source
-    couplings: a row copies the shared table of those, subtracts its bonds
-    and fields and scans it by the helpers of ``energy_table`` and
-    ``enumerate_ground_states``; only SE rows get a model per J_F. What
-    reads only the ground bits is reused while they repeat. No 2^N array
-    is left in this frame where a row can refuse (a traceback keeps it).
+    whose answer is the PT row of ``_pt_rows`` at one J_F, it refuses intact
+    chains off the lifts. A row refuses first by that chain verdict, then by
+    its gap analysis, then by its ratio; the gap analysis is the sweep's
+    own, reused while the ground bits repeat. Only SE rows get a model per
+    J_F.
     """
     unknown = set(methods) - {"PT", "SE"}
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     source_manifold = enumerate_ground_states(source)
     partition = default_partition(source_manifold)
-
-    variants = []
-    for jf in chain_strengths:
-        embedding = embedding_template.with_chain_strength(jf)
-        if not variants:
-            physical = apply_embedding(source, embedding).model
-            head = physical.couplings[: len(source.couplings)]
-        strength = embedding.chain_strength
-        bonds = tuple((p, q, strength) for p, q, _ in physical.couplings[len(head) :])
-        _check_bounds(physical.num_spins, head + bonds, physical.fields)
-        variants.append((jf, embedding, bonds))
+    lifted = _lift_manifold(source_manifold, embedding_template)
+    variants, pt_rows = _pt_rows(source, embedding_template, chain_strengths, lifted)
     if not variants:
         return []
-    lifted = _lift_manifold(source_manifold, embedding_template)
     # a lift's class representative min(L, ~L) takes its logical class's side
     s_reps = {c.bits for c in partition.s_set}
-    mask, physical_mask = (1 << source.num_spins) - 1, (1 << physical.num_spins) - 1
+    mask = (1 << source.num_spins) - 1
+    physical_mask = (1 << embedding_template.num_physical) - 1
     sides = {
         min(b, b ^ physical_mask): "S" if min(g, g ^ mask) in s_reps else "C"
         for b, g in lifted
@@ -420,35 +474,21 @@ def sweep_chain_strength(
     se_results = [None] * len(variants)
     if "SE" in methods:
         schedule = AnnealSchedule.for_tau(tau, steps)
-        models = [apply_embedding(source, e).model for _, e, _ in variants]
+        models = [apply_embedding(source, e).model for _, e in variants]
         se_results = evolve_many(models, schedule, enforce_drift=False)
 
-    num_spins, has_fields = physical.num_spins, physical.has_fields
-    integer = source.is_integer_valued
-    records = []
-    bits = None
-    for (jf, embedding, bonds), result in zip(variants, se_results):
+    records, seen = [], None
+    for (jf, _), result, (ground, links, answer) in zip(variants, se_results, pt_rows):
         row = (f"embedded[jf={jf:g}]", "jf", jf)
-        table = _table(num_spins, head, bonds, physical.fields)
-        # the bonds share one strength
-        strength = embedding.chain_strength
-        e0, ground = _ground_bits(table, integer and (not bonds or strength.is_integer()))
-        if ground.tobytes() != bits:
-            bits, shape = ground.tobytes(), None
-            flips, excited, neighbours = _links(ground, num_spins)
-        energies = table[flips]
-        del table
-        if shape is None:
-            verdict = _chain_verdict(ground.tolist(), lifted, embedding)
-            _require_lifts(verdict, embedding)
-            shape = _gap_shape(ground, neighbours, sides)
-            first = _first_order(ground, has_fields) if "PT" in methods else None
-        gaps = energies - e0
+        gaps, _, neighbours = links
+        if neighbours is not seen:
+            shape, seen = _gap_shape(ground, neighbours, sides), neighbours
         _, delta_s, delta_c = _gap_means(gaps, shape)
         gap = delta_s / delta_c
+        # no PT answer is kept in this frame, where the next row can refuse
         if "PT" in methods:
-            pt = _answer(ground, num_spins, has_fields, first, (gaps, excited, neighbours))
-            records.append(_record((*row, "PT"), pt.probabilities, lifted, partition, gap))
+            pt = answer().probabilities
+            records.append(_record((*row, "PT"), pt, lifted, partition, gap))
             del pt
         if "SE" in methods:
             se = result.final_probabilities

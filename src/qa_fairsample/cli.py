@@ -17,16 +17,14 @@ import numpy as np
 
 from .analysis import (
     FairnessPartition,
-    _fold,
-    fairness_ratio,
+    _pt_rows,
+    _record,
     sweep_chain_strength,
     sweep_tau,
     write_sweep_csv,
 )
 from .data import resolve_embedding_path, resolve_model_path
 from .embed import (
-    Embedding,
-    _chain_verdict,
     _lift_manifold,
     _require_lifts,
     apply_embedding,
@@ -36,13 +34,11 @@ from .embed import (
 )
 from .errors import FairSamplingError, IntegrationAccuracyError
 from .evolve import AnnealSchedule, evolve
-from .model import GroundManifold, IsingModel, enumerate_ground_states, load_model
+from .model import SpinConfiguration, enumerate_ground_states, load_model
 from .pt import (
     STANDARD_CHAIN_STRENGTHS,
-    PerturbationSetup,
-    first_order_matrix,
-    perturbative_probabilities,
-    second_order_matrix,
+    _first_order_matrix,
+    _second_order,
     validate_toy_model,
 )
 
@@ -57,21 +53,28 @@ def fig3_chain_grid() -> list[float]:
     return [k / 20.0 for k in range(1, 41)]
 
 
-def _partition(args, manifold: GroundManifold) -> FairnessPartition:
-    s_indices = tuple(args.s_set) if args.s_set else (0,)
-    return FairnessPartition.from_class_indices(manifold, s_indices)
+def _inputs(args):
+    """The source model, the embedding it runs through (the identity without
+    ``--embedding``), the embedding's lift of the source manifold and the
+    ``--s-set`` partition of its classes."""
+    source = load_model(resolve_model_path(args.model))
+    manifold = enumerate_ground_states(source)
+    partition = FairnessPartition.from_class_indices(manifold, args.s_set or (0,))
+    if args.embedding:
+        embedding = load_embedding(resolve_embedding_path(args.embedding), args.jf)
+    elif args.jf is not None:
+        raise ValueError("--jf needs --embedding: it sets the chain strength")
+    else:
+        embedding = identity_embedding(source)
+    return source, embedding, _lift_manifold(manifold, embedding), partition
 
 
-def _target(args, source: IsingModel) -> tuple[IsingModel, Embedding]:
-    """The model to run and the embedding that maps it back onto the source."""
-    if not args.embedding:
-        if args.jf is not None:
-            raise ValueError("--jf needs --embedding: it sets the chain strength")
-        return source, identity_embedding(source)
-    embedding = load_embedding(
-        resolve_embedding_path(args.embedding), chain_strength=args.jf
-    )
-    return apply_embedding(source, embedding).model, embedding
+def _answer_cells(probabilities, lifted, partition) -> tuple[dict, float]:
+    """``folded`` and ``ratio_PS_PC`` as JSON, and the excited weight, from
+    the sweeps' row builder."""
+    record = _record(("", "", 0.0, ""), probabilities, lifted, partition, None)
+    folded = {c.to_bitstring(): p for c, p in record.folded.items()}
+    return {"folded": folded, "ratio_PS_PC": record.ratio}, record.excited_weight
 
 
 def _by_bitstring(configs, values) -> dict[str, float]:
@@ -94,21 +97,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_anneal(args) -> int:
-    source = load_model(resolve_model_path(args.model))
-    source_manifold = enumerate_ground_states(source)
-    partition = _partition(args, source_manifold)
-    target, embedding = _target(args, source)
-    lifted = _lift_manifold(source_manifold, embedding)
-
+    source, embedding, lifted, partition = _inputs(args)
+    target = apply_embedding(source, embedding).model
     schedule = AnnealSchedule.for_tau(args.tau, args.steps)
     result = evolve(target, schedule)
 
     probs = result.final_probabilities
-    folded, excited = _fold(probs, lifted, source.num_spins)
-    lift = {g: b for b, g in lifted}
-    ground = source_manifold.configs
-    per_config = _by_bitstring(ground, probs.vector[[lift[c.bits] for c in ground]])
-
+    cells, excited = _answer_cells(probs, lifted, partition)
+    configs = [SpinConfiguration(g, source.num_spins) for _, g in lifted]
+    per_config = _by_bitstring(configs, probs.vector[[b for b, _ in lifted]])
     _print_json(
         {
             "tau": result.tau,
@@ -117,9 +114,8 @@ def cmd_anneal(args) -> int:
             "error_estimate": result.error_estimate,
             "norm_squared": result.norm_squared,
             "probabilities": per_config,
-            "folded": {c.to_bitstring(): p for c, p in folded.items()},
             "excited_weight": excited,
-            "ratio_PS_PC": fairness_ratio(folded, partition),
+            **cells,
         }
     )
     return 0
@@ -138,36 +134,27 @@ def cmd_embed(args) -> int:
 
 
 def cmd_pt(args) -> int:
-    source = load_model(resolve_model_path(args.model))
-    source_manifold = enumerate_ground_states(source)
-    partition = _partition(args, source_manifold)
-    target, embedding = _target(args, source)
-    lifted = _lift_manifold(source_manifold, embedding)
-
-    setup = PerturbationSetup.from_model(target)
-    verdict = _chain_verdict(setup.manifold.bits.tolist(), lifted, embedding)
-    _require_lifts(verdict, embedding)
-    result = perturbative_probabilities(setup)
-    folded, _ = _fold(result.probabilities, lifted, source.num_spins)
-
+    source, embedding, lifted, partition = _inputs(args)
+    _, rows = _pt_rows(source, embedding, (embedding.chain_strength,), lifted)
+    ((ground, links, answer),) = rows
+    result = answer()
+    cells, _ = _answer_cells(result.probabilities, lifted, partition)
+    configs = [SpinConfiguration(b, embedding.num_physical) for b in ground.tolist()]
     payload = {
         "resolved_order": result.resolved_order,
         "minimal_eigenvalue": result.minimal_eigenvalue,
         "multiplicity": result.multiplicity,
         "resolved": result.resolved,
-        "probabilities": _by_bitstring(
-            setup.manifold.configs, result.probabilities.vector[setup.manifold.bits]
-        ),
-        "folded": {c.to_bitstring(): p for c, p in folded.items()},
-        "ratio_PS_PC": fairness_ratio(folded, partition),
+        "probabilities": _by_bitstring(configs, result.probabilities.vector[ground]),
+        **cells,
     }
     if args.dump_matrix:
-        basis = [c.to_bitstring() for c in setup.manifold.configs]
+        basis = [c.to_bitstring() for c in configs]
         for key, matrix in (
-            ("first_order", first_order_matrix),
-            ("second_order", second_order_matrix),
+            ("first_order", _first_order_matrix(ground)),
+            ("second_order", _second_order(*links)),
         ):
-            payload[key] = {"basis": basis, "entries": matrix(setup).tolist()}
+            payload[key] = {"basis": basis, "entries": matrix.tolist()}
     _print_json(payload)
     return 0
 
@@ -183,6 +170,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if Path(args.out).is_dir():
+        raise ValueError(f"cannot write --out {args.out}: it is a directory")
     if not Path(args.out).parent.is_dir():
         raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
     source_path = resolve_model_path(args.source)

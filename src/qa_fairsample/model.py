@@ -263,36 +263,35 @@ def _subtract_couplings(table: np.ndarray, couplings) -> None:
             blocks -= np.array([[J, -J], [-J, J]])[:, None, :, None]
 
 
-@functools.lru_cache(maxsize=2)
-def _shared_table(num_spins: int, couplings: tuple) -> np.ndarray:
-    """Read-only table of the ``couplings`` terms alone, in their order."""
-    table = np.zeros(1 << num_spins)
+def _less_terms(table: np.ndarray, couplings, fields=()) -> np.ndarray:
+    """``table`` less each coupling term and then each field term h*s_i,
+    which is -h where bit i is clear, else h; returned read-only."""
     _subtract_couplings(table, couplings)
-    table.setflags(write=False)
-    return table
-
-
-def _table(num_spins: int, head: tuple, tail, fields) -> np.ndarray:
-    """A copy of the shared table of the ``head`` couplings, less the ``tail``
-    couplings and then each field term h*s_i: -h where bit i is clear, else h."""
-    table = _shared_table(num_spins, head).copy()
-    _subtract_couplings(table, tail)
     for i, h in enumerate(fields):
         if h:
             blocks = table.reshape(-1, 2, 1 << i)
             blocks -= ((-h,), (h,))
+    table.setflags(write=False)
     return table
+
+
+@functools.lru_cache(maxsize=2)
+def _shared_table(num_spins: int, couplings: tuple) -> np.ndarray:
+    """Read-only table of the ``couplings`` terms alone, in their order."""
+    return _less_terms(np.zeros(1 << num_spins), couplings)
+
+
+def _table(num_spins: int, head: tuple, tail, fields) -> np.ndarray:
+    """A copy of the shared table of the ``head`` couplings, less the ``tail``
+    couplings and then the ``fields``. The J_F variants of one embedding,
+    the rows of ``sweep_chain_strength``, differ only in their tail of chain
+    bonds."""
+    return _less_terms(_shared_table(num_spins, head).copy(), tail, fields)
 
 
 @functools.lru_cache(maxsize=4)
 def _energy_table(model: IsingModel) -> np.ndarray:
-    couplings = model.couplings
-    split = len(couplings)
-    while split and couplings[split - 1][2] == couplings[-1][2]:
-        split -= 1
-    table = _table(model.num_spins, couplings[:split], couplings[split:], model.fields)
-    table.setflags(write=False)
-    return table
+    return _less_terms(np.zeros(1 << model.num_spins), model.couplings, model.fields)
 
 
 class _EnergyTables:
@@ -300,15 +299,11 @@ class _EnergyTables:
 
     ``energy_table(model)`` returns a read-only float64 array, memoised per
     model (4 of them, least recently used first out). Each entry is 0.0 less
-    each coupling term and then each field term, in the model's order. The
-    couplings before the trailing run that shares the last coupling's value
-    are summed once into a shared table (two are kept), which the model
-    copies before it subtracts its run and its fields. The J_F variants of
-    one embedding differ only in the chain bonds ``apply_embedding``
-    appends, so they share it, as do the model-free rows of
-    ``sweep_chain_strength``. Every table is bitwise the one-pass sum.
-    ``cache_info()`` reports the per-model memo, and ``cache_clear()``
-    empties it and the shared tables.
+    each coupling term and then each field term, in the model's order.
+    ``cache_info()`` reports that memo, and ``cache_clear()`` empties it and
+    the shared tables of the source couplings that chain-strength sweep rows
+    copy (two are kept); each of those rows is bitwise this table of its
+    ``J_F`` variant.
     """
 
     def __call__(self, model: IsingModel) -> np.ndarray:

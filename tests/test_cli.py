@@ -1,21 +1,26 @@
 """CLI: subcommand behavior, exit codes, deterministic output."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qa_fairsample as qf
 import qa_fairsample.cli as cli
 from qa_fairsample.data import toy_embedding_path, toy_source_path
 
-from conftest import count_calls
+from conftest import count_calls, embedded_instances
 
 
 def run(capsys, *argv):
@@ -366,6 +371,88 @@ def test_cli_probabilities_are_the_api_answers(capsys):
 
 
 # ---------------------------------------------------------------------- pt
+
+
+def pt_json_and_public_answer(source, template, jf):
+    """``pt --embedding --jf`` on files of ``source`` and ``template``, as
+    (exit code, stdout, stderr), and the public composition at that J_F:
+    its answer cells after a JSON round trip, or what it raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, embedding_path = Path(tmp) / "model.json", Path(tmp) / "chains.json"
+        model_path.write_text(json.dumps(source.to_dict()))
+        embedding_path.write_text(json.dumps({
+            "num_logical": template.num_logical,
+            "chains": template.chains,
+            "chain_strength": None,
+            "coupling_assignment": template.coupling_assignment,
+        }))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(
+                ["pt", str(model_path), "--embedding", str(embedding_path),
+                 "--jf", repr(jf)]
+            )
+    manifold = qf.enumerate_ground_states(source)
+    embedding = template.with_chain_strength(jf)
+    setup = qf.PerturbationSetup.from_model(qf.apply_embedding(source, embedding).model)
+    try:
+        pt = qf.perturbative_probabilities(setup)
+        folded, _ = qf.project_and_fold(pt.probabilities, embedding, manifold)
+        ratio = qf.fairness_ratio(folded, qf.default_partition(manifold))
+    except (ValueError, qf.FairSamplingError) as exc:
+        return (code, out.getvalue(), err.getvalue()), exc
+    want = {
+        "resolved_order": pt.resolved_order,
+        "minimal_eigenvalue": pt.minimal_eigenvalue,
+        "multiplicity": pt.multiplicity,
+        "resolved": pt.resolved,
+        "probabilities": {
+            c.to_bitstring(): pt.probabilities[c] for c in setup.manifold.configs
+        },
+        "folded": {c.to_bitstring(): p for c, p in folded.items()},
+        "ratio_PS_PC": ratio,
+    }
+    return (code, out.getvalue(), err.getvalue()), json.loads(json.dumps(want))
+
+
+def assert_pt_is_the_public_composition(source, template, jf):
+    (code, out, err), want = pt_json_and_public_answer(source, template, jf)
+    if isinstance(want, Exception):
+        assert (code, out, err) == (2, "", f"error: {want}\n")
+        return
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert {key: got[key] for key in want} == want
+
+
+def two_classes(instance) -> bool:
+    return len(qf.inversion_classes(qf.enumerate_ground_states(instance[0]))) > 1
+
+
+# In one 150-example draw, ``pt`` answered 140 instances, and at 105 of them
+# a chain-strength sweep refuses the same J_F at its gap analysis (no
+# second-order connection, or a side without one).
+@settings(max_examples=150, deadline=None)
+@given(
+    embedded_instances().filter(two_classes),
+    st.sampled_from((0.05, 0.5, 1.0, 1.5, 3.0)),
+)
+def test_pt_is_the_public_composition_on_random_embedded_instances(instance, jf):
+    assert_pt_is_the_public_composition(*instance, jf)
+
+
+@pytest.mark.parametrize("jf", [0.5, 1.5])
+def test_pt_answers_where_the_sweep_refuses_at_its_gap_analysis(jf):
+    # logical spins 0-7 form a ferromagnetic chain and spin 8 is free: the
+    # ground states differ by one flip or by nine, so no second-order
+    # connection exists, yet PT decides at first order
+    source = qf.IsingModel(9, tuple((k, k + 1, 1.0) for k in range(7)))
+    chains = ((0, 9),) + tuple((k,) for k in range(1, 9))
+    assignment = tuple(((k, k + 1), (9 if k == 0 else k, k + 1)) for k in range(7))
+    template = qf.Embedding(9, chains, 1.0, assignment)
+    with pytest.raises(ValueError, match="no second-order connections"):
+        qf.sweep_chain_strength(source, template, (jf,), methods=("PT",))
+    assert_pt_is_the_public_composition(source, template, jf)
 
 
 def test_pt_embedded_dump_matrix(capsys):
@@ -766,20 +853,30 @@ def test_reproduce_fig3a_single_point(capsys, tmp_path, monkeypatch):
     assert_matches_golden(out_path, "fig3a_jf_1.csv")
 
 
+@pytest.mark.parametrize(
+    "name, problem",
+    [
+        ("missing/fig3b.csv", "its directory does not exist"),
+        # the atomic rename onto a directory would fail only after the work
+        ("figures", "it is a directory"),
+        (".", "it is a directory"),
+    ],
+    ids=["missing-directory", "existing-directory", "current-directory"],
+)
 def test_reproduce_into_a_missing_directory_exits_2_before_any_work(
-    capsys, tmp_path, monkeypatch
+    capsys, tmp_path, monkeypatch, name, problem
 ):
     def work(*args, **kwargs):
         raise AssertionError("the preset ran before --out was checked")
 
     monkeypatch.setattr(cli, "validate_toy_model", work)
-    out_path = tmp_path / "missing" / "fig3b.csv"
-    code, out, err = run(capsys, "reproduce", "fig3b", "--out", str(out_path))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "figures").mkdir()
+    code, out, err = run(capsys, "reproduce", "fig3b", "--out", name)
     assert code == 2
     assert out == ""
-    assert err == (
-        f"error: cannot write --out {out_path}: its directory does not exist\n"
-    )
+    assert err == f"error: cannot write --out {name}: {problem}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["figures"]
 
 
 def test_reproduce_aborts_on_validation_failure(capsys, tmp_path):
