@@ -40,7 +40,8 @@ from .model import (
     _check_bounds,
     _ground_bits,
     _integer,
-    _table,
+    _less_terms,
+    energy_table,
     enumerate_ground_states,
 )
 from .pt import _answer, _first_order, _links, second_order_links
@@ -52,22 +53,14 @@ def inversion_classes(
     """Ground configs grouped into inversion classes, ordered by representative.
 
     The representative of a class is min(c, ~c) for its members c; with
-    fields it can be an inversion outside the manifold.
-    """
-    groups = _class_groups(manifold)
-    return tuple(tuple(groups[rep]) for rep in sorted(groups))
-
-
-def _class_groups(manifold: GroundManifold) -> dict[int, list[SpinConfiguration]]:
-    """Ground configs keyed by the bits of their class representative.
-
-    Members keep the manifold's ascending bits order.
+    fields it can be an inversion outside the manifold. Members keep the
+    manifold's ascending bits order.
     """
     mask = (1 << manifold.configs[0].num_spins) - 1
     groups: dict[int, list[SpinConfiguration]] = {}
     for c in manifold.configs:
         groups.setdefault(min(c.bits, c.bits ^ mask), []).append(c)
-    return groups
+    return tuple(tuple(groups[rep]) for rep in sorted(groups))
 
 
 @dataclass(frozen=True)
@@ -105,10 +98,9 @@ class FairnessPartition:
         which need not be a ground state.
         """
         num_spins = manifold.configs[0].num_spins
-        reps = [
-            SpinConfiguration(rep, num_spins)
-            for rep in sorted(_class_groups(manifold))
-        ]
+        mask = (1 << num_spins) - 1
+        reps = sorted({min(b, b ^ mask) for b in manifold.bits.tolist()})
+        reps = [SpinConfiguration(rep, num_spins) for rep in reps]
         for i in s_indices:
             _integer(i, f"class index {i!r}")
             if not 0 <= i < len(reps):
@@ -157,20 +149,17 @@ class GapReport:
     configurations one flip from g and one flip from some other ground state.
     They and their gaps E_k - E_0 are read from ``second_order_links``, the
     table the second-order effective matrix is built from, so the gaps are
-    its denominators, negated, by construction. ``per_state`` holds the mean
-    gap of each state that has a mediating intermediate. A state is placed
-    on a side by its exact config, else by its inversion-class
-    representative.
-    ``excluded`` lists, in manifold order, the states left out of the set
-    means: those with no mediating intermediate and those the partition does
-    not cover, such as a ground state with a broken chain.
+    its denominators, negated, by construction. ``delta_e_s`` and
+    ``delta_e_c`` are the means over S and over C of the per-state mean gaps.
+    A state is placed on a side by its exact config, else by its
+    inversion-class representative; a state with no mediating intermediate,
+    or one the partition does not cover (such as a ground state with a
+    broken chain), is left out of both means.
     """
 
-    per_state: dict[SpinConfiguration, float]
     delta_e_s: float
     delta_e_c: float
     ratio: float
-    excluded: tuple[SpinConfiguration, ...]
 
 
 def gap_ratio(
@@ -185,14 +174,8 @@ def gap_ratio(
     gaps, _, neighbours = second_order_links(model, manifold)
     sides = {c.bits: "S" for c in partition.s_set}
     sides.update((c.bits, "C") for c in partition.c_set)
-    shape = _gap_shape(manifold.bits, neighbours, sides)
-    means, delta_s, delta_c = _gap_means(gaps, shape)
-    _, counts, on_s, on_c = shape
-    return GapReport(
-        {g: m for g, m, n in zip(manifold.configs, means.tolist(), counts) if n},
-        delta_s, delta_c, delta_s / delta_c,
-        tuple(g for g, on in zip(manifold.configs, on_s | on_c) if not on),
-    )
+    delta_s, delta_c = _gap_means(gaps, _gap_shape(manifold.bits, neighbours, sides))
+    return GapReport(delta_s, delta_c, delta_s / delta_c)
 
 
 def _gap_shape(bits, neighbours, sides: dict[int, str]):
@@ -218,14 +201,14 @@ def _gap_shape(bits, neighbours, sides: dict[int, str]):
 
 
 def _gap_means(gaps, shape):
-    """Per-state and S and C mean gaps from ``second_order_links`` and
-    ``_gap_shape``, each a sequential sum over the counted terms, as a Python
-    3.11 ``sum`` gives: gaps are positive, and a term left out adds ±0.0."""
+    """The S and C mean gaps from ``second_order_links`` and ``_gap_shape``,
+    each mean a sequential sum over the counted terms, as a Python 3.11
+    ``sum`` gives: gaps are positive, and a term left out adds ±0.0."""
     mediating, counts, on_s, on_c = shape
     means = (gaps * mediating).cumsum(axis=1)[:, -1] / counts.clip(1)
     delta_s = float((means * on_s).cumsum()[-1] / on_s.sum())
     delta_c = float((means * on_c).cumsum()[-1] / on_c.sum())
-    return means, delta_s, delta_c
+    return delta_s, delta_c
 
 
 def project_and_fold(
@@ -377,9 +360,9 @@ def _pt_rows(source, template, chain_strengths, lifted):
     gives the layout of every one. A row is (ground bits,
     ``second_order_links`` arrays, ``answer``), and ``answer()`` is its
     ``PTResult``: bitwise what ``perturbative_probabilities`` gives at its
-    J_F. It copies the shared table of the source couplings, subtracts its
-    bonds and fields and scans it by the helpers of ``energy_table`` and
-    ``enumerate_ground_states``, and refuses intact chains off ``lifted``,
+    J_F. It copies the ``energy_table`` of the source couplings, subtracts
+    its bonds and fields in the order ``energy_table`` does, scans it as
+    ``enumerate_ground_states`` does and refuses intact chains off ``lifted``,
     the template's lift of the source manifold. What reads only the ground
     bits is reused while they repeat, the same ``neighbours`` array
     included. A row drops its table before anything can refuse it, so no
@@ -399,6 +382,8 @@ def _pt_rows(source, template, chain_strengths, lifted):
     def rows():
         num_spins, has_fields = physical.num_spins, physical.has_fields
         integer, bits = source.is_integer_valued, None
+        zero = (0.0,) * num_spins
+        shared = energy_table(IsingModel._from_checked(num_spins, head, zero))
 
         def answer(ground, first, links):
             # the first order is solved once per manifold, on the first answer
@@ -408,7 +393,7 @@ def _pt_rows(source, template, chain_strengths, lifted):
             return _answer(ground, num_spins, has_fields, first[0], links)
 
         for _, embedding, bonds in variants:
-            table = _table(num_spins, head, bonds, physical.fields)
+            table = _less_terms(shared.copy(), bonds, physical.fields)
             # the bonds share one strength
             exact = integer and (not bonds or embedding.chain_strength.is_integer())
             e0, ground = _ground_bits(table, exact)
@@ -483,7 +468,7 @@ def sweep_chain_strength(
         gaps, _, neighbours = links
         if neighbours is not seen:
             shape, seen = _gap_shape(ground, neighbours, sides), neighbours
-        _, delta_s, delta_c = _gap_means(gaps, shape)
+        delta_s, delta_c = _gap_means(gaps, shape)
         gap = delta_s / delta_c
         # no PT answer is kept in this frame, where the next row can refuse
         if "PT" in methods:

@@ -275,49 +275,19 @@ def _less_terms(table: np.ndarray, couplings, fields=()) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=2)
-def _shared_table(num_spins: int, couplings: tuple) -> np.ndarray:
-    """Read-only table of the ``couplings`` terms alone, in their order."""
-    return _less_terms(np.zeros(1 << num_spins), couplings)
-
-
-def _table(num_spins: int, head: tuple, tail, fields) -> np.ndarray:
-    """A copy of the shared table of the ``head`` couplings, less the ``tail``
-    couplings and then the ``fields``. The J_F variants of one embedding,
-    the rows of ``sweep_chain_strength``, differ only in their tail of chain
-    bonds."""
-    return _less_terms(_shared_table(num_spins, head).copy(), tail, fields)
-
-
 @functools.lru_cache(maxsize=4)
-def _energy_table(model: IsingModel) -> np.ndarray:
-    return _less_terms(np.zeros(1 << model.num_spins), model.couplings, model.fields)
-
-
-class _EnergyTables:
+def energy_table(model: IsingModel) -> np.ndarray:
     """Energies of all 2^N configurations of a model, indexed by bits value.
 
-    ``energy_table(model)`` returns a read-only float64 array, memoised per
-    model (4 of them, least recently used first out). Each entry is 0.0 less
-    each coupling term and then each field term, in the model's order.
-    ``cache_info()`` reports that memo, and ``cache_clear()`` empties it and
-    the shared tables of the source couplings that chain-strength sweep rows
-    copy (two are kept); each of those rows is bitwise this table of its
-    ``J_F`` variant.
+    A read-only float64 array, memoised per model (4 of them, least recently
+    used first out; ``cache_info()`` and ``cache_clear()`` are the memo's).
+    Each entry is 0.0 less each coupling term and then each field term, in
+    the model's order. A chain-strength sweep memoises here the table of its
+    source couplings alone, as a model with zero fields, and each of its
+    rows copies it and subtracts the row's chain bonds and fields: bitwise
+    this table of its ``J_F`` variant.
     """
-
-    def __call__(self, model: IsingModel) -> np.ndarray:
-        return _energy_table(model)
-
-    def cache_info(self):
-        return _energy_table.cache_info()
-
-    def cache_clear(self) -> None:
-        _energy_table.cache_clear()
-        _shared_table.cache_clear()
-
-
-energy_table = _EnergyTables()
+    return _less_terms(np.zeros(1 << model.num_spins), model.couplings, model.fields)
 
 
 def _ground_bits(table: np.ndarray, integer_valued: bool) -> tuple[float, np.ndarray]:

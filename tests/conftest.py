@@ -293,9 +293,7 @@ def loop_gap_ratio(model, manifold, partition) -> qf.GapReport:
     ):
         raise ValueError("no second-order connections inside the manifold")
 
-    per_state = {}
     side_gaps = {"S": [], "C": []}
-    excluded = []
     for g in configs:
         gaps = []
         for i in range(model.num_spins):
@@ -309,24 +307,14 @@ def loop_gap_ratio(model, manifold, partition) -> qf.GapReport:
             )
             if mediates:
                 gaps.append(float(table[k] - e0))
-        if gaps:
-            per_state[g] = sum(gaps) / len(gaps)
         side = loop_partition_side(g, partition)
         if gaps and side is not None:
-            side_gaps[side].append(per_state[g])
-        else:
-            excluded.append(g)
+            side_gaps[side].append(sum(gaps) / len(gaps))
     if not side_gaps["S"] or not side_gaps["C"]:
         raise ValueError("a partition set has no state with mediating intermediates")
     delta_s = sum(side_gaps["S"]) / len(side_gaps["S"])
     delta_c = sum(side_gaps["C"]) / len(side_gaps["C"])
-    return qf.GapReport(
-        per_state=per_state,
-        delta_e_s=delta_s,
-        delta_e_c=delta_c,
-        ratio=delta_s / delta_c,
-        excluded=tuple(excluded),
-    )
+    return qf.GapReport(delta_e_s=delta_s, delta_e_c=delta_c, ratio=delta_s / delta_c)
 
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])

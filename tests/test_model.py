@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.errors import ModelTooLargeError
-from qa_fairsample.model import _energy_table, _shared_table
 
 from conftest import (
     brute_energy,
@@ -73,8 +72,7 @@ def test_energy_table_matches_energy(toy_source):
 @given(st.lists(embedded_instances(), min_size=1, max_size=2), st.data())
 def test_chain_strength_variants_share_exact_tables(instances, data):
     # the J_F variants of each embedding get the one-pass table in any call
-    # order, and the shared tables that chain-strength sweep rows copy stay
-    # bounded
+    # order, and the one memo stays bounded
     strengths = st.lists(
         st.sampled_from((0.1, 0.5, 1.0, 1.7, 2.0)), min_size=1, max_size=4, unique=True
     )
@@ -86,13 +84,12 @@ def test_chain_strength_variants_share_exact_tables(instances, data):
             models.append(qf.apply_embedding(source, variant).model)
     for _ in range(2):
         qf.energy_table.cache_clear()
-        assert _energy_table.cache_info().currsize == 0
-        assert _shared_table.cache_info().currsize == 0
+        assert qf.energy_table.cache_info().currsize == 0
         for model in data.draw(st.permutations(models)):
             table = qf.energy_table(model)
             assert table.tobytes() == loop_energy_table(model).tobytes()
             assert not table.flags.writeable
-        assert _shared_table.cache_info().currsize <= 2
+        assert qf.energy_table.cache_info().currsize <= 4
 
 
 @st.composite
