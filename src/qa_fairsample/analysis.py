@@ -44,7 +44,7 @@ from .model import (
     energy_table,
     enumerate_ground_states,
 )
-from .pt import _answer, _first_order, _links, second_order_links
+from .pt import _answer, _first_order, _gaps, _links, second_order_links
 
 
 def inversion_classes(
@@ -174,8 +174,7 @@ def gap_ratio(
     gaps, _, neighbours = second_order_links(model, manifold)
     sides = {c.bits: "S" for c in partition.s_set}
     sides.update((c.bits, "C") for c in partition.c_set)
-    delta_s, delta_c = _gap_means(gaps, _gap_shape(manifold.bits, neighbours, sides))
-    return GapReport(delta_s, delta_c, delta_s / delta_c)
+    return GapReport(*_gap_means(gaps, _gap_shape(manifold.bits, neighbours, sides)))
 
 
 def _gap_shape(bits, neighbours, sides: dict[int, str]):
@@ -202,13 +201,19 @@ def _gap_shape(bits, neighbours, sides: dict[int, str]):
 
 def _gap_means(gaps, shape):
     """The S and C mean gaps from ``second_order_links`` and ``_gap_shape``,
-    each mean a sequential sum over the counted terms, as a Python 3.11
-    ``sum`` gives: gaps are positive, and a term left out adds ±0.0."""
+    and their ratio. Each mean is a sequential sum over the counted terms,
+    as a Python 3.11 ``sum`` gives: gaps are positive, and a term left out
+    adds +0.0. A gap or sum past the float range is +inf, without a
+    warning; a ratio of two +inf means is undefined and refused."""
     mediating, counts, on_s, on_c = shape
-    means = (gaps * mediating).cumsum(axis=1)[:, -1] / counts.clip(1)
-    delta_s = float((means * on_s).cumsum()[-1] / on_s.sum())
-    delta_c = float((means * on_c).cumsum()[-1] / on_c.sum())
-    return delta_s, delta_c
+    with np.errstate(over="ignore"):
+        means = np.where(mediating, gaps, 0.0).cumsum(axis=1)[:, -1] / counts.clip(1)
+        delta_s = float(np.where(on_s, means, 0.0).cumsum()[-1] / on_s.sum())
+        delta_c = float(np.where(on_c, means, 0.0).cumsum()[-1] / on_c.sum())
+    ratio = delta_s / delta_c
+    if math.isnan(ratio):
+        raise ValueError("the S and C mean gaps both overflow to inf: no gap ratio")
+    return delta_s, delta_c, ratio
 
 
 def project_and_fold(
@@ -365,8 +370,10 @@ def _pt_rows(source, template, chain_strengths, lifted):
     ``enumerate_ground_states`` does and refuses intact chains off ``lifted``,
     the template's lift of the source manifold. What reads only the ground
     bits is reused while they repeat, the same ``neighbours`` array
-    included. A row drops its table before anything can refuse it, so no
-    2^N array is left in a frame that a traceback keeps.
+    included. A row drops its table before anything can refuse it, and
+    looks the memoised couplings table up again rather than keep it in this
+    generator's frame, so no 2^N array is left in a frame that a traceback
+    keeps.
     """
     variants = []
     for jf in chain_strengths:
@@ -382,8 +389,7 @@ def _pt_rows(source, template, chain_strengths, lifted):
     def rows():
         num_spins, has_fields = physical.num_spins, physical.has_fields
         integer, bits = source.is_integer_valued, None
-        zero = (0.0,) * num_spins
-        shared = energy_table(IsingModel._from_checked(num_spins, head, zero))
+        couplings = IsingModel._from_checked(num_spins, head, (0.0,) * num_spins)
 
         def answer(ground, first, links):
             # the first order is solved once per manifold, on the first answer
@@ -393,7 +399,7 @@ def _pt_rows(source, template, chain_strengths, lifted):
             return _answer(ground, num_spins, has_fields, first[0], links)
 
         for _, embedding, bonds in variants:
-            table = _less_terms(shared.copy(), bonds, physical.fields)
+            table = _less_terms(energy_table(couplings).copy(), bonds, physical.fields)
             # the bonds share one strength
             exact = integer and (not bonds or embedding.chain_strength.is_integer())
             e0, ground = _ground_bits(table, exact)
@@ -401,10 +407,7 @@ def _pt_rows(source, template, chain_strengths, lifted):
             if new_manifold:
                 bits, first = ground.tobytes(), []
                 flips, excited, neighbours = _links(ground, num_spins)
-            # a gap past the float range is +inf, so its term -1/gap of W is 0,
-            # the limit: that overflow needs no warning
-            with np.errstate(over="ignore"):
-                links = table[flips] - e0, excited, neighbours
+            links = _gaps(table, flips, e0), excited, neighbours
             del table
             if new_manifold:
                 verdict = _chain_verdict(ground.tolist(), lifted, embedding)
@@ -468,8 +471,7 @@ def sweep_chain_strength(
         gaps, _, neighbours = links
         if neighbours is not seen:
             shape, seen = _gap_shape(ground, neighbours, sides), neighbours
-        delta_s, delta_c = _gap_means(gaps, shape)
-        gap = delta_s / delta_c
+        gap = _gap_means(gaps, shape)[2]
         # no PT answer is kept in this frame, where the next row can refuse
         if "PT" in methods:
             pt = answer().probabilities

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .embed import apply_embedding, load_embedding, verify_embedding
+from .errors import ModelTooLargeError
 from .model import (
     GroundManifold,
     IsingModel,
@@ -49,13 +50,30 @@ _MATCH_TOL = 1e-9
 # Chain strengths at which the bundled data files are validated.
 STANDARD_CHAIN_STRENGTHS = (0.5, 1.0, 1.5)
 
+# The largest ground manifold PT takes. Its effective matrices are d x d
+# float64 arrays (32 MiB each at the bound) with a d x d eigh (about 2 s on
+# one core), and its links are d x N x N indices; the bundled presets and
+# the benchmark instances reach d = 256.
+MAX_DEGENERACY = 2048
+
+
+def _check_degeneracy(d: int) -> None:
+    if d > MAX_DEGENERACY:
+        raise ModelTooLargeError(
+            f"{d} ground states exceed the perturbation-theory guard of {MAX_DEGENERACY}"
+        )
+
 
 @dataclass(frozen=True)
 class PerturbationSetup:
-    """A model together with its ground manifold, ready for PT analysis."""
+    """A model together with its ground manifold, ready for PT analysis;
+    a manifold above ``MAX_DEGENERACY`` is refused here."""
 
     model: IsingModel
     manifold: GroundManifold
+
+    def __post_init__(self):
+        _check_degeneracy(self.manifold.degeneracy)
 
     @classmethod
     def from_model(cls, model: IsingModel) -> "PerturbationSetup":
@@ -110,11 +128,22 @@ def second_order_links(
     gaps read energies; ``_links`` builds the rest from the bits alone.
     """
     flips, excited, neighbours = _links(manifold.bits, model.num_spins)
-    return energy_table(model)[flips] - manifold.energy, excited, neighbours
+    return _gaps(energy_table(model), flips, manifold.energy), excited, neighbours
+
+
+def _gaps(table: np.ndarray, flips: np.ndarray, e0: float) -> np.ndarray:
+    """The ``gaps`` of ``second_order_links``: ``table`` at ``flips`` less
+    the ground energy ``e0``. A gap past the float range is +inf, so its term
+    -1/gap of W is 0, the limit: that overflow needs no warning."""
+    with np.errstate(over="ignore"):
+        return table[flips] - e0
 
 
 def _links(basis: np.ndarray, num_spins: int):
-    """``flips``, ``excited`` and ``neighbours`` of ``second_order_links``."""
+    """``flips``, ``excited`` and ``neighbours`` of ``second_order_links``.
+    Sweep rows, ``pt`` and the gap analysis reach it before any d x d array,
+    so it refuses a manifold above ``MAX_DEGENERACY``."""
+    _check_degeneracy(len(basis))
     spins = 1 << np.arange(num_spins, dtype=np.int64)
     flips = basis[:, None] ^ spins
     excited = _index_in(basis, flips) < 0

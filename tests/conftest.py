@@ -28,10 +28,23 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+# hypothesis's pytest plugin imports its patch writer, and with it libcst, the
+# first time it reports a failing example. Where libcst warns through
+# mypy_extensions on import, the "error" warning filter turns that report
+# into an INTERNALERROR that stops the whole pytest run; importing it once
+# here, with only DeprecationWarning silenced, lets the failure be reported.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 import qa_fairsample as qf
 from qa_fairsample.data import toy_embedding_path, toy_source_path

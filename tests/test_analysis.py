@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qa_fairsample as qf
-from qa_fairsample import analysis
+from qa_fairsample import analysis, cli
 from qa_fairsample.errors import UndefinedRatioError
 from qa_fairsample.evolve import _accuracy_failure
 from qa_fairsample.pt import second_order_links
@@ -383,6 +383,72 @@ def test_gap_ratio_requires_degeneracy():
         qf.gap_ratio(model, manifold, partition)
 
 
+# Couplings of +-4e307 keep the sum of |J| finite, so the model is admitted,
+# but an excited flip's gap, or a sum of gaps, can pass the float range.
+HUGE_J = 4e307
+
+
+def gap_outcomes(model):
+    """The PT sweep row's gap ratio and ``gap_ratio``'s at J_F = 1 through the
+    identity embedding, each a float or the refusal message."""
+    outcomes = []
+    for gap in (
+        lambda: qf.sweep_chain_strength(
+            model, qf.identity_embedding(model), [1.0], methods=("PT",)
+        )[0].gap_ratio,
+        lambda: qf.gap_ratio(
+            model,
+            qf.enumerate_ground_states(model),
+            qf.default_partition(qf.enumerate_ground_states(model)),
+        ).ratio,
+    ):
+        try:
+            outcomes.append(gap())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def test_gap_means_that_both_overflow_are_refused_without_a_warning():
+    # every gap of S and of C passes the float range: inf / inf has no value
+    model = qf.IsingModel(
+        5,
+        (
+            (0, 1, HUGE_J), (0, 3, 1.0), (0, 4, HUGE_J), (1, 3, 1.0),
+            (1, 4, -HUGE_J), (2, 3, -1.0), (3, 4, -HUGE_J),
+        ),
+    )
+    refusal = "the S and C mean gaps both overflow to inf: no gap ratio"
+    assert gap_outcomes(model) == [refusal, refusal]
+
+
+def test_gap_ratio_near_the_float_range_agrees_with_the_sweep_row():
+    # warnings are errors here: an overflowing gap or sum is +inf, quietly,
+    # and no gap ratio is NaN
+    rng = np.random.default_rng(3)
+    kinds = {"ratio 0": 0, "finite": 0, "overflow": 0}
+    for _ in range(300):
+        n = int(rng.integers(3, 7))
+        couplings = tuple(
+            (i, j, float(rng.choice((1.0, -1.0, HUGE_J, -HUGE_J))))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.6
+        )
+        try:
+            model = qf.IsingModel(n, couplings)
+        except ValueError:
+            continue  # the energies themselves overflow
+        row, report = gap_outcomes(model)
+        assert row == report
+        if isinstance(row, float):
+            assert not math.isnan(row)
+            kinds["ratio 0" if row == 0.0 else "finite"] += 1
+        elif "overflow" in row:
+            kinds["overflow"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
 # ------------------------------------------------------------ relabelling
 
 
@@ -621,6 +687,21 @@ def test_energy_table_memo_stays_bounded_over_a_sweep(toy_source, toy_template):
         qf.sweep_chain_strength(toy_source, toy_template, strengths, methods=("PT",))
     assert spy.call_count == 1
     assert qf.energy_table.cache_info().currsize <= 2
+
+
+def test_pt_after_a_sweep_of_its_instance_adds_no_memo_miss(
+    capsys, toy_source, toy_template
+):
+    # the sweep memoises the source's table and that of its couplings; `pt`
+    # on the same files reads both from the memo
+    qf.energy_table.cache_clear()
+    qf.sweep_chain_strength(toy_source, toy_template, [0.5, 1.0], methods=("PT",))
+    before = qf.energy_table.cache_info()
+    argv = ["pt", "matsuda5", "--embedding", "matsuda5_embedded", "--jf", "1"]
+    assert cli.main(argv) == 0
+    after = qf.energy_table.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def test_a_pt_sweep_lifts_the_source_manifold_once(

@@ -574,6 +574,28 @@ def test_pt_deterministic_output(capsys):
     assert first == second
 
 
+def test_pt_refuses_an_oversized_manifold_before_any_d_by_d_array(
+    capsys, tmp_path, monkeypatch
+):
+    # 15 free spins: d = 32,768, whose d x d matrices would take 8 GiB each
+    built = []
+
+    def spy(bits):
+        built.append(len(bits))
+        raise AssertionError(f"built a {len(bits)} x {len(bits)} first-order matrix")
+
+    for module in ("pt", "cli"):
+        monkeypatch.setattr(f"qa_fairsample.{module}._first_order_matrix", spy)
+    path = tmp_path / "free.json"
+    path.write_text('{"num_spins": 16, "couplings": [[0, 1, 1]]}')
+    code, out, err = run(capsys, "pt", str(path))
+    assert (code, out, built) == (2, "", [])
+    assert err == (
+        "error: 32768 ground states exceed the perturbation-theory guard of "
+        f"{qf.pt.MAX_DEGENERACY}\n"
+    )
+
+
 # -------------------------------------------------------------------- embed
 
 

@@ -259,6 +259,32 @@ def test_perron_positivity(toy_source, toy_template):
         assert min(ground_probabilities(result, setup.manifold)) > 0.0
 
 
+def test_manifolds_above_the_guard_are_refused_before_any_d_by_d_array(monkeypatch):
+    def spy(*args):
+        raise AssertionError("built a d x d matrix")
+
+    for name in ("_first_order_matrix", "_second_order"):
+        monkeypatch.setattr(qf.pt, name, spy)
+    # 11 free spins and one bond: d = 4096, twice the guard
+    model = qf.IsingModel(13, ((0, 1, 1.0),))
+    manifold = qf.enumerate_ground_states(model)
+    assert manifold.degeneracy == 4096
+    partition = qf.default_partition(manifold)
+    template = qf.identity_embedding(model)
+    for call in (
+        lambda: qf.PerturbationSetup.from_model(model),
+        lambda: qf.gap_ratio(model, manifold, partition),
+        lambda: qf.sweep_chain_strength(model, template, [1.0], methods=("PT",)),
+    ):
+        with pytest.raises(qf.ModelTooLargeError, match="^4096 ground states exceed"):
+            call()
+    # the bound itself is admitted
+    edge = qf.IsingModel(12, ((0, 1, 1.0),))
+    setup = qf.PerturbationSetup.from_model(edge)
+    assert setup.manifold.degeneracy == qf.pt.MAX_DEGENERACY == 2048
+    assert qf.pt.second_order_links(edge, setup.manifold)[0].shape == (2048, 12)
+
+
 # ------------------------------------------ brute-force oracle (N <= 4)
 
 
