@@ -423,7 +423,6 @@ def sweep_chain_strength(
     chain_strengths: Sequence[float],
     *,
     tau: float = 1000.0,
-    steps: int | None = None,
     methods: Sequence[str] = ("PT", "SE"),
 ) -> list[SweepRecord]:
     """Chain-strength sweep: PT and direct-evolution rows per J_F, plus gap ratios.
@@ -461,7 +460,7 @@ def sweep_chain_strength(
 
     se_results = [None] * len(variants)
     if "SE" in methods:
-        schedule = AnnealSchedule.for_tau(tau, steps)
+        schedule = AnnealSchedule.for_tau(tau)
         models = [apply_embedding(source, e).model for _, e in variants]
         se_results = evolve_many(models, schedule, enforce_drift=False)
 

@@ -23,7 +23,12 @@ from .analysis import (
     sweep_tau,
     write_sweep_csv,
 )
-from .data import resolve_embedding_path, resolve_model_path
+from .data import (
+    resolve_embedding_path,
+    resolve_model_path,
+    toy_embedding_path,
+    toy_source_path,
+)
 from .embed import (
     _lift_manifold,
     _require_lifts,
@@ -160,9 +165,7 @@ def cmd_pt(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    report = validate_toy_model(
-        resolve_model_path(args.source), resolve_embedding_path(args.embedded)
-    )
+    report = validate_toy_model(toy_source_path(), toy_embedding_path())
     for clause in report.clauses:
         status = "PASS" if clause.passed else "FAIL"
         print(f"{status}  {clause.name}: {clause.detail}")
@@ -174,8 +177,7 @@ def cmd_reproduce(args) -> int:
         raise ValueError(f"cannot write --out {args.out}: it is a directory")
     if not Path(args.out).parent.is_dir():
         raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
-    source_path = resolve_model_path(args.source)
-    embedded_path = resolve_embedding_path(args.embedded)
+    source_path, embedded_path = toy_source_path(), toy_embedding_path()
     report = validate_toy_model(source_path, embedded_path)
     if not report.passed:
         for clause in report.failures():
@@ -189,15 +191,10 @@ def cmd_reproduce(args) -> int:
             (f"embedded[jf={jf:g}]", template.with_chain_strength(jf))
             for jf in STANDARD_CHAIN_STRENGTHS
         ]
-        records = sweep_tau(source, embeddings, fig2_tau_grid(), steps=args.steps)
+        records = sweep_tau(source, embeddings, fig2_tau_grid())
     elif args.figure == "fig3a":
         records = sweep_chain_strength(
-            source,
-            template,
-            fig3_chain_grid(),
-            tau=1000.0,
-            steps=args.steps,
-            methods=("PT", "SE"),
+            source, template, fig3_chain_grid(), tau=1000.0, methods=("PT", "SE")
         )
     else:
         records = sweep_chain_strength(
@@ -259,17 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_pt)
 
     p = sub.add_parser("validate", help="check the bundled data files clause by clause")
-    p.add_argument("--source", default="matsuda5")
-    p.add_argument("--embedded", default="matsuda5_embedded")
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("reproduce", help="run a bundled experiment preset to CSV")
     p.add_argument("figure", choices=("fig2", "fig3a", "fig3b"))
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--steps", type=int, default=None,
-                   help="CFM4 steps per SE row (default: the anneal step policy)")
-    p.add_argument("--source", default="matsuda5")
-    p.add_argument("--embedded", default="matsuda5_embedded")
     p.set_defaults(handler=cmd_reproduce)
 
     return parser
@@ -302,7 +293,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -20,8 +20,11 @@ the given order; it is the oracle for folding a PT answer.
 ``member_project_state`` and ``set_verify_embedding`` project chain by chain,
 member by member, and compare projected ground states as sets.
 ``embedded_instances`` draws random small models with chain embeddings for
-the property tests. ``count_calls`` records each call of a package function,
-whichever module's binding of it the call goes through.
+the property tests. ``brute_chain_threshold`` finds J* from an energy table
+by counting broken chain bonds, and ``cluster_oracle`` weighs the lowest
+cluster of the dense H_0 - lam sum X, for the PT checks on embedded models.
+``count_calls`` records each call of a package function, whichever module's
+binding of it the call goes through.
 """
 
 from __future__ import annotations
@@ -370,6 +373,52 @@ def dense_driver(n: int) -> np.ndarray:
     for i in range(n):
         h -= _site_operator(_SX, i, n)
     return h
+
+
+def brute_chain_threshold(table: np.ndarray, bonds) -> float:
+    """J* by enumeration: the least chain strength above which every ground
+    state of an embedded model keeps its chains intact.
+
+    ``table`` is the model's energy table at J_F = 1 and ``bonds`` its chain
+    bonds (p, q). With b the broken bonds of a config, E_p = E + (L - 2b) is
+    its energy without the chain terms and m_k the least E_p over b = k; an
+    intact config is below every config with k broken bonds once
+    m_0 - J L < m_k - J (L - 2k), so J* = max(0, max_k (m_0 - m_k) / 2k).
+    """
+    idx = np.arange(len(table))
+    broken = np.zeros(len(table), dtype=np.int64)
+    for p, q in bonds:
+        broken += ((idx >> p) ^ (idx >> q)) & 1
+    e_p = table + len(bonds) - 2 * broken
+    m_0 = e_p[broken == 0].min()
+    ks = set(broken.tolist()) - {0}
+    return max([0.0] + [(m_0 - e_p[broken == k].min()) / (2 * k) for k in ks])
+
+
+def cluster_oracle(
+    model: qf.IsingModel, lam: float, size: int | None = None
+) -> tuple[np.ndarray, int, float]:
+    """The weights of the lowest cluster of H_0 - lam sum X, its size and the
+    gap from its top level to the next.
+
+    The cluster is every eigenvalue within 1e-9 of the lowest, or the lowest
+    ``size`` levels where it is given, and the weights are the diagonal of
+    its projector divided by its size, the form of PT's answer for an
+    inversion doublet: a doublet that splits below 1e-9 leaves ``eigh`` an
+    arbitrary mix of its two levels.
+    """
+    h = dense_target(model) + lam * dense_driver(model.num_spins)
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError:
+        # LAPACK's divide and conquer fails to converge on a few of these
+        # matrices read from the lower triangle; the upper is the same matrix
+        vals, vecs = np.linalg.eigh(h, UPLO="U")
+    if size is None:
+        size = int(np.count_nonzero(vals <= vals[0] + 1e-9))
+    weights = (np.abs(vecs[:, :size]) ** 2).sum(axis=1) / size
+    gap = float(vals[size] - vals[size - 1]) if size < len(vals) else np.inf
+    return weights, size, gap
 
 
 def dense_annealing_hamiltonian(model: qf.IsingModel, s: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, exit codes, deterministic output."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -99,6 +100,49 @@ def test_unknown_flag_exits_2():
     assert excinfo.value.code == 2
 
 
+def test_each_subcommand_takes_exactly_these_options():
+    # a flag added or removed is an edit here; validate and reproduce run
+    # the bundled instance as defined, so they take no input overrides
+    (subparsers,) = (
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: [s for a in p._actions for s in a.option_strings if a.dest != "help"]
+        for name, p in subparsers.choices.items()
+    }
+    assert options == {
+        "solve": [],
+        "anneal": ["--tau", "--steps", "--embedding", "--jf", "--s-set"],
+        "embed": ["--jf"],
+        "pt": ["--embedding", "--jf", "--s-set", "--dump-matrix"],
+        "validate": [],
+        "reproduce": ["--out"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--source", "x"],
+        ["reproduce", "fig3b", "--out", "f", "--steps", "10"],
+    ],
+    ids=["validate-source", "reproduce-steps"],
+)
+def test_removed_overrides_are_usage_errors(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qa_fairsample", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    usage, error = done.stderr.splitlines()
+    assert usage.startswith("usage: qa-fairsample ")
+    assert error == f"qa-fairsample: error: unrecognized arguments: {' '.join(argv[-2:])}"
+    assert list(tmp_path.iterdir()) == []
+
+
 # One interpreter runs each command line through cli.main in turn and
 # reports, per call, the exit code (argparse's SystemExit included), stdout
 # and stderr; it also reports whether importing the CLI built its parser.
@@ -171,22 +215,31 @@ def test_validate_prints_its_clauses_in_order(capsys):
     ]
 
 
-def test_validate_negative_chain_strength(capsys, tmp_path):
-    data = json.loads(toy_embedding_path().read_text())
-    data["chain_strength"] = -1.0
-    bad = tmp_path / "neg.json"
-    bad.write_text(json.dumps(data))
-    code, _, err = run(capsys, "validate", "--embedded", str(bad))
+def bundle(monkeypatch, tmp_path, name, edit):
+    """Point the CLI's bundled-file path ``name`` at an edited copy."""
+    path = getattr(cli, name)()
+    data = json.loads(path.read_text())
+    edit(data)
+    copy = tmp_path / path.name
+    copy.write_text(json.dumps(data))
+    monkeypatch.setattr(cli, name, lambda: copy)
+
+
+def test_validate_negative_chain_strength(capsys, tmp_path, monkeypatch):
+    bundle(monkeypatch, tmp_path, "toy_embedding_path",
+           lambda data: data.update(chain_strength=-1.0))
+    code, _, err = run(capsys, "validate")
     assert code == 2
     assert "positive" in err
 
 
-def test_validate_flipped_coupling_exits_3(capsys, tmp_path):
-    data = json.loads(toy_source_path().read_text())
+def flip_first_coupling(data):
     data["couplings"][0][2] = -1.0
-    bad = tmp_path / "flipped.json"
-    bad.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "validate", "--source", str(bad))
+
+
+def test_validate_flipped_coupling_exits_3(capsys, tmp_path, monkeypatch):
+    bundle(monkeypatch, tmp_path, "toy_source_path", flip_first_coupling)
+    code, out, _ = run(capsys, "validate")
     assert code == 3
     assert "FAIL  source_degeneracy" in out
 
@@ -872,7 +925,11 @@ def test_reproduce_fig3a_single_point(capsys, tmp_path, monkeypatch):
         assert float(pt_cells[i]) == pytest.approx(float(se_cells[i]), abs=0.01)
     assert se_cells[-1] != ""  # SE rows report their norm drift
     assert float(se_cells[-1]) <= 1e-6
-    assert_matches_golden(out_path, "fig3a_jf_1.csv")
+    # a batch of one model writes the bytes of the full preset's J_F = 1 rows
+    golden = (Path(__file__).parent / "data" / "fig3a.csv").read_bytes()
+    header, *rows = golden.splitlines(keepends=True)
+    want = [header, *(r for r in rows if r.startswith(b"embedded[jf=1],"))]
+    assert out_path.read_bytes() == b"".join(want)
 
 
 @pytest.mark.parametrize(
@@ -901,15 +958,10 @@ def test_reproduce_into_a_missing_directory_exits_2_before_any_work(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["figures"]
 
 
-def test_reproduce_aborts_on_validation_failure(capsys, tmp_path):
-    data = json.loads(toy_source_path().read_text())
-    data["couplings"][0][2] = -1.0
-    bad = tmp_path / "flipped.json"
-    bad.write_text(json.dumps(data))
+def test_reproduce_aborts_on_validation_failure(capsys, tmp_path, monkeypatch):
+    bundle(monkeypatch, tmp_path, "toy_source_path", flip_first_coupling)
     out_path = tmp_path / "never.csv"
-    code, _, err = run(
-        capsys, "reproduce", "fig3b", "--out", str(out_path), "--source", str(bad)
-    )
+    code, _, err = run(capsys, "reproduce", "fig3b", "--out", str(out_path))
     assert code == 3
     assert "FAIL" in err
     assert not out_path.exists()
