@@ -47,14 +47,25 @@ the package's one convergence measure: the coarse row of a run at 2n steps
 is bitwise a separate run at n steps, so comparing n with 2n steps is two
 ``evolve_many`` calls and needs no API of its own.
 
-``evolve_many`` batches its models by spin count, whatever their schedules:
+When a model's coupling graph splits into connected components (an
+isolated spin is one), H(s) is a sum of commuting parts and the start state
+a product, so each component runs as a row of its own size, whose batch
+chooses the half space for itself; the cost guard counts those rows. The
+fine and the coarse weights are each the product of the components'
+vectors, by lowest spin, left to right, each reshaped to N axes, of size 2
+on its own spins and 1 elsewhere. A product's sum is ``norm_squared``, and
+|1 - norm_squared| the norm drift; the normalised products give the error
+estimate as any row's do. A connected model is its own one component.
+
+``evolve_many`` batches these rows by spin count, whatever their schedules:
 the rows of one size evolve together in one array, and results come back
 in input order. Every operation is row-independent, and
 each row keeps its own schedule, exponential length, substep count and
 stopping point; a row that has stopped or finished is computed and
 discarded or skipped, which changes what no other row computes. So results
 are bitwise identical whether models run alone or batched, under one
-schedule or several, and with or without the coarse rows beside them.
+schedule or several, and with or without the coarse rows beside them; a
+product takes its factors in a fixed order, so a split model's are too.
 
 A batch whose kernels are large enough splits across threads: its moving
 rows are dealt round-robin to one share per CPU the process may run on, or
@@ -79,6 +90,7 @@ import numpy as np
 
 from .errors import IntegrationAccuracyError, ModelTooLargeError
 from .model import IsingModel, ProbabilityVector, _finite, _integer, energy_table
+from .model import _components, _less_terms
 
 # Maximum tolerated norm drift |1 - norm^2| and step-doubling error estimate
 # of the final probabilities.
@@ -92,10 +104,10 @@ TAYLOR_TOL = 1e-15
 # Largest 2 * rows * kept amplitudes * steps one integration may take on:
 # the fine and coarse rows of a batch, each carrying 2^N amplitudes (2^(N-1)
 # on the half space) through every step, times a bound on each row's Taylor
-# substeps, summed over the spin-count batches of one call. fig3a, the
-# largest preset, needs 5.12e6 (40 rows of 32 amplitudes, 2000 steps, one
-# substep), and the 15-spin anneal of the perfbench wide-state workload
-# 1.6e6; the budget leaves 390x over the former. Larger work is refused up
+# substeps, summed over the component rows of every spin-count batch of one
+# call. fig3a, the largest preset, needs 5.12e6 (40 rows of 32 amplitudes,
+# 2000 steps, one substep), and a connected 15-spin zero-field anneal at tau
+# 2 1.6e6; the budget leaves 390x over the former. Larger work is refused up
 # front rather than started.
 MAX_AMPLITUDE_STEPS = 2_000_000_000
 
@@ -148,7 +160,7 @@ def _default_steps(tau: float) -> int:
     intermediate tau (about 25-110 for the bundled models), where dt = 0.5
     overshoots the 1e-6 budget six-fold; dt <= 0.2 keeps the step-doubling
     estimate of the bundled models at or below 1e-7 up to tau = 400, and
-    that of the 15-spin instances of the perfbench wide-state workload at or
+    that of the 15-spin perfbench wide-state instances, run jointly, at or
     below 1e-7 for tau in [2, 60]. At larger tau the error per unit time
     falls, and fewer, longer steps only add Taylor terms per exponential:
     at 2000 steps the bundled embedding's worst estimate at tau = 1000 over
@@ -538,7 +550,8 @@ def _share_count(num_spins: int, rows: int, kept: int) -> int:
     a 2-CPU x86-64 host two shares of 4,096 amplitudes (N = 10 at 8 full
     rows, N = 12 at 4 and N = 13 at 2 half rows) took 1.7-2.1x as long as
     one thread, shares of 8,192 0.92-1.16x as long, and shares of 16,384,
-    the 15-spin half rows among them, 1.6x less time (BENCH_26.json).
+    such as the half rows of a connected 15-spin model, 1.6x less time
+    (BENCH_26.json).
     """
     shares = min(_cpus(), rows)
     while shares > 1:
@@ -660,22 +673,46 @@ def _cfm4_weights(
     return weights, np.argsort(order)
 
 
+def _component_table(model: IsingModel, spins: tuple[int, ...]) -> np.ndarray:
+    """A connected model's memoised ``energy_table``, or a component's: its
+    couplings renumbered in the model's order, its fields, and no memo."""
+    if len(spins) == model.num_spins:
+        return energy_table(model)
+    local = {spin: k for k, spin in enumerate(spins)}
+    couplings = [(local[i], local[j], J) for i, j, J in model.couplings if i in local]
+    fields = [model.fields[spin] for spin in spins]
+    return _less_terms(np.zeros(1 << len(spins)), couplings, fields)
+
+
+def _product(num_spins: int, components, vectors) -> np.ndarray:
+    """The 2^N product of the components' vectors, left to right (see above)."""
+    product = None
+    for spins, vector in zip(components, vectors):
+        shape = [1] * num_spins
+        for spin in spins:
+            shape[~spin] = 2
+        factor = vector.reshape(shape)
+        product = factor if product is None else product * factor
+    return product.reshape(-1)
+
+
 def evolve_many(
     models: Sequence[IsingModel],
     schedule: AnnealSchedule | Sequence[AnnealSchedule],
     *,
     enforce_drift: bool = True,
 ) -> list[EvolutionResult]:
-    """Evolve several models, one batch per spin count.
+    """Evolve several models, one batch per spin count of their components.
 
     ``schedule`` is one schedule shared by every model or one per model, in
-    the models' order; a count that does not match raises ValueError.
-    Models of one spin count form one batch, in order of first appearance,
-    whatever their schedules; results come back in input order. The cost
-    guard sums every row's own steps and substeps over all batches and runs
-    before the first one is integrated. Each model also runs at ceil(steps/2) steps,
-    as one more row of the same batch, for its error estimate.
-    Probabilities are renormalized by each row's squared norm. With
+    the models' order; a count that does not match raises ValueError. The
+    models' components (see above) of one spin count form one batch, in
+    order of first appearance, whatever their schedules; results come back
+    in input order. The cost guard sums every row's own steps and substeps
+    over all batches and runs before the first one is integrated. Each
+    component also runs at ceil(steps/2) steps, as one more row of the same
+    batch, for its error estimate.
+    Probabilities are renormalized by each model's squared norm. With
     ``enforce_drift`` the call raises IntegrationAccuracyError if any row's
     norm drift or error estimate is over the budget, or not finite; sweeps
     disable it and handle failures row by row. All results are attached to
@@ -687,42 +724,44 @@ def evolve_many(
         raise ValueError(f"{len(schedule)} schedules for {len(models)} models")
     elif not all(isinstance(item, AnnealSchedule) for item in schedule):
         raise TypeError("schedules must be AnnealSchedule instances")
-    indices: dict[int, list[int]] = {}
-    for i, model in enumerate(models):
-        indices.setdefault(model.num_spins, []).append(i)
-    batches = [
-        (
-            members,
-            *_kept_tables(np.stack([energy_table(models[i]) for i in members])),
-            [schedule[i] for i in members],
-        )
-        for members in indices.values()
-    ]
+    components = [_components(model) for model in models]
+    indices: dict[int, list[tuple]] = {}
+    for i, parts in enumerate(components):
+        for k, spins in enumerate(parts):
+            indices.setdefault(len(spins), []).append((i, k, spins))
+    batches = []
+    for members in indices.values():
+        tables = np.stack([_component_table(models[i], spins) for i, _, spins in members])
+        batches.append((members, *_kept_tables(tables), [schedule[i] for i, *_ in members]))
     _check_cost([batch[1:] for batch in batches])
-    results = [None] * len(models)
+    # per model, the fine and coarse weights of each of its components
+    factors = [[None] * len(parts) for parts in components]
     for members, tables, half, own in batches:
         halved = [AnnealSchedule(s.tau, (s.steps + 1) // 2) for s in own]
         weights, at = _cfm4_weights(tables, half, own + halved)
-        norm_sq = weights.sum(axis=1)
-        weights /= norm_sq[:, None]
-        for row, i in enumerate(members):
-            tau, steps = schedule[i].tau, schedule[i].steps
-            fine, coarse = at[row], at[row + len(members)]
-            p, n2 = weights[fine], norm_sq[fine]
-            coarse_steps = (steps + 1) // 2
-            if coarse_steps < steps:
-                richardson = (steps / coarse_steps) ** 4 - 1.0
-                estimate = np.abs(p - weights[coarse]).max() / richardson
-            else:
-                estimate = 0.0 if tau == 0.0 else math.inf
-            results[i] = EvolutionResult(
-                final_probabilities=ProbabilityVector(p),
-                norm_drift=float(abs(1.0 - n2)),
-                tau=tau,
-                steps=steps,
-                norm_squared=float(n2),
-                error_estimate=float(estimate),
-            )
+        for row, (i, k, _) in enumerate(members):
+            factors[i][k] = (weights[at[row]], weights[at[row + len(members)]])
+    results = [None] * len(models)
+    for i, model in enumerate(models):
+        tau, steps = schedule[i].tau, schedule[i].steps
+        p, coarse = (_product(model.num_spins, components[i], w) for w in zip(*factors[i]))
+        n2 = p.sum()
+        p /= n2
+        coarse_steps = (steps + 1) // 2
+        if coarse_steps < steps:
+            coarse /= coarse.sum()
+            richardson = (steps / coarse_steps) ** 4 - 1.0
+            estimate = np.abs(p - coarse).max() / richardson
+        else:
+            estimate = 0.0 if tau == 0.0 else math.inf
+        results[i] = EvolutionResult(
+            final_probabilities=ProbabilityVector(p),
+            norm_drift=float(abs(1.0 - n2)),
+            tau=tau,
+            steps=steps,
+            norm_squared=float(n2),
+            error_estimate=float(estimate),
+        )
 
     if enforce_drift:
         for result in results:

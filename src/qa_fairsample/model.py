@@ -209,6 +209,25 @@ class IsingModel:
         return out
 
 
+def _components(model: IsingModel) -> list[tuple[int, ...]]:
+    """The spins of each connected component of the coupling graph, ascending,
+    ordered by their lowest spin. A coupling joins its two spins whatever
+    its J; an isolated spin is a component of its own."""
+    root = list(range(model.num_spins))
+
+    def find(spin: int) -> int:
+        while root[spin] != spin:
+            spin = root[spin]
+        return spin
+
+    for i, j, _ in model.couplings:
+        root[find(j)] = find(i)
+    components: dict[int, list[int]] = {}
+    for spin in range(model.num_spins):
+        components.setdefault(find(spin), []).append(spin)
+    return [tuple(spins) for spins in components.values()]
+
+
 @dataclass(frozen=True)
 class GroundManifold:
     """All minimum-energy configurations of a model, in ascending bits order.

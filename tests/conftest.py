@@ -6,7 +6,10 @@ own vectorized code paths: energies come from a plain Python loop and dense
 Hamiltonians from Kronecker products. A full-width copy of the CFM4
 integrator, which never uses inversion symmetry and runs the step-doubling
 estimate as a separate integration, lets the package's half-space and fused
-results be compared with it bit for bit. ``reference_exp_step`` keeps the
+results be compared with it bit for bit. It runs each connected component,
+found by its own breadth-first search, and multiplies their weights;
+``joint_full_space_evolve_many`` runs every model over all its amplitudes,
+split or not. ``reference_exp_step`` keeps the
 Taylor term loop as it was before its stopping pre-test, and
 ``reference_cfm4_weights`` the step loop as it was before its schedule was
 computed in blocks, for the package loops to match byte for byte; both
@@ -613,26 +616,21 @@ def full_space_cfm4_weights(tables: np.ndarray, tau: float, steps: int) -> np.nd
     return np.abs(psi) ** 2
 
 
-def full_space_evolve_many(models, schedule) -> list[qf.EvolutionResult]:
-    """``evolve_many`` without the accuracy guard, from separate full-space runs.
-
-    The fine run at ``steps`` and the coarse run at ceil(steps/2) are two
-    independent integrations, normalised and compared as ``evolve_many``
-    does, with the fourth-order Richardson factor.
-    """
-    tables = np.stack([qf.energy_table(m) for m in models])
+def _full_space_results(fine, coarse, schedule) -> list[qf.EvolutionResult]:
+    """Results from the unnormalised fine and coarse weight rows of a model
+    each, normalised and compared as ``evolve_many`` does, with the
+    fourth-order Richardson factor; ``coarse`` is read only when
+    ceil(steps/2) < steps."""
     tau, steps = schedule.tau, schedule.steps
-    fine = full_space_cfm4_weights(tables, tau, steps)
     norm_sq = fine.sum(axis=1)
     probs = fine / norm_sq[:, None]
     coarse_steps = (steps + 1) // 2
     if coarse_steps < steps:
-        coarse = full_space_cfm4_weights(tables, tau, coarse_steps)
-        coarse /= coarse.sum(axis=1)[:, None]
+        coarse = coarse / coarse.sum(axis=1)[:, None]
         richardson = (steps / coarse_steps) ** 4 - 1.0
         estimates = np.abs(probs - coarse).max(axis=1) / richardson
     else:
-        estimates = np.full(len(models), 0.0 if tau == 0.0 else np.inf)
+        estimates = np.full(len(fine), 0.0 if tau == 0.0 else np.inf)
     return [
         qf.EvolutionResult(
             final_probabilities=qf.ProbabilityVector(p),
@@ -644,6 +642,90 @@ def full_space_evolve_many(models, schedule) -> list[qf.EvolutionResult]:
         )
         for p, n2, est in zip(probs, norm_sq, estimates)
     ]
+
+
+def joint_full_space_evolve_many(models, schedule) -> list[qf.EvolutionResult]:
+    """``evolve_many`` without the accuracy guard, from separate full-space
+    runs over all 2^N amplitudes of each model, split or not.
+
+    The fine run at ``steps`` and the coarse run at ceil(steps/2) are two
+    independent integrations of the models' stacked energy tables.
+    """
+    tables = np.stack([qf.energy_table(m) for m in models])
+    tau, steps = schedule.tau, schedule.steps
+    fine = full_space_cfm4_weights(tables, tau, steps)
+    coarse = full_space_cfm4_weights(tables, tau, (steps + 1) // 2)
+    return _full_space_results(fine, coarse, schedule)
+
+
+def search_components(model: qf.IsingModel) -> list[tuple[int, ...]]:
+    """The spins of each connected component, by breadth-first search from
+    each spin not yet reached, in ascending order; each component sorted."""
+    neighbours = [set() for _ in range(model.num_spins)]
+    for i, j, _ in model.couplings:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    reached, components = set(), []
+    for start in range(model.num_spins):
+        if start in reached:
+            continue
+        reached.add(start)
+        queue = [start]
+        for spin in queue:
+            for other in sorted(neighbours[spin] - reached):
+                reached.add(other)
+                queue.append(other)
+        components.append(tuple(sorted(queue)))
+    return components
+
+
+def component_model(model: qf.IsingModel, spins) -> qf.IsingModel:
+    """The model on ``spins`` alone: its couplings renumbered in the model's
+    order, and its own fields."""
+    local = {spin: k for k, spin in enumerate(spins)}
+    couplings = tuple(
+        (local[i], local[j], J) for i, j, J in model.couplings if i in local
+    )
+    return qf.IsingModel(len(spins), couplings, tuple(model.fields[s] for s in spins))
+
+
+def _index_product(num_spins: int, components, rows) -> np.ndarray:
+    """The 2^N vector whose entry c is the product of row k at c's bits on
+    component k, multiplied in component order, left to right."""
+    bits = np.arange(1 << num_spins)
+    product = None
+    for spins, row in zip(components, rows):
+        local = sum(((bits >> spin) & 1) << k for k, spin in enumerate(spins))
+        product = row[local] if product is None else product * row[local]
+    return product
+
+
+def full_space_evolve_many(models, schedule) -> list[qf.EvolutionResult]:
+    """``evolve_many`` without the accuracy guard, from separate full-space
+    runs of each connected component.
+
+    Each model splits by ``search_components``. Each component's fine run at
+    ``steps`` and coarse run at ceil(steps/2) are independent full-space
+    integrations of its ``component_model``. A model's fine and coarse
+    weights are the products of its components', in component order, and
+    are then normalised and compared as ``evolve_many`` does. A connected
+    model is its own one component, so this is its joint run.
+    """
+    tau, steps = schedule.tau, schedule.steps
+    results = []
+    for model in models:
+        components = search_components(model)
+        tables = [qf.energy_table(component_model(model, c)) for c in components]
+        fine, coarse = (
+            _index_product(
+                model.num_spins,
+                components,
+                [full_space_cfm4_weights(table[None], tau, n)[0] for table in tables],
+            )[None]
+            for n in (steps, (steps + 1) // 2)
+        )
+        results += _full_space_results(fine, coarse, schedule)
+    return results
 
 
 @pytest.fixture(scope="session")

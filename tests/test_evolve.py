@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 import qa_fairsample as qf
 from qa_fairsample.errors import IntegrationAccuracyError, ModelTooLargeError
 from qa_fairsample.evolve import THETA, _accuracy_failure, _default_steps, _initial_state
+from qa_fairsample.model import _components
 
 from conftest import (
     dense_anneal_probabilities,
     dense_annealing_hamiltonian,
     full_space_evolve_many,
+    joint_full_space_evolve_many,
     kernel_apply,
     reference_cfm4_weights,
     reference_exp_step,
@@ -379,7 +381,7 @@ def test_weights_are_bitwise_the_same_on_any_number_of_cpus(monkeypatch, half):
         (2, 13, 2, 1 << 12, 1),  # view kernels of 4,096: slower split
         (2, 14, 2, 1 << 13, 1),  # 8,192: no faster split
         (2, 12, 8, 1 << 11, 1),
-        (2, 15, 2, 1 << 14, 2),  # the wide-state anneal's two half rows
+        (2, 15, 2, 1 << 14, 2),  # a connected 15-spin anneal's two half rows
         (2, 14, 3, 1 << 14, 2),  # shares of 2 and 1 rows
         (3, 14, 3, 1 << 14, 3),
         (3, 13, 5, 1 << 13, 2),  # shares of 1 row would be too small
@@ -1127,3 +1129,97 @@ def test_mixed_batch_matches_full_space_bitwise(toy_source, steps):
     schedule = qf.AnnealSchedule.for_tau(12.0, steps)
     results = qf.evolve_many(models, schedule, enforce_drift=False)
     _assert_bitwise_equal(results, full_space_evolve_many(models, schedule))
+
+
+# ------------------------------------------------ connected components
+
+
+def _split_model(rng, sizes, fields):
+    """A random model whose components have ``sizes`` spins, each a random
+    spanning tree plus a few more couplings, over shuffled spin labels."""
+    labels = rng.permutation(sum(sizes)).tolist()
+    couplings = {}
+    for start, size in zip(np.cumsum((0, *sizes[:-1])).tolist(), sizes):
+        spins = labels[start : start + size]
+        pairs = [(spins[int(rng.integers(0, k))], spins[k]) for k in range(1, size)]
+        pairs += [tuple(rng.choice(spins, 2, replace=False)) for _ in range(size // 2)]
+        for a, b in pairs:
+            couplings[min(a, b), max(a, b)] = float(rng.normal())
+    n = sum(sizes)
+    values = tuple(float(h) for h in rng.normal(size=n)) if fields else ()
+    return qf.IsingModel(n, tuple((i, j, J) for (i, j), J in sorted(couplings.items())), values)
+
+
+@st.composite
+def split_models(draw):
+    """A model of 2-3 components of 1-4 spins, with or without fields."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _split_model(rng, sizes, draw(st.booleans()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(split_models(), st.sampled_from((0.5, 3.0, 12.0)))
+def test_split_models_agree_with_the_joint_run(model, tau):
+    # the product of the components' runs against one integration of all
+    # 2^N amplitudes, under the default step policy
+    assert len(_components(model)) >= 2
+    schedule = qf.AnnealSchedule.for_tau(tau)
+    (got,) = qf.evolve_many((model,), schedule, enforce_drift=False)
+    (joint,) = joint_full_space_evolve_many((model,), schedule)
+    difference = got.final_probabilities.vector - joint.final_probabilities.vector
+    assert np.abs(difference).max() <= 1e-12
+    assert abs(got.error_estimate - joint.error_estimate) <= 1e-12
+    assert abs(got.norm_squared - joint.norm_squared) <= 1e-12
+
+
+def test_a_split_model_batches_bitwise_like_alone(toy_source, embedded_models):
+    # 6 spins in components of 4 and 2, zero-field and fielded, beside
+    # connected models of 6, 5 and 4 spins: each component row joins the
+    # batch of its size, and every result is bitwise its own run's
+    rng = np.random.default_rng(6)
+    split = [_split_model(rng, (4, 2), fields) for fields in (False, True)]
+    four = qf.IsingModel(4, ((0, 1, 1.0), (1, 2, -1.0), (2, 3, 0.5)), (0.25, 0, 0, 0))
+    models = (split[0], embedded_models[1.0].model, toy_source, split[1], four)
+    schedule = qf.AnnealSchedule.for_tau(3.0)
+    batch = qf.evolve_many(models, schedule, enforce_drift=False)
+    alone = [qf.evolve_many((m,), schedule, enforce_drift=False)[0] for m in models]
+    assert [_result_bits(r) for r in batch] == [_result_bits(r) for r in alone]
+
+
+def test_a_wide_split_model_allocates_only_its_components_kernels(monkeypatch):
+    # 15 spins without fields in components of 10 and 5, shaped like the
+    # perfbench wide-state instances: no 15-spin kernel is allocated, and
+    # each component runs on its half space
+    module = importlib.import_module("qa_fairsample.evolve")
+    kernels = []
+    allocate = module._Kernel.allocate.__func__
+
+    def recording_allocate(cls, rows, num_spins, half=False):
+        kernels.append((num_spins, half))
+        return allocate(cls, rows, num_spins, half)
+
+    monkeypatch.setattr(module._Kernel, "allocate", classmethod(recording_allocate))
+    model = _split_model(np.random.default_rng(15), (10, 5), fields=False)
+    assert sorted(map(len, _components(model))) == [5, 10]
+    result = qf.evolve(model, qf.AnnealSchedule.for_tau(2.0))
+    assert sorted(kernels) == [(5, True), (10, True)]
+    assert result.final_probabilities.vector.size == 1 << 15
+
+
+def test_cost_guard_counts_component_rows(monkeypatch):
+    # a zero-field component of 3 spins (4 kept amplitudes on the half
+    # space) and a fielded one of 2 (4 amplitudes): two rows of 4, not one
+    # of 2^5
+    model = qf.IsingModel(
+        5, ((0, 2, 1.0), (2, 4, -1.0), (1, 3, 0.5)), (0.0, 0.25, 0.0, 0.0, 0.0)
+    )
+    _forbid_integration(monkeypatch)
+    with pytest.raises(ModelTooLargeError) as excinfo:
+        qf.evolve(model, qf.AnnealSchedule(tau=20.0, steps=200_000_000))
+    assert str(excinfo.value) == (
+        "integration needs 3.2e+09 amplitude-steps "
+        "(2 x 1 rows x 4 amplitudes x 200000000 steps + "
+        "2 x 1 rows x 4 amplitudes x 200000000 steps), "
+        "over the budget of 2e+09"
+    )

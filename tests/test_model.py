@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 import qa_fairsample as qf
 from qa_fairsample.errors import ModelTooLargeError
+from qa_fairsample.model import _components
 
 from conftest import (
     brute_energy,
     brute_ground_bits,
     embedded_instances,
     loop_energy_table,
+    search_components,
 )
 
 
@@ -137,6 +139,24 @@ def test_inversion_symmetry_without_fields():
         mask = (1 << num_spins) - 1
         flipped = np.array([table[b ^ mask] for b in range(1 << num_spins)])
         assert np.array_equal(table, flipped)
+
+
+def test_components_of_the_coupling_graph():
+    # a zero coupling joins its spins; isolated spins are components of
+    # their own; components come in order of their lowest spin
+    model = qf.IsingModel(7, ((1, 5, 1.0), (3, 4, 0.0), (0, 5, -1.0)))
+    assert _components(model) == [(0, 1, 5), (2,), (3, 4), (6,)]
+    assert _components(qf.IsingModel(1, ())) == [(0,)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_components_match_a_breadth_first_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = [pair for pair in pairs if rng.random() < 1.5 / n]
+    model = qf.IsingModel(n, tuple((i, j, 1.0) for i, j in chosen))
+    assert _components(model) == search_components(model)
 
 
 # ------------------------------------------------- ground-state search
