@@ -493,7 +493,8 @@ def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
 
     Columns: model, parameter, method, P_1..P_k (folded classes ascending by
     representative), ratio_PS_PC, gap_ratio, excited_weight, norm_drift.
-    The parameter column holds the swept value.
+    The parameter column holds the swept value. The file gets the mode a
+    plain ``open(path, "w")`` would give it, 0o666 less the umask.
     """
     reps = sorted({rep for r in records if r.folded for rep in r.folded})
     path = Path(path)
@@ -514,6 +515,10 @@ def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
                     [r.model, _format_cell(r.value), r.method]
                     + [_format_cell(v) for v in values]
                 )
+        # mkstemp creates 0o600; the umask can only be read by setting it
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

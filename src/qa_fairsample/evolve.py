@@ -58,29 +58,20 @@ on its own spins and 1 elsewhere. A product's sum is ``norm_squared``, and
 estimate as any row's do. A connected model is its own one component.
 
 ``evolve_many`` batches these rows by spin count, whatever their schedules:
-the rows of one size evolve together in one array, and results come back
-in input order. Every operation is row-independent, and
-each row keeps its own schedule, exponential length, substep count and
-stopping point; a row that has stopped or finished is computed and
-discarded or skipped, which changes what no other row computes. So results
-are bitwise identical whether models run alone or batched, under one
-schedule or several, and with or without the coarse rows beside them; a
-product takes its factors in a fixed order, so a split model's are too.
-
-A batch whose kernels are large enough splits across threads: its moving
-rows are dealt round-robin to one share per CPU the process may run on, or
-fewer (see _share_count), and each share runs the same step loop on its own
-kernel, while numpy's calls on its amplitudes release the interpreter lock.
-As no row's operations depend on the rows beside it, results are bitwise
-identical for any number of CPUs. The 5- and 6-spin batches of the presets
-and sweeps, whose cost is interpreter overhead, never split.
+the rows of one size evolve together in one array, on one kernel on the
+calling thread, and results come back in input order. Every operation is
+row-independent, and each row keeps its own schedule, exponential length,
+substep count and stopping point; a row that has stopped or finished is
+computed and discarded or skipped, which changes what no other row
+computes. So results are bitwise identical whether models run alone or
+batched, under one schedule or several, and with or without the coarse
+rows beside them; a product takes its factors in a fixed order, so a split
+model's are too.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -124,8 +115,6 @@ _STEP_BLOCK = 64
 # which a kernel gathers its flip sum; larger kernels add reshaped views
 # (see _Kernel). On a 2-CPU x86-64 host the gather is faster up to 2^15
 # elements at every N and row count measured, and the views from about 2^16.
-# A batch splits across threads only into view kernels of at least half
-# that many amplitudes each (see _share_count).
 _GATHER_MAX = 1 << 15
 _NEG_ZERO = complex(-0.0, -0.0)
 _ADD_REDUCE = np.add.reduce
@@ -134,9 +123,10 @@ _ADD_REDUCE = np.add.reduce
 # view; shorter ones are taken through an index (see _Kernel). Spin i's view
 # adds its 2^i amplitude runs as one numpy inner loop each. On a 2-CPU x86-64
 # host, at N = 11-16 and 1-8 rows, a take and an add beat the view's add for
-# runs of 1-4 amplitudes and lose from 8 on, and the perfbench wide-state
-# anneal is fastest at this value (BENCH_19.json). It must exceed 1, so that
-# the first flip is taken.
+# runs of 1-4 amplitudes and lose from 8 on, and a joint anneal of a 15-spin
+# zero-field perfbench wide-state instance (seed 2719: a fine and a coarse
+# half row of 2^14 amplitudes) is fastest at this value (BENCH_19.json). It
+# must exceed 1, so that the first flip is taken.
 _VIEW_MIN_RUN = 1 << 3
 
 # TAYLOR_TOL and the factor -1j/k of Taylor term k (at index k) as numpy
@@ -531,69 +521,6 @@ def _kept_tables(tables: np.ndarray) -> tuple[np.ndarray, bool]:
     return (tables[:, : tables.shape[1] // 2].copy() if half else tables), half
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _share_count(num_spins: int, rows: int, kept: int) -> int:
-    """How many shares, each integrated by its own thread, a batch splits into.
-
-    One per CPU and at most one per moving row, and fewer until the smallest
-    share, (rows // W) x kept amplitudes for W shares, is a view kernel (see
-    _Kernel) of at least _GATHER_MAX / 2 amplitudes. A share's numpy calls
-    release the interpreter lock while they work on its amplitudes but hold
-    it between calls, so a thread pays only where those calls are long. On
-    a 2-CPU x86-64 host two shares of 4,096 amplitudes (N = 10 at 8 full
-    rows, N = 12 at 4 and N = 13 at 2 half rows) took 1.7-2.1x as long as
-    one thread, shares of 8,192 0.92-1.16x as long, and shares of 16,384,
-    such as the half rows of a connected 15-spin model, 1.6x less time
-    (BENCH_26.json).
-    """
-    shares = min(_cpus(), rows)
-    while shares > 1:
-        amplitudes = rows // shares * kept
-        if num_spins * amplitudes > _GATHER_MAX and 2 * amplitudes >= _GATHER_MAX:
-            return shares
-        shares -= 1
-    return 1
-
-
-def _integrate(
-    psi, tables, tau, running, num_spins: int, half: bool, failed: list
-) -> None:
-    """Take the rows of psi through their CFM4 steps, in place, on one kernel.
-
-    The rows are laid out in descending step count (see _cfm4_weights).
-    Stops at the next block of steps once ``failed`` holds an exception.
-    """
-    kernel = _Kernel.allocate(np.count_nonzero(running), num_spins, half)
-    emax = np.abs(tables).max(axis=1)
-    dt = tau / np.maximum(running, 1)
-    h = 0.5 * dt
-    offsets = (_NODES[0] * dt, _NODES[1] * dt)
-    j = 0
-    while j < running[0] and not failed:
-        # the next steps that the same leading rows all take, as rows of
-        # arrays in the order of the exponentials: s_a, s_b of each step
-        live = np.count_nonzero(running > j)
-        end = min(j + _STEP_BLOCK, running[live - 1])
-        at = slice(0, live)
-        start = np.arange(j, end)[:, None] * dt[at]
-        s1 = (start + offsets[0][at]) / tau[at]
-        s2 = (start + offsets[1][at]) / tau[at]
-        s_a = 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2)
-        s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
-        s = np.stack((s_a, s_b), axis=1).reshape(-1, live)
-        span, sums, table = kernel.rows(0, live), psi[at], tables[at]
-        for exponential in zip(s, *_substeps(num_spins, s, h[at], emax[at])):
-            _exp_step(span, sums, table, *exponential)
-        j = end
-
-
 def _cfm4_weights(
     tables: np.ndarray, half: bool, schedules: Sequence[AnnealSchedule]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -609,17 +536,10 @@ def _cfm4_weights(
     schedule values s_a and s_b inside the step, at t/tau plus 1/6 and 5/6
     of dt/tau, so 0 <= s <= 1 throughout. Those values and the substeps are
     computed for up to _STEP_BLOCK steps of one span at a time, as arrays
-    with the same elementwise arithmetic as one step's.
-
-    The rows are dealt round-robin to _share_count shares, so each share's
-    rows are in descending step count too; each share runs that loop on
-    its own kernel and on its rows of the one state array. The calling
-    thread runs share 0 and a thread each the others. An exception in any
-    share, an interrupt of the calling thread included, stops the others at
-    their next block of steps; the first is raised once every thread has
-    ended. On the half space each row is rebuilt from the kept half and its
-    mirror image. Returns the weights in that layout and the index of each
-    row in them.
+    with the same elementwise arithmetic as one step's, on one kernel over
+    the running rows. On the half space each row is rebuilt from the kept
+    half and its mirror image. Returns the weights in that layout and the
+    index of each row in them.
     """
     tau = np.array([schedule.tau for schedule in schedules], dtype=float)
     # a row at tau = 0 takes no step, whatever its step count, which the cost
@@ -631,40 +551,32 @@ def _cfm4_weights(
     rows, kept = tables.shape
     num_spins = kept.bit_length() - 1 + half
     psi = np.tile(_initial_state(num_spins)[:kept], (rows, 1))
-    count = _share_count(num_spins, np.count_nonzero(running), kept)
-    failed = []
-
-    def integrate(share: slice) -> None:
-        at = (psi[share], tables[share], tau[share], running[share])
-        _integrate(*at, num_spins, half, failed)
-
-    def worker(share: slice) -> None:
-        try:
-            integrate(share)
-        except BaseException as error:  # raised by the calling thread
-            failed.append(error)
-
-    threads = [
-        threading.Thread(target=worker, args=(slice(w, None, count),))
-        for w in range(1, count)
-    ]
-    try:
-        for thread in threads:
-            thread.start()
-        integrate(slice(0, None, count))
-    except BaseException as error:
-        failed.append(error)
-    for thread in threads:
-        # an interrupt of the join stops the shares like any other failure
-        while thread.is_alive():
-            try:
-                thread.join()
-            except BaseException as error:
-                failed.append(error)
-    if failed:
-        raise failed[0]
-    # written into one array of the rebuilt width, so no temporary of the
-    # state's size is made
+    kernel = _Kernel.allocate(np.count_nonzero(running), num_spins, half)
+    emax = np.abs(tables).max(axis=1)
+    dt = tau / np.maximum(running, 1)
+    h = 0.5 * dt
+    offsets = (_NODES[0] * dt, _NODES[1] * dt)
+    j = 0
+    while j < running[0]:
+        # the next steps that the same leading rows all take, as rows of
+        # arrays in the order of the exponentials: s_a, s_b of each step
+        live = np.count_nonzero(running > j)
+        end = min(j + _STEP_BLOCK, running[live - 1])
+        at = slice(0, live)
+        start = np.arange(j, end)[:, None] * dt[at]
+        s1 = (start + offsets[0][at]) / tau[at]
+        s2 = (start + offsets[1][at]) / tau[at]
+        s_a = 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2)
+        s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
+        s = np.stack((s_a, s_b), axis=1).reshape(-1, live)
+        span, sums, table = kernel.rows(0, live), psi[at], tables[at]
+        for exponential in zip(s, *_substeps(num_spins, s, h[at], emax[at])):
+            _exp_step(span, sums, table, *exponential)
+        j = end
+    # the kernel's buffers are freed before the weights are allocated, which
+    # are written into one array of the rebuilt width, so no temporary of
+    # the state's size is made
+    kernel = span = None
     weights = np.empty((rows, kept << half))
     kept_weights = weights[:, :kept]
     np.square(np.abs(psi, out=kept_weights), out=kept_weights)

@@ -3,7 +3,9 @@
 import dataclasses
 import importlib
 import math
+import os
 import re
+import stat
 from unittest import mock
 
 import numpy as np
@@ -1024,3 +1026,20 @@ def test_write_csv_atomic(tmp_path, toy_source, toy_template):
     assert out.exists()
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_write_csv_mode_follows_the_umask(tmp_path, toy_source, toy_template, umask):
+    # the mode a plain open(path, "w") gives, not mkstemp's 0o600, and the
+    # umask as it was
+    records = qf.sweep_chain_strength(toy_source, toy_template, (1.0,), methods=("PT",))
+    out, plain = tmp_path / "sweep.csv", tmp_path / "plain.csv"
+    before = os.umask(umask)
+    try:
+        qf.write_sweep_csv(records, out)
+        plain.write_text("")
+        assert os.umask(umask) == umask
+    finally:
+        os.umask(before)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)

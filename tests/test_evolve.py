@@ -1,7 +1,6 @@
 """Integrator module: the matrix-free Hamiltonian kernel and CFM4 evolution."""
 
 import importlib
-import threading
 
 import numpy as np
 import pytest
@@ -319,45 +318,27 @@ def cfm4_batches(draw):
 @given(cfm4_batches())
 def test_cfm4_loop_matches_the_reference_bitwise(batch):
     # the whole step loop against its oracle, through both forms of the flip
-    # sum, at schedule blocks of 1, 3 and the package's own number of steps,
-    # and on 1 and 2 CPUs (a gather limit of 0 splits every batch of two or
-    # more moving rows): the weights and the row order are the same bytes
+    # sum and at schedule blocks of 1, 3 and the package's own number of
+    # steps: the weights and the row order are the same bytes
     tables, half, schedules = batch
     module = importlib.import_module("qa_fairsample.evolve")
     with pytest.MonkeyPatch.context() as patch:
         for limit in (0, 1 << 30):
             patch.setattr(module, "_GATHER_MAX", limit)
             weights, order = reference_cfm4_weights(tables, half, schedules)
-            for cpus in (1, 2):
-                patch.setattr(module, "_cpus", lambda cpus=cpus: cpus)
-                for block in (1, 3, module._STEP_BLOCK):
-                    patch.setattr(module, "_STEP_BLOCK", block)
-                    got, got_order = module._cfm4_weights(tables, half, schedules)
-                    assert got.tobytes() == weights.tobytes(), (limit, cpus, block)
-                    assert got_order.tobytes() == order.tobytes(), (limit, cpus, block)
-
-
-def _recording_shares(monkeypatch, module, cpus):
-    """Give the package `cpus` CPUs; returns the rows of each kernel it allocates."""
-    monkeypatch.setattr(module, "_cpus", lambda: cpus)
-    kernels = []
-    allocate = module._Kernel.allocate.__func__
-
-    def recording_allocate(cls, rows, num_spins, half=False):
-        kernels.append(rows)
-        return allocate(cls, rows, num_spins, half)
-
-    monkeypatch.setattr(module._Kernel, "allocate", classmethod(recording_allocate))
-    return kernels
+            for block in (1, 3, module._STEP_BLOCK):
+                patch.setattr(module, "_STEP_BLOCK", block)
+                got, got_order = module._cfm4_weights(tables, half, schedules)
+                assert got.tobytes() == weights.tobytes(), (limit, block)
+                assert got_order.tobytes() == order.tobytes(), (limit, block)
 
 
 @pytest.mark.parametrize("half", [False, True])
-def test_weights_are_bitwise_the_same_on_any_number_of_cpus(monkeypatch, half):
+def test_wide_view_kernel_batches_match_the_reference_bitwise(half):
     # 13 spins on the full and 14 on the half space, 8,192 amplitudes a row:
     # 7 rows of mixed schedules, odd step counts and one at tau = 0 among
-    # them, dealt to 1, 2 and 3 shares of view kernels; each share is a
-    # kernel of its own, and the weights and their row order are the same
-    # bytes
+    # them, on one view kernel of the 6 moving rows at the package's own
+    # gather limit; the weights and their row order are the same bytes
     module = importlib.import_module("qa_fairsample.evolve")
     n = 13 + half
     rng = np.random.default_rng(1313 + half)
@@ -365,104 +346,11 @@ def test_weights_are_bitwise_the_same_on_any_number_of_cpus(monkeypatch, half):
     schedule = qf.AnnealSchedule
     schedules = [schedule(1.0, 3), schedule(0.0, 4), schedule(1.5, 5), schedule(0.5, 1),
                  schedule(1.0, 2), schedule(2.0, 5), schedule(0.7, 3)]
-    results = []
-    for cpus in (1, 2, 3):
-        kernels = _recording_shares(monkeypatch, module, cpus)
-        weights, order = module._cfm4_weights(tables, half, schedules)
-        assert kernels == [[6], [3, 3], [2, 2, 2]][cpus - 1]
-        results.append((weights.tobytes(), order.tobytes()))
-    assert results[0] == results[1] == results[2]
-
-
-@pytest.mark.parametrize(
-    "cpus, num_spins, rows, kept, shares",
-    [
-        (2, 10, 8, 1 << 10, 1),  # shares of 4,096 amplitudes: slower split
-        (2, 13, 2, 1 << 12, 1),  # view kernels of 4,096: slower split
-        (2, 14, 2, 1 << 13, 1),  # 8,192: no faster split
-        (2, 12, 8, 1 << 11, 1),
-        (2, 15, 2, 1 << 14, 2),  # a connected 15-spin anneal's two half rows
-        (2, 14, 3, 1 << 14, 2),  # shares of 2 and 1 rows
-        (3, 14, 3, 1 << 14, 3),
-        (3, 13, 5, 1 << 13, 2),  # shares of 1 row would be too small
-        (4, 15, 2, 1 << 14, 2),  # at most one share per moving row
-        (64, 6, 80, 1 << 5, 1),  # fig3a: a gather kernel
-        (2, 16, 1, 1 << 15, 1),
-        (2, 16, 0, 1 << 15, 1),  # every row at tau = 0
-    ],
-)
-def test_batches_split_only_into_view_kernels_of_2_to_the_14_amplitudes(
-    monkeypatch, cpus, num_spins, rows, kept, shares
-):
-    module = importlib.import_module("qa_fairsample.evolve")
-    monkeypatch.setattr(module, "_cpus", lambda: cpus)
-    assert module._share_count(num_spins, rows, kept) == shares
-
-
-def test_gather_batches_never_start_a_thread(monkeypatch, toy_source, toy_template):
-    # the 80 rows of fig3a (40 chain strengths) and the 8 of a chain-sweep
-    # operation, 6 spins each, gather their flip sums: with any number of
-    # CPUs they run as one share on the calling thread
-    module = importlib.import_module("qa_fairsample.evolve")
-    kernels = _recording_shares(monkeypatch, module, 64)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a gather batch started a thread")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    strengths = np.linspace(0.1, 2.0, 40)
-    models = [
-        qf.apply_embedding(toy_source, toy_template.with_chain_strength(float(jf))).model
-        for jf in strengths
-    ]
-    schedule = qf.AnnealSchedule(2.0, 4)
-    for batch in (models, models[::10]):
-        kernels.clear()
-        qf.evolve_many(batch, schedule, enforce_drift=False)
-        assert kernels == [2 * len(batch)]
-
-
-class _ShareFailure(Exception):
-    pass
-
-
-@pytest.mark.parametrize(
-    "failing, error",
-    [("worker", _ShareFailure), ("caller", _ShareFailure), ("caller", KeyboardInterrupt)],
-)
-def test_a_failing_share_stops_the_others_and_is_raised(monkeypatch, failing, error):
-    # 15 spins without fields on 2 CPUs: the fine row runs on the calling
-    # thread and the coarse row on a worker. One share raises once both are
-    # running; the other stops at its next block of steps, every thread is
-    # joined, and evolve_many raises that exception
-    module = importlib.import_module("qa_fairsample.evolve")
-    kernels = _recording_shares(monkeypatch, module, 2)
-    monkeypatch.setattr(module, "_STEP_BLOCK", 1)
-    caller = threading.current_thread()
-    calls = {"caller": 0, "worker": 0}
-    running = threading.Event()
-    exp_step = module._exp_step
-
-    def failing_exp_step(*args):
-        share = "caller" if threading.current_thread() is caller else "worker"
-        calls[share] += 1
-        if share != failing:
-            running.set()
-            return exp_step(*args)
-        assert running.wait(30)
-        raise error(share)
-
-    monkeypatch.setattr(module, "_exp_step", failing_exp_step)
-    n = 15
-    model = qf.IsingModel(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
-    before = threading.active_count()
-    with pytest.raises(error, match=failing):
-        qf.evolve_many((model,), qf.AnnealSchedule(2.0, 200), enforce_drift=False)
-    assert threading.active_count() == before
-    assert kernels == [1, 1]
-    # untouched, the caller's share makes 400 exponentials and the worker's 200
-    assert calls[failing] == 1
-    assert 1 <= calls["worker" if failing == "caller" else "caller"] < 100
+    assert module._Kernel.allocate(6, n, half)._views is not None
+    weights, order = module._cfm4_weights(tables, half, schedules)
+    expected, expected_order = reference_cfm4_weights(tables, half, schedules)
+    assert weights.tobytes() == expected.tobytes()
+    assert order.tobytes() == expected_order.tobytes()
 
 
 def test_toy_embedding_batch_makes_a_pinned_number_of_kernel_applies(
