@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -503,7 +502,10 @@ def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
         + [f"P_{i + 1}" for i in range(len(reps))]
         + ["ratio_PS_PC", "gap_ratio", "excited_weight", "norm_drift"]
     )
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
+    # the kernel applies the umask to 0o666; O_EXCL never opens a file that
+    # is already there
+    tmp_name = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -515,10 +517,6 @@ def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
                     [r.model, _format_cell(r.value), r.method]
                     + [_format_cell(v) for v in values]
                 )
-        # mkstemp creates 0o600; the umask can only be read by setting it
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -6,7 +6,8 @@ class FairSamplingError(Exception):
 
 
 class ModelTooLargeError(FairSamplingError):
-    """Spin count exceeds the exhaustive-enumeration guard."""
+    """Work refused up front: too many spins, too large a ground manifold, or an
+    integration over the amplitude-step budget (rows and Taylor loops)."""
 
 
 class EmbeddingError(FairSamplingError):
@@ -14,15 +15,7 @@ class EmbeddingError(FairSamplingError):
 
 
 class IntegrationAccuracyError(FairSamplingError):
-    """Norm drift or step-doubling error estimate exceeded the accuracy budget.
-
-    The completed (renormalized) result is attached so callers that only
-    need a diagnostic can still inspect it.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """Norm drift or step-doubling error estimate exceeded the accuracy budget."""
 
 
 class UndefinedRatioError(FairSamplingError):

@@ -92,15 +92,26 @@ DRIFT_BUDGET = 1e-6
 THETA = 4.0
 TAYLOR_TOL = 1e-15
 
-# Largest 2 * rows * kept amplitudes * steps one integration may take on:
-# the fine and coarse rows of a batch, each carrying 2^N amplitudes (2^(N-1)
-# on the half space) through every step, times a bound on each row's Taylor
-# substeps, summed over the component rows of every spin-count batch of one
-# call. fig3a, the largest preset, needs 5.12e6 (40 rows of 32 amplitudes,
-# 2000 steps, one substep), and a connected 15-spin zero-field anneal at tau
-# 2 1.6e6; the budget leaves 390x over the former. Larger work is refused up
-# front rather than started.
+# Largest work, in amplitude-steps, one integration may take on. A batch's
+# rows cost 2 * rows * kept amplitudes * steps, for its fine and coarse rows,
+# each carrying 2^N amplitudes (2^(N-1) on the half space) through every
+# step, times a bound on each row's Taylor substeps. Its loop costs
+# SUBSTEP_COST for each of its Taylor substeps, at most 2 * its longest step
+# count * its largest substep bound, fine or coarse. Both are summed over
+# the spin-count batches of the component rows of one call. fig3a needs
+# 4.5e7: 5.12e6 for 40 rows of 32 amplitudes over 2000 steps of one substep,
+# and 4e7 for 4000 loop substeps. fig2, the largest preset, needs 8.3e7, the
+# most of it for the 8000 loop substeps of its tau = 2000 rows; the budget
+# leaves 24x over that. Larger work is refused up front rather than started.
 MAX_AMPLITUDE_STEPS = 2_000_000_000
+
+# The fixed cost of one Taylor substep of a batch's loop, in amplitude-steps:
+# its terms' numpy calls cost about the same whatever the rows, so a batch of
+# few amplitudes whose exponentials take millions of substeps each is
+# refused, where counting amplitudes alone let it start and never finish.
+# The budget admits 2e5 loop substeps in one call, 1e5 steps of one substep
+# each: the default policy's steps at tau = 5e4, for a small model.
+SUBSTEP_COST = 10_000
 
 # CFM4: Gauss nodes of the unit step and the weights mixing H at them.
 _NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -150,13 +161,15 @@ def _default_steps(tau: float) -> int:
     intermediate tau (about 25-110 for the bundled models), where dt = 0.5
     overshoots the 1e-6 budget six-fold; dt <= 0.2 keeps the step-doubling
     estimate of the bundled models at or below 1e-7 up to tau = 400, and
-    that of the 15-spin perfbench wide-state instances, run jointly, at or
-    below 1e-7 for tau in [2, 60]. At larger tau the error per unit time
-    falls, and fewer, longer steps only add Taylor terms per exponential:
-    at 2000 steps the bundled embedding's worst estimate at tau = 1000 over
-    J_F in [0.1, 2] is 3.8e-7, and at dt = 0.5 it is 1.2e-7 or less for tau
-    in [1500, 10^4]. A flat 2000 steps would miss the budget at tau = 3000
-    (4.4e-5). Larger or stronger-coupled models may need more.
+    that of the 15-spin perfbench wide-state instances at or below 1e-7 for
+    tau in [2, 60], as measured when they ran as one joint 15-spin row, not
+    as the 10- and 5-spin components they run as now. At larger tau the
+    error per unit time falls, and fewer, longer steps only add Taylor
+    terms per exponential: at 2000 steps the bundled embedding's worst
+    estimate at tau = 1000 over J_F in [0.1, 2] is 3.8e-7, and at dt = 0.5
+    it is 1.2e-7 or less for tau in [1500, 10^4]. A flat 2000 steps would
+    miss the budget at tau = 3000 (4.4e-5). Larger or stronger-coupled
+    models may need more.
 
     Past tau = MAX_AMPLITUDE_STEPS / 4 the cost guard refuses every
     integration at this step count (ceil(2 * tau) steps of at least 2
@@ -463,18 +476,21 @@ def _exp_step(kernel: _Kernel, psi, tables, s, substeps, h_sub, drive) -> None:
 def _check_cost(
     batches: Sequence[tuple[np.ndarray, bool, Sequence[AnnealSchedule]]],
 ) -> None:
-    """Refuse a call whose rows together exceed MAX_AMPLITUDE_STEPS.
+    """Refuse a call whose batches together exceed MAX_AMPLITUDE_STEPS.
 
     ``batches`` holds the kept tables, the half flag and each row's schedule
     of each batch. A row at tau > 0 costs 2 x kept x its own steps, for its
     fine and coarse runs, times m = ceil(max(N, max|E|) tau / (2 steps
     THETA)), a bound on the Taylor substeps of each of its fine
-    exponentials. A row whose bound is not finite is refused as well, and
-    so is one whose own 2 x steps is over the budget, before its step count
-    is converted to a float. Rows at tau = 0 cost nothing, whatever their
-    step count. The check runs before any batch is integrated.
+    exponentials. Each batch's loop costs SUBSTEP_COST x 2 x its longest
+    steps x its largest m, fine or coarse (at ceil(steps/2) steps). A row
+    whose coarse bound is not finite is refused as well, and so is one whose
+    own 2 x steps is over the budget, before its step count is converted to
+    a float. Rows at tau = 0 cost nothing, whatever their step count. The
+    check runs before any batch is integrated.
     """
     rows = Counter()  # per batch, step count and m, in order of first appearance
+    loops = {}  # per batch, its longest step count and largest m
     for b, (tables, half, schedules) in enumerate(batches):
         kept = tables.shape[1]
         num_spins = kept.bit_length() - 1 + half
@@ -490,23 +506,32 @@ def _check_cost(
                         f"{MAX_AMPLITUDE_STEPS // 2} steps, each at least 2 "
                         f"amplitude-steps: over the budget of {MAX_AMPLITUDE_STEPS:.3g}"
                     )
-                bound = norm * tau / (2 * steps * THETA)
+                # the coarse run's bound: the larger, so it bounds the fine too
+                bound = norm * tau / (2 * ((steps + 1) // 2) * THETA)
                 if not math.isfinite(bound):
                     raise ModelTooLargeError(
                         f"a {num_spins}-spin row at tau = {tau:g} has a Taylor "
-                        f"substep bound max(N, max|E|) x tau / (2 x steps x THETA) "
-                        f"of {bound:g}: its energies are too large to integrate"
+                        f"substep bound max(N, max|E|) x tau / (2 x ceil(steps/2) "
+                        f"x THETA) of {bound:g}: its energies are too large to integrate"
                     )
-                rows[b, kept, steps, max(math.ceil(bound), 1)] += 1
+                m = max(math.ceil(norm * tau / (2 * steps * THETA)), 1)
+                rows[b, kept, steps, m] += 1
+                longest, largest = loops.get(b, (0, 0))
+                loops[b] = max(longest, steps), max(largest, math.ceil(bound), 1)
     estimate = sum(2.0 * n * kept * steps * m for (_, kept, steps, m), n in rows.items())
+    estimate += sum(2.0 * SUBSTEP_COST * steps * m for steps, m in loops.values())
     if estimate > MAX_AMPLITUDE_STEPS:
-        terms = " + ".join(
+        terms = [
             f"2 x {n} rows x {kept} amplitudes x {steps} steps"
             + (f" x {m:.6g} substeps" if m > 1 else "")
             for (_, kept, steps, m), n in rows.items()
-        )
+        ]
+        terms += [
+            f"{SUBSTEP_COST} x 2 x {steps} steps x {m:.6g} loop substeps"
+            for steps, m in loops.values()
+        ]
         raise ModelTooLargeError(
-            f"integration needs {estimate:.3g} amplitude-steps ({terms}), "
+            f"integration needs {estimate:.3g} amplitude-steps ({' + '.join(terms)}), "
             f"over the budget of {MAX_AMPLITUDE_STEPS:.3g}"
         )
 
@@ -627,8 +652,7 @@ def evolve_many(
     Probabilities are renormalized by each model's squared norm. With
     ``enforce_drift`` the call raises IntegrationAccuracyError if any row's
     norm drift or error estimate is over the budget, or not finite; sweeps
-    disable it and handle failures row by row. All results are attached to
-    the raised error.
+    disable it and handle failures row by row.
     """
     if isinstance(schedule, AnnealSchedule):
         schedule = [schedule] * len(models)
@@ -680,8 +704,7 @@ def evolve_many(
             failure = _accuracy_failure(result)
             if failure is not None:
                 raise IntegrationAccuracyError(
-                    f"{failure}; rerun with more steps (e.g. {2 * result.steps})",
-                    result=results if len(results) > 1 else results[0],
+                    f"{failure}; rerun with more steps (e.g. {2 * result.steps})"
                 )
     return results
 

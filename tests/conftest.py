@@ -99,6 +99,15 @@ def count_calls(monkeypatch, name: str) -> list[tuple]:
     return calls
 
 
+def forbid_integration(monkeypatch) -> None:
+    """Fail any later call that integrates a batch: a refusal must come first."""
+    def integrate(*args):
+        raise AssertionError("a batch was integrated before the cost guard refused")
+
+    monkeypatch.setattr(importlib.import_module("qa_fairsample.evolve"),
+                        "_cfm4_weights", integrate)
+
+
 def brute_energy(model: qf.IsingModel, bits: int) -> float:
     """Independent energy oracle: direct loop over couplings and fields."""
     spins = [1 if (bits >> i) & 1 else -1 for i in range(model.num_spins)]

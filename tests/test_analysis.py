@@ -1043,3 +1043,22 @@ def test_write_csv_mode_follows_the_umask(tmp_path, toy_source, toy_template, um
         os.umask(before)
     assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
     assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_write_csv_leaves_the_umask_alone(tmp_path, toy_source, toy_template, monkeypatch):
+    # reading the umask means setting it, which changes the mode of every
+    # file another thread creates meanwhile; the write must not touch it
+    records = qf.sweep_chain_strength(toy_source, toy_template, (1.0,), methods=("PT",))
+    want = tmp_path / "want.csv"
+    qf.write_sweep_csv(records, want)
+
+    def umask(mask):
+        raise AssertionError("write_sweep_csv changed the process umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    out, plain = tmp_path / "sweep.csv", tmp_path / "plain.csv"
+    qf.write_sweep_csv(records, out)
+    plain.write_text("")
+    assert out.read_bytes() == want.read_bytes()
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv", "sweep.csv", "want.csv"]

@@ -21,7 +21,7 @@ import qa_fairsample as qf
 import qa_fairsample.cli as cli
 from qa_fairsample.data import toy_embedding_path, toy_source_path
 
-from conftest import count_calls, embedded_instances
+from conftest import count_calls, embedded_instances, forbid_integration
 
 
 def run(capsys, *argv):
@@ -302,18 +302,31 @@ def test_anneal_rejects_bad_tau(capsys, tau):
     assert "tau" in err
 
 
+FREE_PAIR = '{"num_spins": 2, "couplings": []}'
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--tau", "1e9"),
-        ("--tau", "20", "--steps", "10000000000"),
+        ("matsuda5", "--tau", "1e9"),
+        ("matsuda5", "--tau", "20", "--steps", "10000000000"),
         # 50 steps, but about 2.5e297 Taylor substeps in each exponential
-        ("--embedding", "matsuda5_embedded", "--jf", "1e300", "--tau", "1"),
+        ("matsuda5", "--embedding", "matsuda5_embedded", "--jf", "1e300", "--tau", "1"),
+        # the rows need 8e6 amplitude-steps, but each exponential of the loop
+        # takes up to 5001 Taylor substeps: this anneal once ran for 50 s
+        ("matsuda5", "--embedding", "matsuda5_embedded", "--jf", "1e6", "--tau", "1"),
+        # two 1-spin components of up to 6.25e7 Taylor substeps in each
+        # exponential, which once ran for hours
+        (FREE_PAIR, "--tau", "1e9", "--steps", "3"),
     ],
 )
-def test_anneal_over_the_cost_budget_exits_2(capsys, argv):
+def test_anneal_over_the_cost_budget_exits_2(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "free_pair.json"
+    path.write_text(FREE_PAIR)
+    argv = [str(path) if arg == FREE_PAIR else arg for arg in argv]
+    forbid_integration(monkeypatch)
     start = time.perf_counter()
-    code, out, err = run(capsys, "anneal", "matsuda5", *argv)
+    code, out, err = run(capsys, "anneal", *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""

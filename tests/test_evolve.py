@@ -15,6 +15,7 @@ from qa_fairsample.model import _components
 from conftest import (
     dense_anneal_probabilities,
     dense_annealing_hamiltonian,
+    forbid_integration,
     full_space_evolve_many,
     joint_full_space_evolve_many,
     kernel_apply,
@@ -57,41 +58,37 @@ def test_integration_over_the_cost_budget_is_refused(toy_source):
     assert _default_steps(5e8) == 10**9
 
 
-def _forbid_integration(monkeypatch):
-    def integrate(*args):
-        raise AssertionError("a batch was integrated before the cost guard refused")
-
-    monkeypatch.setattr(importlib.import_module("qa_fairsample.evolve"),
-                        "_cfm4_weights", integrate)
-
-
 def test_mixed_sizes_over_the_budget_are_refused_before_integrating(
     toy_source, monkeypatch
 ):
     # a 22-spin zero-field chain alone needs 2 x 1 x 2^21 x 500 = 2.1e9
-    # amplitude-steps at tau = 100; the 5-spin source must not run first
+    # amplitude-steps at tau = 100, and its loop and the source's 3e7 more;
+    # the 5-spin source must not run first
     chain = qf.IsingModel(22, tuple((i, i + 1, -1.0) for i in range(21)))
     schedule = qf.AnnealSchedule.for_tau(100.0)
-    _forbid_integration(monkeypatch)
+    forbid_integration(monkeypatch)
     for models in ((toy_source, chain), (chain, toy_source)):
-        with pytest.raises(ModelTooLargeError, match="2.1e\\+09 amplitude-steps"):
+        with pytest.raises(ModelTooLargeError, match="2.13e\\+09 amplitude-steps"):
             qf.evolve_many(models, schedule, enforce_drift=False)
 
 
 def test_batches_under_the_budget_alone_are_refused_together(
     toy_source, embedded_models, monkeypatch
 ):
-    # 2 x 16 x 25e6 = 8e8 and 2 x 32 x 25e6 = 1.6e9 amplitude-steps pass
-    # alone; together they need 2.4e9, over the 2e9 budget
+    # 2 x 16 x 6e4 + 1e4 x 2 x 6e4 = 1.202e9 and 2 x 32 x 6e4 + 1e4 x 2 x
+    # 6e4 = 1.204e9 amplitude-steps pass alone; together they need 2.41e9,
+    # over the 2e9 budget
     models = (toy_source, embedded_models[1.0].model)
-    schedule = qf.AnnealSchedule(tau=20.0, steps=25_000_000)
-    _forbid_integration(monkeypatch)
+    schedule = qf.AnnealSchedule(tau=20.0, steps=60_000)
+    forbid_integration(monkeypatch)
     with pytest.raises(ModelTooLargeError) as excinfo:
         qf.evolve_many(models, schedule, enforce_drift=False)
     assert str(excinfo.value) == (
-        "integration needs 2.4e+09 amplitude-steps "
-        "(2 x 1 rows x 16 amplitudes x 25000000 steps + "
-        "2 x 1 rows x 32 amplitudes x 25000000 steps), "
+        "integration needs 2.41e+09 amplitude-steps "
+        "(2 x 1 rows x 16 amplitudes x 60000 steps + "
+        "2 x 1 rows x 32 amplitudes x 60000 steps + "
+        "10000 x 2 x 60000 steps x 1 loop substeps + "
+        "10000 x 2 x 60000 steps x 1 loop substeps), "
         "over the budget of 2e+09"
     )
 
@@ -430,9 +427,11 @@ def test_default_step_policy(toy_source):
     # the policy resolves the toy anneal; a tenth of its steps trips the estimate
     resolved = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(100.0))
     assert resolved.error_estimate <= 1e-6
-    with pytest.raises(IntegrationAccuracyError) as excinfo:
-        qf.evolve(toy_source, qf.AnnealSchedule(tau=100.0, steps=resolved.steps // 10))
-    assert excinfo.value.result.error_estimate > 1e-6
+    coarse = qf.AnnealSchedule(tau=100.0, steps=resolved.steps // 10)
+    with pytest.raises(IntegrationAccuracyError):
+        qf.evolve(toy_source, coarse)
+    tripped = qf.evolve_many((toy_source,), coarse, enforce_drift=False)[0]
+    assert tripped.error_estimate > 1e-6
 
 
 def test_default_policy_resolves_past_tau_1000(toy_source):
@@ -486,22 +485,22 @@ def test_short_time_against_matrix_exponential(toy_source):
     assert np.allclose(probs, np.abs(expected) ** 2, atol=1e-7)
 
 
-def test_norm_drift_raises_with_result_attached(toy_source):
+def test_underresolved_schedule_trips_the_error_estimate(toy_source):
     # CFM4 is unitary, so on an under-resolved schedule the norm holds and
     # the step-doubling estimate must trip instead
     schedule = qf.AnnealSchedule(tau=200.0, steps=40)
     with pytest.raises(IntegrationAccuracyError) as excinfo:
         qf.evolve(toy_source, schedule)
-    attached = excinfo.value.result
-    assert attached is not None
-    assert attached.norm_drift <= 1e-6
-    assert attached.error_estimate > 1e-6
     assert "error estimate" in str(excinfo.value)
-    # the trip is real: the attached probabilities are off by more than 1e-6
+    tripped = qf.evolve_many((toy_source,), schedule, enforce_drift=False)[0]
+    assert str(excinfo.value).startswith(_accuracy_failure(tripped))
+    assert tripped.norm_drift <= 1e-6
+    assert tripped.error_estimate > 1e-6
+    # the trip is real: the tripped probabilities are off by more than 1e-6
     resolved = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(200.0))
     error = max(
         abs(p - resolved.final_probabilities[c])
-        for c, p in attached.final_probabilities.items()
+        for c, p in tripped.final_probabilities.items()
     )
     assert error > 1e-6
 
@@ -683,7 +682,7 @@ def _result_bits(result):
 def test_mixed_sizes_batch_by_spin_count(toy_source, embedded_models):
     # N = 5, 6, 5: each result is bitwise its model's in a batch of its own
     # size, in input order; at 30 steps only the rescaled source misses the
-    # budget, and the raised error still carries every result
+    # budget, and the raised error names its failure
     rescaled = qf.IsingModel(
         5, tuple((i, j, 2.0 * J) for i, j, J in toy_source.couplings)
     )
@@ -699,7 +698,6 @@ def test_mixed_sizes_batch_by_spin_count(toy_source, embedded_models):
     with pytest.raises(IntegrationAccuracyError) as excinfo:
         qf.evolve_many(models, schedule)
     assert str(excinfo.value).startswith(failures[2])
-    assert [_result_bits(r) for r in excinfo.value.result] == want
 
 
 def _mixed_schedule_rows(toy_source, embedded_models):
@@ -763,22 +761,24 @@ def test_rows_of_any_schedules_batch_bitwise_like_rows_alone(rows):
 
 
 def test_cost_guard_sums_each_rows_own_steps(toy_source, embedded_models, monkeypatch):
-    # 2 x 2 x 16 x 3e7 + 2 x 1 x 32 x 2e6 = 2.048e9 is over the 2e9 budget:
-    # each row counts its own steps, and the tau = 0 row, which takes no
-    # step, costs none
+    # 2 x 2 x 16 x 9e4 + 2 x 1 x 32 x 1e4 + 1e4 x 2 x (9e4 + 1e4) = 2.006e9
+    # is over the 2e9 budget: each row and each batch's loop counts its own
+    # steps, and the tau = 0 row, which takes no step, costs none
     schedule = qf.AnnealSchedule
     models = (toy_source, embedded_models[1.0].model, toy_source, toy_source)
     schedules = (
-        schedule(20.0, 30_000_000), schedule(20.0, 2_000_000),
-        schedule(0.0, 10**12), schedule(5.0, 30_000_000),
+        schedule(20.0, 90_000), schedule(20.0, 10_000),
+        schedule(0.0, 10**12), schedule(5.0, 90_000),
     )
-    _forbid_integration(monkeypatch)
+    forbid_integration(monkeypatch)
     with pytest.raises(ModelTooLargeError) as excinfo:
         qf.evolve_many(models, schedules, enforce_drift=False)
     assert str(excinfo.value) == (
-        "integration needs 2.05e+09 amplitude-steps "
-        "(2 x 2 rows x 16 amplitudes x 30000000 steps + "
-        "2 x 1 rows x 32 amplitudes x 2000000 steps), "
+        "integration needs 2.01e+09 amplitude-steps "
+        "(2 x 2 rows x 16 amplitudes x 90000 steps + "
+        "2 x 1 rows x 32 amplitudes x 10000 steps + "
+        "10000 x 2 x 90000 steps x 1 loop substeps + "
+        "10000 x 2 x 10000 steps x 1 loop substeps), "
         "over the budget of 2e+09"
     )
 
@@ -786,25 +786,31 @@ def test_cost_guard_sums_each_rows_own_steps(toy_source, embedded_models, monkey
 def test_cost_guard_counts_taylor_substeps(toy_source, toy_template, monkeypatch):
     # at J_F = 1e6, max|E| = 1000004: at tau = 1000 and 2000 steps each fine
     # exponential takes up to ceil(1000004 x 1000 / (2 x 2000 x 4)) = 62501
-    # substeps, and counting steps alone let the run start and last hours
+    # substeps, and each coarse one (1000 steps) up to 125001, and counting
+    # steps alone let the run start and last hours
     strong = qf.apply_embedding(
         toy_source, toy_template.with_chain_strength(1e6)
     ).model
-    _forbid_integration(monkeypatch)
+    forbid_integration(monkeypatch)
     with pytest.raises(ModelTooLargeError) as excinfo:
         qf.evolve(strong, qf.AnnealSchedule.for_tau(1000.0))
     assert str(excinfo.value) == (
-        "integration needs 8e+09 amplitude-steps "
-        "(2 x 1 rows x 32 amplitudes x 2000 steps x 62501 substeps), "
+        "integration needs 5.01e+12 amplitude-steps "
+        "(2 x 1 rows x 32 amplitudes x 2000 steps x 62501 substeps + "
+        "10000 x 2 x 2000 steps x 125001 loop substeps), "
         "over the budget of 2e+09"
     )
-    # at tau = 1 (50 steps) the estimate is 8e6: within the budget, so that
-    # run is allowed; the estimate shows under a lower budget
-    monkeypatch.setattr(
-        importlib.import_module("qa_fairsample.evolve"), "MAX_AMPLITUDE_STEPS", 10**6
-    )
-    with pytest.raises(ModelTooLargeError, match="x 50 steps x 2501 substeps"):
+    # at tau = 1 (50 steps) the rows need 8e6, within the budget, but the
+    # loop's up to 2 x 50 x 5001 substeps, at their fixed cost each, are not:
+    # counting amplitudes alone let this run start and never finish
+    with pytest.raises(ModelTooLargeError) as excinfo:
         qf.evolve(strong, qf.AnnealSchedule.for_tau(1.0))
+    assert str(excinfo.value) == (
+        "integration needs 5.01e+09 amplitude-steps "
+        "(2 x 1 rows x 32 amplitudes x 50 steps x 2501 substeps + "
+        "10000 x 2 x 50 steps x 5001 loop substeps), "
+        "over the budget of 2e+09"
+    )
 
 
 def test_overflowing_energies_are_refused_before_integrating(monkeypatch):
@@ -818,7 +824,7 @@ def test_overflowing_energies_are_refused_before_integrating(monkeypatch):
     assert np.isfinite(qf.energy_table(model)).all()
     # no step, no exponential: tau = 0 still returns the start state
     assert qf.evolve(model, qf.AnnealSchedule(0.0, 1)).error_estimate == 0.0
-    _forbid_integration(monkeypatch)
+    forbid_integration(monkeypatch)
     with pytest.raises(ModelTooLargeError, match="substep bound .* of inf"):
         qf.evolve(model, qf.AnnealSchedule(1e10, 50))
 
@@ -1102,12 +1108,14 @@ def test_cost_guard_counts_component_rows(monkeypatch):
     model = qf.IsingModel(
         5, ((0, 2, 1.0), (2, 4, -1.0), (1, 3, 0.5)), (0.0, 0.25, 0.0, 0.0, 0.0)
     )
-    _forbid_integration(monkeypatch)
+    forbid_integration(monkeypatch)
     with pytest.raises(ModelTooLargeError) as excinfo:
-        qf.evolve(model, qf.AnnealSchedule(tau=20.0, steps=200_000_000))
+        qf.evolve(model, qf.AnnealSchedule(tau=20.0, steps=60_000))
     assert str(excinfo.value) == (
-        "integration needs 3.2e+09 amplitude-steps "
-        "(2 x 1 rows x 4 amplitudes x 200000000 steps + "
-        "2 x 1 rows x 4 amplitudes x 200000000 steps), "
+        "integration needs 2.4e+09 amplitude-steps "
+        "(2 x 1 rows x 4 amplitudes x 60000 steps + "
+        "2 x 1 rows x 4 amplitudes x 60000 steps + "
+        "10000 x 2 x 60000 steps x 1 loop substeps + "
+        "10000 x 2 x 60000 steps x 1 loop substeps), "
         "over the budget of 2e+09"
     )
