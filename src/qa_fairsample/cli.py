@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True, help="total annealing time")
     p.add_argument("--steps", type=int, default=None,
                    help="CFM4 steps over [0, tau] (default: "
-                        "max(50, min(ceil(5*tau), 2000), ceil(2*tau))); "
+                        "max(2, ceil(sqrt(250*tau)), min(ceil(5*tau), 2000), "
+                        "ceil(2*tau))); "
                         "a run at half as many steps gives the error estimate")
     p.add_argument("--embedding", default=None, help="apply this embedding first")
     p.add_argument("--jf", type=float, default=None,

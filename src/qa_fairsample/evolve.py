@@ -100,9 +100,11 @@ TAYLOR_TOL = 1e-15
 # count * its largest substep bound, fine or coarse. Both are summed over
 # the spin-count batches of the component rows of one call. fig3a needs
 # 4.5e7: 5.12e6 for 40 rows of 32 amplitudes over 2000 steps of one substep,
-# and 4e7 for 4000 loop substeps. fig2, the largest preset, needs 8.3e7, the
-# most of it for the 8000 loop substeps of its tau = 2000 rows; the budget
-# leaves 24x over that. Larger work is refused up front rather than started.
+# and 4e7 for 4000 loop substeps. fig2, the largest preset, needs 8.3e7, 8e7
+# of it for the loops of its two batches (5 and 6 spins): each runs 2 x 2000
+# loop substeps, as its tau = 1000 rows take 2000 steps of one substep; the
+# budget leaves 24x over that. Larger work is refused up front rather than
+# started.
 MAX_AMPLITUDE_STEPS = 2_000_000_000
 
 # The fixed cost of one Taylor substep of a batch's loop, in amplitude-steps:
@@ -154,22 +156,37 @@ def _check_tau(tau) -> None:
 
 
 def _default_steps(tau: float) -> int:
-    """Step count max(50, min(ceil(5 * tau), 2000), ceil(2 * tau)).
+    """Step count max(2, ceil(sqrt(250 tau)), min(ceil(5 tau), 2000),
+    ceil(2 tau)).
 
-    That is dt = min(0.2, tau/50) up to tau = 400, 2000 steps from there to
-    tau = 1000, and dt = 0.5 beyond. The CFM4 error at a fixed dt peaks at
-    intermediate tau (about 25-110 for the bundled models), where dt = 0.5
-    overshoots the 1e-6 budget six-fold; dt <= 0.2 keeps the step-doubling
-    estimate of the bundled models at or below 1e-7 up to tau = 400, and
-    that of the 15-spin perfbench wide-state instances at or below 1e-7 for
-    tau in [2, 60], as measured when they ran as one joint 15-spin row, not
-    as the 10- and 5-spin components they run as now. At larger tau the
-    error per unit time falls, and fewer, longer steps only add Taylor
-    terms per exponential: at 2000 steps the bundled embedding's worst
-    estimate at tau = 1000 over J_F in [0.1, 2] is 3.8e-7, and at dt = 0.5
-    it is 1.2e-7 or less for tau in [1500, 10^4]. A flat 2000 steps would
-    miss the budget at tau = 3000 (4.4e-5). Larger or stronger-coupled
-    models may need more.
+    That is dt = min(0.2, sqrt(tau/250)) up to tau = 400, 2000 steps from
+    there to tau = 1000, and dt = 0.5 beyond, never fewer than 2 steps: at
+    1 step the coarse run of the error estimate does not exist, and the
+    estimate is infinite.
+
+    Below tau = 10 the steps grow as sqrt(tau): 16 at tau = 1, 23 at 2, 36
+    at 5 and 48 at 8.86. Against runs at 8x the steps, on the bundled
+    source, its embedding at J_F in [0.05, 2] and the 3- and 4-spin chain
+    fixtures at J* + 0.5, the worst actual error is 1.5e-7 up to tau = 6.2
+    and 4.5e-7 at tau = 7.6 (the 4-spin chain), where dt = 0.2 gives that
+    chain 2.6e-7 at tau = 10; every actual error is 0.86-1.2x its
+    estimate. On random models of up to 6 spins with |J| <= 2 and
+    |h| <= 1 the worst is 6.3e-7 below tau = 10 and 5.8e-7 at tau = 10. A
+    flat floor of 50 steps put the bundled models' actual error at 1e-13 to
+    3e-8 for tau in [0.1, 5], 30 to 10^7 times under the budget. From
+    tau = 10 on, sqrt(250 tau) <= 5 tau, so that term adds no step there.
+
+    The CFM4 error at a fixed dt peaks at intermediate tau (about 25-110
+    for the bundled models), where dt = 0.5 overshoots the 1e-6 budget
+    six-fold; dt <= 0.2 keeps the step-doubling estimate of the bundled
+    models at or below 1.2e-7 for tau in [10, 400]. The 15-spin perfbench
+    wide-state instances anneal at tau = 2 in 23 steps, with estimates of
+    1.5e-9 to 8.6e-9 over six seeds. At larger tau the error per unit time
+    falls, and fewer, longer steps only add Taylor terms per exponential: at
+    2000 steps the bundled embedding's worst estimate at tau = 1000 over J_F
+    in [0.1, 2] is 3.8e-7, and at dt = 0.5 it is 1.2e-7 or less for tau in
+    [1500, 10^4]. A flat 2000 steps would miss the budget at tau = 3000
+    (4.4e-5). Larger or stronger-coupled models may need more.
 
     Past tau = MAX_AMPLITUDE_STEPS / 4 the cost guard refuses every
     integration at this step count (ceil(2 * tau) steps of at least 2
@@ -182,7 +199,12 @@ def _default_steps(tau: float) -> int:
             f"at least 2 amplitude-steps each: over the budget of "
             f"{MAX_AMPLITUDE_STEPS:.3g}"
         )
-    return max(50, min(math.ceil(5.0 * tau), 2000), math.ceil(2.0 * tau))
+    return max(
+        2,
+        math.ceil(math.sqrt(250.0 * tau)),
+        min(math.ceil(5.0 * tau), 2000),
+        math.ceil(2.0 * tau),
+    )
 
 
 @dataclass(frozen=True)

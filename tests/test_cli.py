@@ -310,7 +310,7 @@ FREE_PAIR = '{"num_spins": 2, "couplings": []}'
     [
         ("matsuda5", "--tau", "1e9"),
         ("matsuda5", "--tau", "20", "--steps", "10000000000"),
-        # 50 steps, but about 2.5e297 Taylor substeps in each exponential
+        # 16 steps, but about 7.8e297 Taylor substeps in each exponential
         ("matsuda5", "--embedding", "matsuda5_embedded", "--jf", "1e300", "--tau", "1"),
         # the rows need 8e6 amplitude-steps, but each exponential of the loop
         # takes up to 5001 Taylor substeps: this anneal once ran for 50 s

@@ -1,6 +1,8 @@
 """Integrator module: the matrix-free Hamiltonian kernel and CFM4 evolution."""
 
 import importlib
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,11 +420,12 @@ def test_step_policy_rejects_nonfinite_tau(tau):
 
 
 def test_default_step_policy(toy_source):
-    # dt = 0.2 up to tau = 400, 2000 steps up to tau = 1000, dt = 0.5 beyond
-    for tau, steps in ((1.0, 50), (100.0, 500), (400.0, 2000), (1000.0, 2000),
+    # dt = sqrt(tau/250) up to tau = 10, dt = 0.2 up to tau = 400, 2000 steps
+    # up to tau = 1000, dt = 0.5 beyond, and never fewer than 2 steps
+    for tau, steps in ((1.0, 16), (100.0, 500), (400.0, 2000), (1000.0, 2000),
                        (3000.0, 6000)):
         assert _default_steps(tau) == steps
-    assert qf.AnnealSchedule.for_tau(0.0).steps == 50
+    assert qf.AnnealSchedule.for_tau(0.0).steps == 2
     assert qf.AnnealSchedule.for_tau(10.0, steps=50).steps == 50
     # the policy resolves the toy anneal; a tenth of its steps trips the estimate
     resolved = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(100.0))
@@ -439,6 +442,49 @@ def test_default_policy_resolves_past_tau_1000(toy_source):
     result = qf.evolve(toy_source, qf.AnnealSchedule.for_tau(3000.0))
     assert result.steps == 6000
     assert result.norm_drift <= 1e-6 and result.error_estimate <= 1e-6
+
+
+def test_default_steps_from_tau_10_are_the_fixed_dt_policy():
+    # sqrt(250 tau) <= 5 tau from tau = 10 on, so the square-root term adds
+    # no step there: every run at tau >= 10 takes the steps it always took
+    for tau in (10.0, 10.2, 400.0, 1000.0, 3000.0, 1e4, 16000.0, 1e5):
+        fixed_dt = max(50, min(math.ceil(5.0 * tau), 2000), math.ceil(2.0 * tau))
+        assert _default_steps(tau) == fixed_dt, tau
+
+
+def test_short_anneals_at_the_default_steps_meet_the_budget(toy_source, toy_template):
+    # below tau = 10 the policy steps at dt = sqrt(tau/250); on the bundled
+    # source, its embedding and the 3- and 4-spin chains at J* + 0.5, each run
+    # is within the budget, and off a run at 8x its steps by at most the
+    # budget and at most twice its own error estimate
+    data = Path(__file__).parent / "data"
+    embeddings = [toy_template.with_chain_strength(jf) for jf in (0.5, 1.0, 1.5, 2.0)]
+    embeddings += [
+        qf.load_embedding(data / "matsuda5_chain3.json", chain_strength=1.5),
+        qf.load_embedding(data / "matsuda5_chain4.json", chain_strength=2.5),
+    ]
+    models = [toy_source]
+    models += [qf.apply_embedding(toy_source, embedding).model for embedding in embeddings]
+    rows = [
+        (model, tau)
+        for tau in (0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 9.9)
+        for model in models
+    ]
+    runs, references = (
+        qf.evolve_many(
+            [model for model, _ in rows],
+            [qf.AnnealSchedule(tau, factor * _default_steps(tau)) for _, tau in rows],
+            enforce_drift=False,
+        )
+        for factor in (1, 8)
+    )
+    for (model, tau), run, reference in zip(rows, runs, references):
+        assert _accuracy_failure(run) is None, (model.num_spins, tau)
+        error = np.abs(
+            run.final_probabilities.vector - reference.final_probabilities.vector
+        ).max()
+        assert error <= 1e-6, (model.num_spins, tau, error)
+        assert error <= 2.0 * run.error_estimate, (model.num_spins, tau, error)
 
 
 # -------------------------------------------------------------- evolution
@@ -800,15 +846,15 @@ def test_cost_guard_counts_taylor_substeps(toy_source, toy_template, monkeypatch
         "10000 x 2 x 2000 steps x 125001 loop substeps), "
         "over the budget of 2e+09"
     )
-    # at tau = 1 (50 steps) the rows need 8e6, within the budget, but the
-    # loop's up to 2 x 50 x 5001 substeps, at their fixed cost each, are not:
+    # at tau = 1 (16 steps) the rows need 8e6, within the budget, but the
+    # loop's up to 2 x 16 x 15626 substeps, at their fixed cost each, are not:
     # counting amplitudes alone let this run start and never finish
     with pytest.raises(ModelTooLargeError) as excinfo:
         qf.evolve(strong, qf.AnnealSchedule.for_tau(1.0))
     assert str(excinfo.value) == (
         "integration needs 5.01e+09 amplitude-steps "
-        "(2 x 1 rows x 32 amplitudes x 50 steps x 2501 substeps + "
-        "10000 x 2 x 50 steps x 5001 loop substeps), "
+        "(2 x 1 rows x 32 amplitudes x 16 steps x 7813 substeps + "
+        "10000 x 2 x 16 steps x 15626 loop substeps), "
         "over the budget of 2e+09"
     )
 
