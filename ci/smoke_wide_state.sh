@@ -1,0 +1,6 @@
+#!/usr/bin/env bash
+# CI step: wide-state benchmark smoke
+set -e
+python perfbench/run.py --workload wide-state --seed 1 --seconds 1 --trace 0 \
+  | tail -n 1 \
+  | python -c "import json, sys; assert json.load(sys.stdin)['correct'] is True"

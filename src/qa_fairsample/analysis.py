@@ -321,8 +321,8 @@ def sweep_tau(
     The source runs as the variant ``"original"`` through its identity
     embedding, so every row is folded by ``project_and_fold``. The whole
     sweep is one ``evolve_many`` call, with one schedule per variant and
-    tau; it batches the rows by physical spin count, and its cost guard sums
-    the steps of every row. Row order is deterministic: for each tau
+    tau; it runs the rows of every physical spin count that gathers in one
+    CFM4 loop, and its cost guard sums the steps of every row. Row order is deterministic: for each tau
     (ascending), the source row first, then one row per embedding in the
     given order. Ratios use the default partition of the source manifold.
     """

@@ -21,52 +21,53 @@ enough that a norm bound of the substep's exponent stays below THETA, and
 each substep sums terms until that row's own largest term falls below
 TAYLOR_TOL. The Hamiltonian is applied matrix-free: the diagonal term scales
 each amplitude by its configuration energy, and the driver term adds the
-amplitudes of all single-spin-flip neighbors: gathered in one call for a
-small batch; for a large one, the low spins' flips taken through an index
-each and the rest added through reshaped views of the state.
+amplitudes of all single-spin-flip neighbors: gathered in one call for rows
+of any sizes together; for many large rows of one size, the low spins' flips
+taken through an index each and the rest added through reshaped views.
 
 Without fields every energy table is inversion symmetric, E(c) == E(~c).
 H(s) then commutes with the global spin flip and the uniform start state is
-flip symmetric, so psi(c) == psi(~c) at every step. When every row of a
-batch has such a table, only the half of the state with bit N-1 clear is
-integrated. Spin N-1's flip reads that half reversed, and the final weights
-are rebuilt from it and its mirror image. Each kept amplitude goes through
-the same floating-point operations in the same order as in the full space,
-each row's Taylor stopping test reads the same largest term, and the norm
-sums run over the rebuilt rows, so results are bitwise identical to
-integrating all 2^N amplitudes at half the memory and kernel work.
+flip symmetric, so psi(c) == psi(~c) at every step. When every row of one
+spin count has such a table, they keep only the half with bit N-1 clear,
+whose reversal is spin N-1's flip, and the final weights are rebuilt from it
+and its mirror image. Each kept amplitude takes the same floating-point
+operations in the same order as in the full space, and each row's Taylor
+stopping test reads the same largest term, so results are bitwise those of
+all 2^N amplitudes at half the memory and kernel work.
 
 A unitary step keeps the norm whatever its error, so the accuracy guard is
 step doubling: every run also integrates at ceil(steps/2) steps, and the
 change in the final probabilities, divided by the fourth-order Richardson
 factor (15 for an even step count), estimates the error of the full run.
 The coarse run is one more row of the same batch, with its own step count,
-so the batch's loop does both runs: at small N a Taylor term costs mostly
-the fixed overhead of its numpy calls, whatever the rows. This estimate is
-the package's one convergence measure: the coarse row of a run at 2n steps
-is bitwise a separate run at n steps, so comparing n with 2n steps is two
-``evolve_many`` calls and needs no API of its own.
+so the batch's loop does both runs. This estimate is the package's one
+convergence measure: the coarse row of a run at 2n steps is bitwise a
+separate run at n steps, so comparing n with 2n steps is two ``evolve_many``
+calls and needs no API of its own.
 
 When a model's coupling graph splits into connected components (an
 isolated spin is one), H(s) is a sum of commuting parts and the start state
-a product, so each component runs as a row of its own size, whose batch
-chooses the half space for itself; the cost guard counts those rows. The
-fine and the coarse weights are each the product of the components'
+a product, so each component runs as a row of its own size, whose spin
+count chooses the half space for itself; the cost guard counts those rows.
+The fine and the coarse weights are each the product of the components'
 vectors, by lowest spin, left to right, each reshaped to N axes, of size 2
 on its own spins and 1 elsewhere. A product's sum is ``norm_squared``, and
 |1 - norm_squared| the norm drift; the normalised products give the error
 estimate as any row's do. A connected model is its own one component.
 
-``evolve_many`` batches these rows by spin count, whatever their schedules:
-the rows of one size evolve together in one array, on one kernel on the
-calling thread, and results come back in input order. Every operation is
-row-independent, and each row keeps its own schedule, exponential length,
-substep count and stopping point; a row that has stopped or finished is
-computed and discarded or skipped, which changes what no other row
-computes. So results are bitwise identical whether models run alone or
-batched, under one schedule or several, and with or without the coarse
-rows beside them; a product takes its factors in a fixed order, so a split
-model's are too.
+``evolve_many`` groups these rows by spin count, whatever their schedules.
+The groups small enough to gather their flip sum alone share one batch,
+their rows end to end in one array, on one kernel and one CFM4 loop: at
+these sizes a loop costs mostly the fixed overhead of its numpy calls. A
+larger group is a batch of its own. Batches run on the calling thread, and
+results come back in input order. Every operation is row-independent, and
+each row keeps its own schedule, exponential length, substep count and
+stopping point; a row that has stopped or finished is computed and
+discarded or skipped, which changes what no other row computes. So results
+are bitwise identical whether models run alone or batched, whatever the
+other rows' sizes and schedules, and with or without the coarse rows beside
+them; a product takes its factors in a fixed order, so a split model's are
+too.
 """
 
 from __future__ import annotations
@@ -98,13 +99,11 @@ TAYLOR_TOL = 1e-15
 # step, times a bound on each row's Taylor substeps. Its loop costs
 # SUBSTEP_COST for each of its Taylor substeps, at most 2 * its longest step
 # count * its largest substep bound, fine or coarse. Both are summed over
-# the spin-count batches of the component rows of one call. fig3a needs
-# 4.5e7: 5.12e6 for 40 rows of 32 amplitudes over 2000 steps of one substep,
-# and 4e7 for 4000 loop substeps. fig2, the largest preset, needs 8.3e7, 8e7
-# of it for the loops of its two batches (5 and 6 spins): each runs 2 x 2000
-# loop substeps, as its tau = 1000 rows take 2000 steps of one substep; the
-# budget leaves 24x over that. Larger work is refused up front rather than
-# started.
+# the batches of the component rows of one call. fig3a, the largest preset,
+# needs 4.5e7: 5.12e6 for 40 rows of 32 amplitudes over 2000 steps of one
+# substep, and 4e7 for 4000 loop substeps; the budget leaves 44x over that.
+# fig2 needs 4.3e7, 4e7 of it for the one loop of its 5- and 6-spin rows.
+# Larger work is refused up front rather than started.
 MAX_AMPLITUDE_STEPS = 2_000_000_000
 
 # The fixed cost of one Taylor substep of a batch's loop, in amplitude-steps:
@@ -124,22 +123,20 @@ _ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 # as arrays over (step, row): a bound on that memory, whatever the steps.
 _STEP_BLOCK = 64
 
-# Largest gather buffer, in elements of N x rows x kept amplitudes, for
-# which a kernel gathers its flip sum; larger kernels add reshaped views
-# (see _Kernel). On a 2-CPU x86-64 host the gather is faster up to 2^15
+# Largest gather buffer, in elements of N x rows x kept amplitudes, with
+# which rows of one size gather their flip sum alone; more add reshaped
+# views (see _Kernel). On a 2-CPU x86-64 host the gather is faster up to 2^15
 # elements at every N and row count measured, and the views from about 2^16.
 _GATHER_MAX = 1 << 15
 _NEG_ZERO = complex(-0.0, -0.0)
 _ADD_REDUCE = np.add.reduce
 
 # Shortest run, in amplitudes, that a view kernel adds through a reversed
-# view; shorter ones are taken through an index (see _Kernel). Spin i's view
-# adds its 2^i amplitude runs as one numpy inner loop each. On a 2-CPU x86-64
-# host, at N = 11-16 and 1-8 rows, a take and an add beat the view's add for
-# runs of 1-4 amplitudes and lose from 8 on, and a joint anneal of a 15-spin
-# zero-field perfbench wide-state instance (seed 2719: a fine and a coarse
-# half row of 2^14 amplitudes) is fastest at this value (BENCH_19.json). It
-# must exceed 1, so that the first flip is taken.
+# view; shorter ones are taken through an index (see _Kernel). On a 2-CPU
+# x86-64 host, at N = 11-16 and 1-8 rows, a take and an add beat the view's
+# add for runs of 1-4 amplitudes and lose from 8 on; a joint 15-spin
+# zero-field anneal (two half rows of 2^14 amplitudes) is fastest at this
+# value (BENCH_19.json). It must exceed 1, so that the first flip is taken.
 _VIEW_MIN_RUN = 1 << 3
 
 # TAYLOR_TOL and the factor -1j/k of Taylor term k (at index k) as numpy
@@ -269,147 +266,144 @@ def _initial_state(num_spins: int) -> np.ndarray:
     return np.full(dim, dim ** -0.5, dtype=np.complex128)
 
 
+def _gathers(num_spins: int, rows: int, kept: int) -> bool:
+    """Whether rows of one size gather their flip sum alone (see _GATHER_MAX)."""
+    return num_spins * rows * kept <= _GATHER_MAX
+
+
 class _Kernel:
-    """H(s) applied matrix-free, in place, to the rows of fixed buffers.
+    """H(s) applied matrix-free, in place, to rows laid end to end in flat buffers.
 
-    Spin i's flip maps amplitude c to c ^ 2**i. The flip sum adds the N
-    flipped amplitudes in fixed spin order, one elementwise add after
-    another, so each amplitude's floating-point order is the same for every
-    batch width. It takes one of two forms, chosen once per kernel from the
-    size of an (N, rows, kept amplitudes) gather buffer:
+    Row r holds the 2^N_r amplitudes of its state from its offset on, or on
+    the half space the 2^(N_r - 1) with bit N_r - 1 clear, whose reversal is
+    spin N_r - 1's flip: psi(c ^ 2^(N-1)) = psi(~c ^ 2^(N-1)) =
+    half[2^(N-1) - 1 - c]. Spin i's flip maps amplitude c to c ^ 2**i. A
+    row's flip sum adds its flips in spin order, one elementwise add after
+    another, so each amplitude's floating-point order is that of any batch:
 
-    - Up to _GATHER_MAX elements, one ``np.take`` fills that buffer with
-      every spin's flipped amplitudes, spin-major, and one ``np.add.reduce``
-      over its first axis writes the sum. numpy sums pairwise only along
-      the innermost axis of an operand; a reduction over any other axis of
-      a C-contiguous buffer adds its slices one after another in index
-      order, the same as sequential adds. It starts from -0.0, which leaves
-      every first term as it is, where numpy's own start, +0.0, would turn
-      an all -0.0 sum positive.
-    - Above it, where the buffer costs more memory traffic than it saves in
-      calls, spin i's flip reverses the middle axis of the view
-      y.reshape(rows, 2**(N-1-i), 2, 2**i), whose runs of 2**i amplitudes
-      numpy adds as one inner loop each. Flips with runs shorter than
-      _VIEW_MIN_RUN, spins 0-2, are taken instead: the first into flips,
-      each later one into a scratch and then added. The views of the other
-      flips, built once, are added after them, one after another. Each
-      amplitude sees the same adds in the same order either way.
+    - A gather kernel, over rows of any sizes and spaces, fills an (N_max,
+      amplitudes) buffer through one ``np.take`` of an index built once, and
+      one ``np.add.reduce`` over its first axis, from -0.0, writes the sum.
+      numpy sums pairwise only along the innermost axis of an operand, and
+      adds the slices of any other axis of a C-contiguous buffer one after
+      another. A row of fewer than N_max spins points its missing flips at a
+      slot past the last row that holds -0.0: x + (-0.0) is x bitwise, +0.0
+      included, as is the start, where numpy's own, +0.0, would turn an all
+      -0.0 sum positive.
+    - A view kernel, over rows of one size and space too many to gather (see
+      _gathers), adds for spin i the view y.reshape(rows, 2**(N-1-i), 2,
+      2**i) with its middle axis reversed, its runs of 2**i amplitudes one
+      numpy inner loop each. Flips with runs shorter than _VIEW_MIN_RUN are
+      taken instead, the first into flips, each later one into a scratch and
+      then added, before the views, built once, are added.
 
-    With ``half`` the buffers hold only the inversion-symmetric sector: the
-    2^(N-1) amplitudes with bit N-1 clear of a state with psi(c) == psi(~c).
-    Spins 0..N-2 flip within that half as above, and spin N-1's flip, added
-    last, is the reversed half: psi(c ^ 2^(N-1)) = psi(~c ^ 2^(N-1)) =
-    half[2^(N-1) - 1 - c]. Its run is the whole half, so a view kernel takes
-    it only when the half is shorter than _VIEW_MIN_RUN.
-
-    A kernel also owns its Taylor loop's complex ``diag`` and ``drive``,
-    imaginary parts zeroed once, and ``active`` mask. A gather kernel's
-    drive fills the state's shape, as an elementwise product is cheaper
-    than a broadcast column; a view kernel's is one column of its rows.
-
-    ``rows(lo, hi)`` is a kernel over rows lo..hi-1 of the same buffers,
-    with its views of them built once. It does the same elementwise work on
-    those rows only, so each row's result does not depend on which span it
-    was applied in, nor on which form of the flip sum that span uses.
-    Spans are cached, and hold no state-sized buffer: a gather span uses
-    the leading part of one gather and one index buffer, allocated with the
-    kernel, and copies its index into it out of the widest one when it
-    applies at another width than the last gather did; a view span takes
-    through the kernel's one index per taken flip into the leading rows of
-    its one scratch.
-
-    ``apply`` writes all of ``flips`` before it reads any of it, so between
-    applies the buffer is free scratch of the state's size.
+    A kernel also owns its Taylor loop's complex ``diag`` and ``drive``, with
+    imaginary parts zeroed once, its rows' ``active`` mask and ``owner``, the
+    row of each amplitude; ``spread`` lays per-row values out like drive.
+    ``rows(lo, hi)`` is a kernel, cached, over rows lo..hi-1 of the same
+    buffers, with its views of them built once, and no state-sized buffer of
+    its own: a gather span copies its columns of the index into one shared
+    buffer when another span applied last. ``apply`` writes all of ``flips``
+    before it reads any of it, so between applies it is free scratch.
     """
 
-    def __init__(self, buffers: tuple, num_spins: int, half: bool, shared=None):
-        self.num_spins = num_spins
-        self.half = half
-        self._buffers = buffers
-        state, flips, self.diag, self.drive, self.active = buffers
-        self.state, self.flips = state, flips
-        rows, dim = state.shape
-        inner = num_spins - 1 if half else num_spins
-        gather = num_spins * rows * dim <= _GATHER_MAX
-        # the flips a view kernel takes: those whose runs, 2^i amplitudes for
-        # spin i and the whole half for its reversal, are short; a prefix,
-        # as the runs grow in spin order
-        runs = [1 << i for i in range(inner)] + [dim] * half
-        taken = 0 if gather else sum(run < _VIEW_MIN_RUN for run in runs)
-        if shared is None:
-            # buffers for the spans, which hold no kernel: a kernel and its
-            # spans are freed as soon as the last of them is unused
-            gather_rows = min(rows, _GATHER_MAX // (num_spins * dim))
-            amplitudes = np.arange(dim)
-            flipped = [
-                amplitudes ^ (1 << i) if i < inner else amplitudes[::-1]
-                for i in range(num_spins if gather_rows else taken)
-            ]
-            shared = SimpleNamespace(
-                index=np.empty(num_spins * gather_rows * dim, dtype=np.intp),
-                gathered=np.empty(num_spins * gather_rows * dim, dtype=np.complex128),
-                rows=0,
-                taken=flipped[:taken],
-                scratch=np.empty((0 if gather else rows, dim), dtype=np.complex128),
-            )
-            if gather_rows:
-                starts = np.arange(0, gather_rows * dim, dim)[:, None]
-                shared.widest = np.stack(flipped)[:, None, :] + starts
-        self._shared = shared
-        self._spans, self._views = {}, None
-        self._take, self._width = state.take, rows
-        if gather:
-            size = num_spins * rows * dim
-            self._index = shared.index[:size].reshape(num_spins, rows, dim)
-            self._gathered = shared.gathered[:size].reshape(num_spins, rows, dim)
+    def __init__(self, batch: SimpleNamespace, lo: int, hi: int):
+        a, b = batch.offsets[lo], batch.offsets[hi]
+        self._batch, self._lo, self._spans, self.at = batch, lo, {}, slice(a, b)
+        self.state, self.flips = batch.padded[a:b], batch.flips[a:b]
+        self.owner, self.mask = batch.owner[a:b], batch.mask[a:b]
+        self.active = batch.active[lo:hi]
+        # drive per amplitude in a gather kernel; in a view one per row, and
+        # diag, state and flips rows of one length, for broadcast products
+        cut = slice(lo, hi) if batch.view else self.at
+        self.spread, self.scale = batch.spread[cut], batch.scale[cut]
+        self.diag, self.drive = batch.diag[cut], batch.drive[cut]
+        shape = self.diag.shape
+        self._grid = state, flips = self.state.reshape(shape), self.flips.reshape(shape)
+        if batch.view is None:
+            spins, width = max(batch.spins[lo:hi]), b - a
+            self._key, self._take, self._views = (lo, hi), batch.padded.take, None
+            self._columns = batch.index[:spins, a:b]
+            self._index = batch.columns[: spins * width].reshape(spins, width)
+            self._gathered = batch.gathered[: spins * width].reshape(spins, width)
         else:
-            self._taken = shared.taken
-            self._scratch = shared.scratch[:rows]
-            self._views = []
-            for i in range(taken, inner):
-                shape = (rows, dim >> (i + 1), 2, 1 << i)
-                self._views.append(
-                    (flips.reshape(shape), state.reshape(shape)[:, :, ::-1, :])
-                )
-            if half and taken <= inner:
+            (num_spins, half), rows, dim = batch.view, hi - lo, batch.lengths[0]
+            self._take, self._taken = state.take, batch.taken
+            self._scratch = batch.scratch[:rows]
+            shapes = [(rows, dim >> (i + 1), 2, 1 << i)
+                      for i in range(len(batch.taken), num_spins - half)]
+            self._views = [(flips.reshape(shape), state.reshape(shape)[:, :, ::-1, :])
+                           for shape in shapes]
+            if half and len(batch.taken) < num_spins:
                 self._views.append((flips, state[:, ::-1]))
-        # views and scratch of the Taylor loop when this is its span
-        self.parts = state.view(np.float64)
-        self.firsts = self.parts[:, 0]
-        self.magnitudes = flips.view(np.float64)
-        self.adding = self.active[:, None]
-        self.peaks = np.empty(rows)
-        self.large = np.empty(rows, dtype=bool)
+        # the Taylor loop's views and scratch; its pre-test reads the amplitudes at
+        # multiples of the shortest row's length, each row's first among them
+        self.parts = self.state.view(np.float64)
+        self.firsts = self.parts[:: 2 * min(batch.lengths[lo:hi])]
+        self.magnitudes = self.flips.view(np.float64)
+        self.starts = 2 * (np.array(batch.offsets[lo:hi]) - a)
+        self.peaks = np.empty(hi - lo)
+        self.large = np.empty(hi - lo, dtype=bool)
 
     @classmethod
-    def allocate(cls, rows: int, num_spins: int, half: bool = False) -> "_Kernel":
-        state = np.empty((rows, 1 << (num_spins - half)), dtype=np.complex128)
-        width = state.shape[1] if num_spins * state.size <= _GATHER_MAX else 1
-        drive = np.zeros((rows, width), dtype=np.complex128)
-        active = np.empty(rows, dtype=bool)
-        buffers = (state, np.empty_like(state), np.zeros_like(state), drive, active)
-        return cls(buffers, num_spins, half)
+    def allocate(cls, spins: Sequence[int], halves: Sequence[bool]) -> "_Kernel":
+        """A kernel over rows of ``spins`` spins, on the half space where ``halves``
+        says: of view form if they share one size and space too many to gather."""
+        spins, halves = np.array(spins), np.array(halves, dtype=bool)
+        lengths = 1 << (spins - halves)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        rows, total = len(spins), int(offsets[-1])
+        owner = np.repeat(np.arange(rows), lengths)
+        padded = np.empty(total + 1, dtype=np.complex128)
+        padded[total] = _NEG_ZERO
+        batch = SimpleNamespace(
+            spins=spins.tolist(), lengths=lengths.tolist(), offsets=offsets.tolist(),
+            padded=padded, flips=np.empty(total, dtype=np.complex128), owner=owner,
+            spread=owner, mask=np.empty(total, dtype=bool),
+            active=np.empty(rows, dtype=bool), view=None, indexed=None,
+        )
+        shapes = set(zip(batch.spins, halves.tolist()))
+        if len(shapes) == 1 and not _gathers(spins[0], rows, lengths[0]):
+            batch.view = num_spins, half = shapes.pop()
+            dim, inner = batch.lengths[0], num_spins - half
+            batch.spread = np.arange(rows)[:, None]
+            runs = [1 << i for i in range(inner)] + [dim] * half
+            amplitudes = np.arange(dim)
+            batch.taken = [
+                amplitudes ^ (1 << i) if i < inner else amplitudes[::-1]
+                for i in range(sum(run < _VIEW_MIN_RUN for run in runs))
+            ]
+            batch.scratch = np.empty((rows, dim), dtype=np.complex128)
+        else:
+            first = offsets[owner]
+            local = np.arange(total) - first
+            inner = (spins - halves)[owner]
+            spin = np.arange(spins.max())[:, None]
+            flipped = np.where(spin < inner, first + (local ^ (1 << spin)), total)
+            mirrored = (spin == inner) & halves[owner]
+            batch.index = np.where(mirrored, first + lengths[owner] - 1 - local, flipped)
+            batch.columns = np.empty(batch.index.size, dtype=np.intp)
+            batch.gathered = np.empty(batch.index.size, dtype=np.complex128)
+        batch.scale = np.empty(batch.spread.shape)
+        batch.drive = np.zeros(batch.spread.shape, dtype=np.complex128)
+        grid = batch.scratch.shape if batch.view else total
+        batch.diag = np.zeros(grid, dtype=np.complex128)
+        return cls(batch, 0, rows)
 
     def rows(self, lo: int, hi: int) -> "_Kernel":
         span = self._spans.get((lo, hi))
         if span is None:
-            span = self._spans[lo, hi] = _Kernel(
-                tuple(buffer[lo:hi] for buffer in self._buffers),
-                self.num_spins, self.half, self._shared,
-            )
+            span = self._spans[lo, hi] = _Kernel(self._batch, self._lo + lo, self._lo + hi)
         return span
 
-    def apply(self, diag: np.ndarray, drive) -> None:
-        """state <- diag * state - drive * sum_i X_i state, row by row.
-
-        diag holds s * energies and drive 1 - s, either scaled per row.
-        """
-        state, flips = self.state, self.flips
+    def apply(self, diag: np.ndarray, drive: np.ndarray) -> None:
+        """state <- diag * state - drive * sum_i X_i state, amplitude by
+        amplitude; diag holds s * energies and drive 1 - s, scaled per row."""
+        state, flips = self._grid
         if self._views is None:
-            shared, rows = self._shared, self._width
-            if shared.rows != rows:
-                np.copyto(self._index, shared.widest[:, :rows])
-                shared.rows = rows
+            if self._batch.indexed is not self._key:
+                np.copyto(self._index, self._columns)
+                self._batch.indexed = self._key
             self._take(self._index, out=self._gathered, mode="clip")
             _ADD_REDUCE(self._gathered, axis=0, out=flips, initial=_NEG_ZERO)
         else:
@@ -426,11 +420,9 @@ class _Kernel:
         np.subtract(state, flips, state)
 
 
-def _substeps(num_spins: int, s, h, emax):
-    """Substeps m, length h/m and drive (1 - s) h/m of exponentials, elementwise.
-
-    ((1-s) N + s max|E|) h / m <= THETA bounds each substep's exponent norm.
-    """
+def _substeps(num_spins, s, h, emax):
+    """Substeps m, length h/m and drive (1 - s) h/m of exponentials, elementwise:
+    ((1-s) N + s max|E|) h / m <= THETA bounds each substep's exponent norm."""
     bound = (1.0 - s) * num_spins + s * emax
     substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
     h_sub = h / substeps
@@ -441,31 +433,36 @@ def _substeps(num_spins: int, s, h, emax):
 def _exp_step(kernel: _Kernel, psi, tables, s, substeps, h_sub, drive) -> None:
     """psi <- exp(-i h_r H_r(s_r)) psi per row r, in place, by Taylor series.
 
-    Row r takes substeps[r] substeps of length h_sub[r], at drive[r] (see
-    _substeps). A row's series stops once the largest real or imaginary
-    part of its own latest term is below TAYLOR_TOL; rows that have stopped
-    keep their sum unchanged. Each term applies the kernel only to the span
-    from the first to the last row still summing, found again whenever the
-    count of such rows changes. Rows inside the span that have stopped are
-    computed and discarded, so every row sees the same operations whatever
-    the other rows do. A gather kernel's term is eight numpy calls: five in
-    the kernel, the factor, the sum and the pre-test below.
+    ``kernel`` is a leading span, from row 0 of its buffers, and ``psi`` and
+    ``tables`` are flat over its amplitudes. Row r takes substeps[r]
+    substeps of length h_sub[r], at drive[r] (see _substeps). A row's series
+    stops once the largest real or imaginary part of its own latest term is
+    below TAYLOR_TOL; rows that have stopped keep their sum unchanged. Each
+    term applies the kernel only to the span from the first to the last row
+    still summing, found again whenever their count changes. Rows inside the
+    span that have stopped are computed and discarded, so every row sees the
+    same operations whatever the other rows do. A gather kernel's term is
+    eight numpy calls: five in the kernel, the factor, the sum and a pre-test.
 
     A row stops only when all its parts are below TAYLOR_TOL, the real part
     x of its first amplitude among them. So the exact per-row test, in the
-    span's free flips buffer and own scratch, runs only after a term in
-    which |x| > TAYLOR_TOL fails in some row of the span. One call shows
-    that it holds in every row, as on most terms: fmod(TAYLOR_TOL, x) is
+    span's free flips buffer, runs only after a term in which |x| >
+    TAYLOR_TOL fails for some amplitude that ``firsts`` samples, each row's
+    first among them; the others only make it run more often. One call shows
+    that it holds for every sample, as on most terms: fmod(TAYLOR_TOL, x) is
     TAYLOR_TOL exactly when |x| > TAYLOR_TOL, smaller otherwise and NaN for
-    x zero or NaN, and no later fmod makes it larger or a number again.
-    Zero x sets the invalid flag, which raises no warning here.
-
-    diag and drive go into the kernel's complex buffers once per exponential,
-    or its products would cast them on every term; (x -> x + 0j) is exact.
+    x zero or NaN (whose invalid flag raises no warning here), and no later
+    fmod makes it larger or a number again. diag and drive (per amplitude, or
+    per row in a view kernel) go into the kernel's complex buffers once per
+    exponential, or its products would cast them on every term; (x -> x + 0j)
+    is exact.
     """
-    np.multiply(s[:, None], tables, out=kernel.diag.real)
-    np.multiply(kernel.diag.real, h_sub[:, None], out=kernel.diag.real)
-    np.copyto(kernel.drive.real, drive[:, None])
+    spread, scale, diag = kernel.spread, kernel.scale, kernel.diag.real
+    s.take(spread, None, scale, "clip")
+    np.multiply(scale, tables.reshape(diag.shape), diag)
+    h_sub.take(spread, None, scale, "clip")
+    np.multiply(diag, scale, diag)
+    drive.take(spread, None, kernel.drive.real, "clip")
     multiply, add, settled = np.multiply, np.add, np.fmod.reduce
     factors, tol, active = _TERM_FACTORS, _TOL, kernel.active
     j = 0
@@ -480,77 +477,75 @@ def _exp_step(kernel: _Kernel, psi, tables, s, substeps, h_sub, drive) -> None:
                 lo, hi = summing[0], summing[-1] + 1
                 span = kernel.rows(lo, hi)
                 apply, span_diag, span_drive = span.apply, span.diag, span.drive
-                term, sums, firsts = span.state, psi[lo:hi], span.firsts
-                # where=True is numpy's unmasked add: every row in the span sums
-                adding = True if live == hi - lo else span.adding
+                term, sums, firsts = span.state, psi[span.at], span.firsts
+                # where=True, a Python bool, is numpy's unmasked add: every row in
+                # the span sums; else each amplitude adds where its row is active
+                adding = True
+                if live != hi - lo:
+                    adding = active.take(span.owner, None, span.mask, "clip")
             k += 1
             apply(span_diag, span_drive)
             multiply(term, factors[k], term)
             add(sums, term, out=sums, where=adding)
             if settled(firsts, initial=tol) != tol:
                 np.abs(span.parts, out=span.magnitudes)
-                np.maximum.reduce(span.magnitudes, axis=1, out=span.peaks)
+                np.maximum.reduceat(span.magnitudes, span.starts, out=span.peaks)
                 np.greater_equal(span.peaks, tol, out=span.large)
                 np.logical_and(span.active, span.large, out=span.active)
                 live = np.count_nonzero(active)
 
 
-def _check_cost(
-    batches: Sequence[tuple[np.ndarray, bool, Sequence[AnnealSchedule]]],
-) -> None:
-    """Refuse a call whose batches together exceed MAX_AMPLITUDE_STEPS.
+def _check_cost(loops: dict[int, Sequence[tuple]]) -> None:
+    """Refuse a call whose loops together exceed MAX_AMPLITUDE_STEPS.
 
-    ``batches`` holds the kept tables, the half flag and each row's schedule
-    of each batch. A row at tau > 0 costs 2 x kept x its own steps, for its
-    fine and coarse runs, times m = ceil(max(N, max|E|) tau / (2 steps
-    THETA)), a bound on the Taylor substeps of each of its fine
-    exponentials. Each batch's loop costs SUBSTEP_COST x 2 x its longest
-    steps x its largest m, fine or coarse (at ceil(steps/2) steps). A row
-    whose coarse bound is not finite is refused as well, and so is one whose
-    own 2 x steps is over the budget, before its step count is converted to
-    a float. Rows at tau = 0 cost nothing, whatever their step count. The
-    check runs before any batch is integrated.
+    ``loops`` holds each CFM4 loop's fine rows: component, kept table, half
+    flag and schedule. A row at tau > 0 costs 2 x kept x its own steps, for
+    its fine and coarse runs, times m = ceil(max(N, max|E|) tau / (2 steps
+    THETA)), a bound on the Taylor substeps of each fine exponential. Each
+    loop costs SUBSTEP_COST x 2 x its longest steps x its largest m, fine or
+    coarse (at ceil(steps/2) steps). A row whose coarse bound is not finite
+    is refused, and so is one whose own 2 x steps is over the budget, before
+    its step count is converted to a float. Rows at tau = 0 cost nothing.
     """
-    rows = Counter()  # per batch, step count and m, in order of first appearance
-    loops = {}  # per batch, its longest step count and largest m
-    for b, (tables, half, schedules) in enumerate(batches):
-        kept = tables.shape[1]
-        num_spins = kept.bit_length() - 1 + half
-        norms = np.maximum(np.abs(tables).max(axis=1), num_spins).tolist()
-        for norm, schedule in zip(norms, schedules):
+    rows = Counter()  # per loop and spin count, step count and m, as they come
+    substeps = {}  # per loop, its longest step count and largest m
+    for loop, members in loops.items():
+        for _, table, half, schedule in members:
             tau, steps = schedule.tau, schedule.steps
-            if tau > 0.0:
-                # the row costs at least 2 x steps; compared as integers, as
-                # the count may be too large to convert to a float
-                if 2 * steps > MAX_AMPLITUDE_STEPS:
-                    raise ModelTooLargeError(
-                        f"a row at tau = {tau:g} takes more than "
-                        f"{MAX_AMPLITUDE_STEPS // 2} steps, each at least 2 "
-                        f"amplitude-steps: over the budget of {MAX_AMPLITUDE_STEPS:.3g}"
-                    )
-                # the coarse run's bound: the larger, so it bounds the fine too
-                bound = norm * tau / (2 * ((steps + 1) // 2) * THETA)
-                if not math.isfinite(bound):
-                    raise ModelTooLargeError(
-                        f"a {num_spins}-spin row at tau = {tau:g} has a Taylor "
-                        f"substep bound max(N, max|E|) x tau / (2 x ceil(steps/2) "
-                        f"x THETA) of {bound:g}: its energies are too large to integrate"
-                    )
-                m = max(math.ceil(norm * tau / (2 * steps * THETA)), 1)
-                rows[b, kept, steps, m] += 1
-                longest, largest = loops.get(b, (0, 0))
-                loops[b] = max(longest, steps), max(largest, math.ceil(bound), 1)
-    estimate = sum(2.0 * n * kept * steps * m for (_, kept, steps, m), n in rows.items())
-    estimate += sum(2.0 * SUBSTEP_COST * steps * m for steps, m in loops.values())
+            if tau == 0.0:
+                continue
+            # the row costs at least 2 x steps; compared as integers, as the
+            # count may be too large to convert to a float
+            if 2 * steps > MAX_AMPLITUDE_STEPS:
+                raise ModelTooLargeError(
+                    f"a row at tau = {tau:g} takes more than {MAX_AMPLITUDE_STEPS // 2} "
+                    f"steps, each at least 2 amplitude-steps: over the budget of "
+                    f"{MAX_AMPLITUDE_STEPS:.3g}"
+                )
+            num_spins = table.size.bit_length() - 1 + half
+            norm = float(max(np.abs(table).max(), num_spins))
+            # the coarse run's bound: the larger, so it bounds the fine too
+            bound = norm * tau / (2 * ((steps + 1) // 2) * THETA)
+            if not math.isfinite(bound):
+                raise ModelTooLargeError(
+                    f"a {num_spins}-spin row at tau = {tau:g} has a Taylor substep "
+                    f"bound max(N, max|E|) x tau / (2 x ceil(steps/2) x THETA) of "
+                    f"{bound:g}: its energies are too large to integrate"
+                )
+            m = max(math.ceil(norm * tau / (2 * steps * THETA)), 1)
+            rows[loop, num_spins, table.size, steps, m] += 1
+            longest, largest = substeps.get(loop, (0, 0))
+            substeps[loop] = max(longest, steps), max(largest, math.ceil(bound), 1)
+    estimate = sum(2.0 * n * kept * steps * m for (*_, kept, steps, m), n in rows.items())
+    estimate += sum(2.0 * SUBSTEP_COST * steps * m for steps, m in substeps.values())
     if estimate > MAX_AMPLITUDE_STEPS:
         terms = [
             f"2 x {n} rows x {kept} amplitudes x {steps} steps"
             + (f" x {m:.6g} substeps" if m > 1 else "")
-            for (_, kept, steps, m), n in rows.items()
-        ]
-        terms += [
+            for (*_, kept, steps, m), n in rows.items()
+        ] + [
             f"{SUBSTEP_COST} x 2 x {steps} steps x {m:.6g} loop substeps"
-            for steps, m in loops.values()
+            for steps, m in substeps.values()
         ]
         raise ModelTooLargeError(
             f"integration needs {estimate:.3g} amplitude-steps ({' + '.join(terms)}), "
@@ -558,78 +553,72 @@ def _check_cost(
         )
 
 
-def _kept_tables(tables: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The energy tables a batch integrates, and whether they are the half space.
-
-    When every table equals its reverse (no fields), only the half with bit
-    N-1 clear is kept, as a copy, so the full tables can be freed.
-    """
-    half = np.array_equal(tables, tables[:, ::-1])
-    return (tables[:, : tables.shape[1] // 2].copy() if half else tables), half
-
-
 def _cfm4_weights(
-    tables: np.ndarray, half: bool, schedules: Sequence[AnnealSchedule]
-) -> tuple[np.ndarray, np.ndarray]:
-    """|psi|^2 of each row after its own schedule's CFM4 steps.
+    tables: Sequence[np.ndarray], halves: Sequence[bool],
+    schedules: Sequence[AnnealSchedule],
+) -> list[np.ndarray]:
+    """|psi|^2 of each row after its own schedule's CFM4 steps, in input order.
 
-    ``tables`` and ``half`` come from ``_kept_tables``. ``schedules`` holds
-    one schedule per row, and row r integrates table r mod len(tables), so
-    a table runs once under each of its schedules without being copied
-    first. The rows are laid out in descending step count, rows at tau = 0,
-    which take no step, last, so the rows still running are always a
-    leading span [0, live) that a row leaves after its last step. Step j
-    applies both its exponentials, each of length dt/2, to that span, at
-    schedule values s_a and s_b inside the step, at t/tau plus 1/6 and 5/6
-    of dt/tau, so 0 <= s <= 1 throughout. Those values and the substeps are
-    computed for up to _STEP_BLOCK steps of one span at a time, as arrays
-    with the same elementwise arithmetic as one step's, on one kernel over
-    the running rows. On the half space each row is rebuilt from the kept
-    half and its mirror image. Returns the weights in that layout and the
-    index of each row in them.
+    ``tables`` holds kept energy tables of any sizes, each of the half space
+    where ``halves`` says. Row r integrates table r mod len(tables) under
+    ``schedules[r]``, so a table runs under several schedules uncopied. The
+    rows lie end to end in descending step count, rows at tau = 0 last, so
+    the rows still running are always a leading span [0, live) that a row
+    leaves after its last step. Step j applies both its exponentials, each
+    of length dt/2, to that span, at schedule values s_a and s_b at t/tau
+    plus 1/6 and 5/6 of dt/tau, so 0 <= s <= 1 throughout. Those values and
+    the substeps are computed for up to _STEP_BLOCK steps at a time, as
+    arrays with the same elementwise arithmetic as one step's. On the half
+    space each row is rebuilt from the kept half and its mirror image.
     """
     tau = np.array([schedule.tau for schedule in schedules], dtype=float)
     # a row at tau = 0 takes no step, whatever its step count, which the cost
     # guard has not bounded
     running = np.array([sched.steps if sched.tau > 0.0 else 0 for sched in schedules])
-    order = np.argsort(-running, kind="stable")
-    tables = tables[order % len(tables)]
+    order = np.argsort(-running, kind="stable").tolist()
     tau, running = tau[order], running[order]
-    rows, kept = tables.shape
-    num_spins = kept.bit_length() - 1 + half
-    psi = np.tile(_initial_state(num_spins)[:kept], (rows, 1))
-    kernel = _Kernel.allocate(np.count_nonzero(running), num_spins, half)
-    emax = np.abs(tables).max(axis=1)
+    kept = [tables[row % len(tables)] for row in order]
+    halves = [halves[row % len(tables)] for row in order]
+    lengths = [len(table) for table in kept]
+    spins = np.array([size.bit_length() - 1 + half for size, half in zip(lengths, halves)])
+    offsets = np.cumsum([0, *lengths]).tolist()
+    psi = np.concatenate([_initial_state(n)[:k] for n, k in zip(spins.tolist(), lengths)])
+    flat = np.concatenate(kept)
+    emax = np.maximum.reduceat(np.abs(flat), offsets[:-1])
+    moving = np.count_nonzero(running)
+    kernel = _Kernel.allocate(spins[:moving], halves[:moving]) if moving else None
     dt = tau / np.maximum(running, 1)
     h = 0.5 * dt
-    offsets = (_NODES[0] * dt, _NODES[1] * dt)
+    nodes = (_NODES[0] * dt, _NODES[1] * dt)
     j = 0
     while j < running[0]:
         # the next steps that the same leading rows all take, as rows of
         # arrays in the order of the exponentials: s_a, s_b of each step
         live = np.count_nonzero(running > j)
         end = min(j + _STEP_BLOCK, running[live - 1])
-        at = slice(0, live)
+        at, width = slice(0, live), offsets[live]
         start = np.arange(j, end)[:, None] * dt[at]
-        s1 = (start + offsets[0][at]) / tau[at]
-        s2 = (start + offsets[1][at]) / tau[at]
+        s1 = (start + nodes[0][at]) / tau[at]
+        s2 = (start + nodes[1][at]) / tau[at]
         s_a = 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2)
         s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
         s = np.stack((s_a, s_b), axis=1).reshape(-1, live)
-        span, sums, table = kernel.rows(0, live), psi[at], tables[at]
-        for exponential in zip(s, *_substeps(num_spins, s, h[at], emax[at])):
+        span, sums, table = kernel.rows(0, live), psi[:width], flat[:width]
+        for exponential in zip(s, *_substeps(spins[at], s, h[at], emax[at])):
             _exp_step(span, sums, table, *exponential)
         j = end
     # the kernel's buffers are freed before the weights are allocated, which
-    # are written into one array of the rebuilt width, so no temporary of
+    # are written into one array of the rebuilt widths, so no temporary of
     # the state's size is made
     kernel = span = None
-    weights = np.empty((rows, kept << half))
-    kept_weights = weights[:, :kept]
-    np.square(np.abs(psi, out=kept_weights), out=kept_weights)
-    if half:
-        weights[:, kept:] = kept_weights[:, ::-1]
-    return weights, np.argsort(order)
+    widths = [size << half for size, half in zip(lengths, halves)]
+    weights = np.split(np.empty(sum(widths)), np.cumsum(widths)[:-1])
+    for row, a, b, half in zip(weights, offsets, offsets[1:], halves):
+        kept_weights = row[: b - a]
+        np.square(np.abs(psi[a:b], out=kept_weights), out=kept_weights)
+        if half:
+            row[b - a :] = kept_weights[::-1]
+    return [weights[row] for row in np.argsort(order)]
 
 
 def _component_table(model: IsingModel, spins: tuple[int, ...]) -> np.ndarray:
@@ -661,20 +650,22 @@ def evolve_many(
     *,
     enforce_drift: bool = True,
 ) -> list[EvolutionResult]:
-    """Evolve several models, one batch per spin count of their components.
+    """Evolve several models, their component rows in as few CFM4 loops as
+    their sizes allow.
 
     ``schedule`` is one schedule shared by every model or one per model, in
     the models' order; a count that does not match raises ValueError. The
-    models' components (see above) of one spin count form one batch, in
-    order of first appearance, whatever their schedules; results come back
-    in input order. The cost guard sums every row's own steps and substeps
-    over all batches and runs before the first one is integrated. Each
-    component also runs at ceil(steps/2) steps, as one more row of the same
-    batch, for its error estimate.
-    Probabilities are renormalized by each model's squared norm. With
-    ``enforce_drift`` the call raises IntegrationAccuracyError if any row's
-    norm drift or error estimate is over the budget, or not finite; sweeps
-    disable it and handle failures row by row.
+    models' components (see above) are grouped by spin count, in order of
+    first appearance, whatever their schedules. Every group that gathers its
+    flip sum alone (see _gathers) joins one shared batch; any other keeps a
+    batch of its own. Results come back in input order. The cost guard sums
+    every row's own steps and substeps, and each loop's, over all batches
+    and runs before the first one is integrated. Each component also runs at
+    ceil(steps/2) steps, as one more row of the same batch, for its error
+    estimate. Probabilities are renormalized by each model's squared norm.
+    With ``enforce_drift`` the call raises IntegrationAccuracyError if any
+    row's norm drift or error estimate is over the budget, or not finite;
+    sweeps disable it and handle failures row by row.
     """
     if isinstance(schedule, AnnealSchedule):
         schedule = [schedule] * len(models)
@@ -683,22 +674,31 @@ def evolve_many(
     elif not all(isinstance(item, AnnealSchedule) for item in schedule):
         raise TypeError("schedules must be AnnealSchedule instances")
     components = [_components(model) for model in models]
-    indices: dict[int, list[tuple]] = {}
+    groups: dict[int, list[tuple]] = {}
     for i, parts in enumerate(components):
         for k, spins in enumerate(parts):
-            indices.setdefault(len(spins), []).append((i, k, spins))
-    batches = []
-    for members in indices.values():
+            groups.setdefault(len(spins), []).append((i, k, spins))
+    loops: dict[int, list[tuple]] = {}  # loop 0 is the shared one
+    for num_spins, members in groups.items():
         tables = np.stack([_component_table(models[i], spins) for i, _, spins in members])
-        batches.append((members, *_kept_tables(tables), [schedule[i] for i, *_ in members]))
-    _check_cost([batch[1:] for batch in batches])
+        # without fields every table equals its reverse: keep the half space,
+        # as a copy, so the full tables can be freed
+        half = np.array_equal(tables, tables[:, ::-1])
+        tables = tables[:, : tables.shape[1] // 2].copy() if half else tables
+        own = [schedule[i] for i, *_ in members]
+        moving = 2 * sum(s.tau > 0.0 for s in own)
+        loop = 0 if _gathers(num_spins, moving, tables.shape[1]) else len(loops) + 1
+        rows = ((member, table, half, s) for member, table, s in zip(members, tables, own))
+        loops.setdefault(loop, []).extend(rows)
+    _check_cost(loops)
     # per model, the fine and coarse weights of each of its components
     factors = [[None] * len(parts) for parts in components]
-    for members, tables, half, own in batches:
+    for rows in loops.values():
+        members, tables, halves, own = zip(*rows)
         halved = [AnnealSchedule(s.tau, (s.steps + 1) // 2) for s in own]
-        weights, at = _cfm4_weights(tables, half, own + halved)
+        weights = _cfm4_weights(tables, halves, own + tuple(halved))
         for row, (i, k, _) in enumerate(members):
-            factors[i][k] = (weights[at[row]], weights[at[row + len(members)]])
+            factors[i][k] = (weights[row], weights[row + len(members)])
     results = [None] * len(models)
     for i, model in enumerate(models):
         tau, steps = schedule[i].tau, schedule[i].steps

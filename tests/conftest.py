@@ -9,11 +9,11 @@ estimate as a separate integration, lets the package's half-space and fused
 results be compared with it bit for bit. It runs each connected component,
 found by its own breadth-first search, and multiplies their weights;
 ``joint_full_space_evolve_many`` runs every model over all its amplitudes,
-split or not. ``reference_exp_step`` keeps the
-Taylor term loop as it was before its stopping pre-test, and
-``reference_cfm4_weights`` the step loop as it was before its schedule was
-computed in blocks, for the package loops to match byte for byte; both
-drive the package's kernel. Per-config loop versions of the energy table,
+split or not. ``reference_exp_step`` and ``reference_cfm4_weights`` run
+the Taylor term loop and the step loop one row at a time, each term's flip
+sum by ``sequential_flip_sum``, so the package's batched loops, spans,
+stopping pre-test and shared kernel are checked byte for byte against code
+they do not share. Per-config loop versions of the energy table,
 the effective PT matrices and the gap analysis do the same for the
 package's array versions. ``kernel_apply`` is the one helper
 that runs package code: it drives the integrator's kernel on one state, for
@@ -464,102 +464,82 @@ def dense_anneal_probabilities(model: qf.IsingModel, tau: float, steps: int) -> 
 
 def kernel_apply(model: qf.IsingModel, s: float, psi: np.ndarray) -> np.ndarray:
     """H(s) psi through the package's one-row full-width kernel."""
-    kernel = _Kernel.allocate(1, model.num_spins)
-    kernel.state[0] = psi
+    kernel = _Kernel.allocate([model.num_spins], [False])
+    kernel.state[:] = psi
     kernel.apply(s * qf.energy_table(model), 1.0 - s)
-    return kernel.state[0]
+    return kernel.state
 
 
-def reference_exp_step(
-    kernel: _Kernel,
-    psi: np.ndarray,
-    tables: np.ndarray,
-    s: np.ndarray,
-    h: np.ndarray,
-    emax: np.ndarray,
-) -> None:
-    """The Taylor term loop as it was before its cheap stopping pre-test.
-
-    Kept as the oracle of ``evolve._exp_step``: every term runs the exact
-    per-row stopping test, multiplies by the Python complex ``-1j / k``
-    and by the (rows, 1) drive column. The package loop must leave ``psi``
-    with the same bytes.
-    """
-    bound = (1.0 - s) * kernel.num_spins + s * emax
-    substeps = np.maximum(np.ceil(bound * (h / THETA)), 1.0)
-    h_sub = (h / substeps)[:, None]
-    diag = np.zeros(tables.shape, dtype=np.complex128)
-    np.multiply(s[:, None], tables, out=diag.real)
-    np.multiply(diag.real, h_sub, out=diag.real)
-    drive = ((1.0 - s)[:, None] * h_sub).astype(np.complex128)
-    for j in range(int(substeps.max())):
-        active = substeps > j
-        np.copyto(kernel.state, psi)
-        count = 0
-        k = 0
-        while live := np.count_nonzero(active):
-            if live != count:
-                count = live
-                summing = np.flatnonzero(active)
-                lo, hi = summing[0], summing[-1] + 1
-                span = kernel.rows(lo, hi)
-                term, sums, still = span.state, psi[lo:hi], active[lo:hi]
-                span_diag, span_drive = diag[lo:hi], drive[lo:hi]
-                # where=True is numpy's unmasked add: every row in the span sums
-                adding = True if live == hi - lo else still[:, None]
-                parts = term.view(np.float64)
-                magnitudes = span.flips.view(np.float64)
-                peaks = np.empty(hi - lo)
-                large = np.empty(hi - lo, dtype=bool)
-            k += 1
-            span.apply(span_diag, span_drive)
-            np.multiply(term, -1j / k, out=term)
-            np.add(sums, term, out=sums, where=adding)
-            np.abs(parts, out=magnitudes)
-            np.maximum.reduce(magnitudes, axis=1, out=peaks)
-            np.greater_equal(peaks, TAYLOR_TOL, out=large)
-            np.logical_and(still, large, out=still)
-
-
-def reference_cfm4_weights(tables: np.ndarray, half: bool, schedules) -> tuple:
-    """The CFM4 step loop as it was before its schedule was computed in blocks.
-
-    Kept as the oracle of ``evolve._cfm4_weights``, on the same arguments:
-    every loop step recounts its rows, computes its two schedule values for
-    them, and calls ``reference_exp_step``, which computes its substeps and
-    builds its own complex diag and drive. The package loop must return
-    weights with the same bytes, in the same row order.
-    """
-    tau = np.array([schedule.tau for schedule in schedules], dtype=float)
-    running = np.array([sched.steps if sched.tau > 0.0 else 0 for sched in schedules])
-    order = np.argsort(-running, kind="stable")
-    tables = tables[order % len(tables)]
-    tau, running = tau[order], running[order]
-    rows, kept = tables.shape
-    num_spins = kept.bit_length() - 1 + half
-    psi = np.tile(_initial_state(num_spins)[:kept], (rows, 1))
-    kernel = _Kernel.allocate(np.count_nonzero(running), num_spins, half)
-    emax = np.abs(tables).max(axis=1)
-    dt = tau / np.maximum(running, 1)
-    h = 0.5 * dt
-    offsets = (_NODES[0] * dt, _NODES[1] * dt)
-    for j in range(running[0]):
-        live = np.count_nonzero(running > j)
-        at = slice(0, live)
-        start = j * dt[at]
-        s1 = (start + offsets[0][at]) / tau[at]
-        s2 = (start + offsets[1][at]) / tau[at]
-        s_a = 2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2)
-        s_b = 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)
-        span = kernel.rows(0, live)
-        for s in (s_a, s_b):
-            reference_exp_step(span, psi[at], tables[at], s, h[at], emax[at])
-    weights = np.empty((rows, kept << half))
-    kept_weights = weights[:, :kept]
-    np.square(np.abs(psi, out=kept_weights), out=kept_weights)
+def sequential_flip_sum(psi: np.ndarray, num_spins: int, half: bool) -> np.ndarray:
+    """Each spin's flipped amplitudes of the last axis, added in spin order;
+    on the half space spin N-1's flip is the reversed half, added last."""
+    amplitudes = np.arange(psi.shape[-1])
+    flipped = [amplitudes ^ (1 << i) for i in range(num_spins - half)]
     if half:
-        weights[:, kept:] = kept_weights[:, ::-1]
-    return weights, np.argsort(order)
+        flipped.append(amplitudes[::-1])
+    acc = psi[..., flipped[0]]
+    for index in flipped[1:]:
+        acc = acc + psi[..., index]
+    return acc
+
+
+def reference_exp_step(psi, tables, halves, s, h, emax) -> None:
+    """One exponential's Taylor series, row by row, without the package kernel.
+
+    Kept as the oracle of ``evolve._exp_step``: each row of ``psi`` (1-D
+    complex arrays, updated in place) takes its own substeps and sums its
+    terms, each from ``sequential_flip_sum``, the complex diag and drive the
+    package builds and the Python complex ``-1j / k``, until the exact test
+    finds every part of a term below TAYLOR_TOL. The package loop, which
+    batches rows of any sizes on one kernel, must leave each row with the
+    same bytes.
+    """
+    for row, table, half, s_r, h_r, emax_r in zip(psi, tables, halves, s, h, emax):
+        num_spins = table.size.bit_length() - 1 + half
+        bound = (1.0 - s_r) * num_spins + s_r * emax_r
+        substeps = np.maximum(np.ceil(bound * (h_r / THETA)), 1.0)
+        h_sub = h_r / substeps
+        diag = np.zeros(table.size, dtype=np.complex128)
+        diag.real = (s_r * table) * h_sub
+        drive = np.full(table.size, (1.0 - s_r) * h_sub, dtype=np.complex128)
+        for _ in range(int(substeps)):
+            term = row.copy()
+            k = 0
+            while True:
+                k += 1
+                term = term * diag - sequential_flip_sum(term, num_spins, half) * drive
+                term = term * (-1j / k)
+                np.add(row, term, out=row)
+                if not np.abs(term.view(np.float64)).max() >= TAYLOR_TOL:
+                    break
+
+
+def reference_cfm4_weights(tables, halves, schedules) -> list[np.ndarray]:
+    """|psi|^2 of each row after its own CFM4 steps, one row at a time.
+
+    Kept as the oracle of ``evolve._cfm4_weights``, on the same arguments
+    (row r integrates table r mod len(tables)): each row computes its two
+    schedule values at every step of its own and calls
+    ``reference_exp_step``. The package loop must return each row's
+    weights with the same bytes.
+    """
+    weights = []
+    for r, schedule in enumerate(schedules):
+        table, half = tables[r % len(tables)], halves[r % len(tables)]
+        num_spins = table.size.bit_length() - 1 + half
+        row = _initial_state(num_spins)[: table.size]
+        tau = schedule.tau
+        steps = schedule.steps if tau > 0.0 else 0
+        dt = tau / max(steps, 1)
+        emax = np.abs(table).max()
+        for j in range(steps):
+            s1 = (j * dt + _NODES[0] * dt) / tau
+            s2 = (j * dt + _NODES[1] * dt) / tau
+            for s in (2.0 * (_ALPHA2 * s1 + _ALPHA1 * s2), 2.0 * (_ALPHA1 * s1 + _ALPHA2 * s2)):
+                reference_exp_step([row], [table], [half], [s], [0.5 * dt], [emax])
+        kept = np.square(np.abs(row))
+        weights.append(np.concatenate((kept, kept[::-1])) if half else kept)
+    return weights
 
 
 class FullSpaceKernel:

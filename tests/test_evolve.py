@@ -15,6 +15,8 @@ from qa_fairsample.evolve import THETA, _accuracy_failure, _default_steps, _init
 from qa_fairsample.model import _components
 
 from conftest import (
+    FIXTURE_MODELS,
+    count_calls,
     dense_anneal_probabilities,
     dense_annealing_hamiltonian,
     forbid_integration,
@@ -23,6 +25,7 @@ from conftest import (
     kernel_apply,
     reference_cfm4_weights,
     reference_exp_step,
+    sequential_flip_sum,
 )
 
 
@@ -77,22 +80,26 @@ def test_mixed_sizes_over_the_budget_are_refused_before_integrating(
 def test_batches_under_the_budget_alone_are_refused_together(
     toy_source, embedded_models, monkeypatch
 ):
-    # 2 x 16 x 6e4 + 1e4 x 2 x 6e4 = 1.202e9 and 2 x 32 x 6e4 + 1e4 x 2 x
-    # 6e4 = 1.204e9 amplitude-steps pass alone; together they need 2.41e9,
-    # over the 2e9 budget
+    # 2 x 16 x 99600 + 1e4 x 2 x 99600 = 1.9952e9 and 2 x 32 x 99600 + 1e4
+    # x 2 x 99600 = 1.9984e9 amplitude-steps pass alone; together, in one
+    # loop, they need 2 x 16 x 99600 + 2 x 32 x 99600 + 1e4 x 2 x 99600 =
+    # 2.0016e9 (2e+09 to three digits), over the 2e9 budget
     models = (toy_source, embedded_models[1.0].model)
-    schedule = qf.AnnealSchedule(tau=20.0, steps=60_000)
+    schedule = qf.AnnealSchedule(tau=20.0, steps=99_600)
     forbid_integration(monkeypatch)
     with pytest.raises(ModelTooLargeError) as excinfo:
         qf.evolve_many(models, schedule, enforce_drift=False)
     assert str(excinfo.value) == (
-        "integration needs 2.41e+09 amplitude-steps "
-        "(2 x 1 rows x 16 amplitudes x 60000 steps + "
-        "2 x 1 rows x 32 amplitudes x 60000 steps + "
-        "10000 x 2 x 60000 steps x 1 loop substeps + "
-        "10000 x 2 x 60000 steps x 1 loop substeps), "
+        "integration needs 2e+09 amplitude-steps "
+        "(2 x 1 rows x 16 amplitudes x 99600 steps + "
+        "2 x 1 rows x 32 amplitudes x 99600 steps + "
+        "10000 x 2 x 99600 steps x 1 loop substeps), "
         "over the budget of 2e+09"
     )
+    # alone, each passes the guard and reaches the integration
+    for model in models:
+        with pytest.raises(AssertionError, match="integrated before the cost guard"):
+            qf.evolve_many((model,), schedule, enforce_drift=False)
 
 
 # ------------------------------------------------ Hamiltonian application
@@ -146,19 +153,6 @@ def test_apply_matches_dense_oracle(seed):
     assert np.allclose(kernel_apply(model, s, psi), dense @ psi, atol=1e-12)
 
 
-def _sequential_flip_sum(psi, num_spins, half):
-    # reference flip sum: each spin's flipped amplitudes, added in spin order;
-    # on the half space spin N-1's flip is the reversed half, added last
-    amplitudes = np.arange(psi.shape[1])
-    flipped = [amplitudes ^ (1 << i) for i in range(num_spins - half)]
-    if half:
-        flipped.append(amplitudes[::-1])
-    acc = psi[:, flipped[0]]
-    for index in flipped[1:]:
-        acc = acc + psi[:, index]
-    return acc
-
-
 @pytest.mark.parametrize("n", range(1, 11))
 def test_apply_matches_gather_kernel_bitwise(monkeypatch, n):
     # each shape runs through both forms of the flip sum (a gather limit of
@@ -170,18 +164,24 @@ def test_apply_matches_gather_kernel_bitwise(monkeypatch, n):
     for half in (False, True):
         dim = 1 << (n - 1 if half else n)
         for rows in range(1, 10):
-            psi = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
-            psi.real[rng.random(psi.shape) < 0.3] = -0.0
-            psi.imag[rng.random(psi.shape) < 0.3] = -0.0
+            psi = _signed_zero_rows(rng, rows, dim)
             diag = rng.normal(size=(rows, dim))
             drive = rng.normal(size=(rows, 1))
-            expected = psi * diag - _sequential_flip_sum(psi, n, half) * drive
+            expected = psi * diag - sequential_flip_sum(psi, n, half) * drive
             for limit in (0, 1 << 30):
                 monkeypatch.setattr(module, "_GATHER_MAX", limit)
-                kernel = module._Kernel.allocate(rows, n, half)
-                kernel.state[:] = psi
-                kernel.apply(diag, drive)
+                kernel = module._Kernel.allocate([n] * rows, [half] * rows)
+                assert (kernel._views is None) == bool(limit)
+                kernel.state[:] = psi.ravel()
+                _apply_by_rows(kernel, 0, diag, drive)
                 assert kernel.state.tobytes() == expected.tobytes(), (half, rows, limit)
+
+
+def _apply_by_rows(kernel, lo, diag, drives):
+    """Apply a kernel over rows lo.. with each row's diag and drive, in its
+    layout: diag in the shape of its own, drive per amplitude or per row."""
+    diag = np.concatenate([np.ravel(row) for row in diag]).reshape(kernel.diag.shape)
+    kernel.apply(diag, np.take(np.ravel(drives), kernel.spread - lo))
 
 
 def _signed_zero_rows(rng, rows, dim):
@@ -189,6 +189,29 @@ def _signed_zero_rows(rng, rows, dim):
     psi.real[rng.random(psi.shape) < 0.3] = -0.0
     psi.imag[rng.random(psi.shape) < 0.3] = -0.0
     return psi
+
+
+def test_gather_kernel_mixes_row_sizes_and_spaces_bitwise():
+    # rows of 1-9 spins, full and half space, in one gather kernel: each row's
+    # flip sum pads its missing flips with -0.0 and matches its own
+    # sequential sum, all -0.0 rows included
+    module = importlib.import_module("qa_fairsample.evolve")
+    rng = np.random.default_rng(77)
+    shapes = [(9, True), (1, True), (4, False), (1, False), (6, True), (2, False),
+              (9, False), (3, True)]
+    kernel = module._Kernel.allocate(*zip(*shapes))
+    rows = [_signed_zero_rows(rng, 1, 1 << (n - half))[0] for n, half in shapes]
+    rows[3][:] = complex(-0.0, -0.0)
+    drives = rng.normal(size=len(rows))
+    diag = [rng.normal(size=row.size) for row in rows]
+    kernel.state[:] = np.concatenate(rows)
+    _apply_by_rows(kernel, 0, diag, drives)
+    expected = [
+        row * d - sequential_flip_sum(row, n, half) * drive
+        for row, d, drive, (n, half) in zip(rows, diag, drives, shapes)
+    ]
+    assert kernel.state.tobytes() == np.concatenate(expected).tobytes()
+    assert kernel._batch.index.shape == (9, kernel.state.size)
 
 
 @pytest.mark.parametrize("n", range(11, 16))
@@ -206,43 +229,46 @@ def test_wide_view_kernel_matches_the_reference_bitwise(monkeypatch, n):
             psi = _signed_zero_rows(rng, rows, dim)
             diag = rng.normal(size=(rows, dim))
             drive = rng.normal(size=(rows, 1))
-            expected = psi * diag - _sequential_flip_sum(psi, n, half) * drive
-            kernel = module._Kernel.allocate(rows, n, half)
+            expected = psi * diag - sequential_flip_sum(psi, n, half) * drive
+            kernel = module._Kernel.allocate([n] * rows, [half] * rows)
             assert len(kernel._taken) == 3
             assert len(kernel._views) == n - 3
-            kernel.state[:] = psi
-            kernel.apply(diag, drive)
+            kernel.state[:] = psi.ravel()
+            _apply_by_rows(kernel, 0, diag, drive)
             assert kernel.state.tobytes() == expected.tobytes(), (half, rows)
 
 
 def test_spans_share_one_scratch_and_index_without_leaking():
-    # N = 11 at 3 rows: the kernel and its 2-row spans take their short flips
-    # into one scratch through one index per flip, and its 1-row spans
-    # gather; spans applied in alternation to fresh rows each match the
-    # reference, so nothing one span leaves in the scratch reaches another
+    # a view kernel (N = 11 at 3 rows) and a gather kernel of mixed rows: the
+    # spans of each share one scratch or one index and gather buffer, and
+    # spans applied in alternation to fresh rows each match the reference,
+    # so nothing one span leaves in a shared buffer reaches another
     module = importlib.import_module("qa_fairsample.evolve")
-    n, rows = 11, 3
-    dim = 1 << n
-    kernel = module._Kernel.allocate(rows, n)
-    shared = kernel._shared
-    assert shared.scratch.shape == kernel.state.shape
-    assert len(shared.taken) == 3
     rng = np.random.default_rng(41)
     spans = [(0, 3), (1, 3), (1, 2), (0, 2), (2, 3), (0, 1), (1, 3), (0, 3)]
-    for lo, hi in spans * 2:
-        span = kernel.rows(lo, hi)
-        if span._views is not None:
-            assert np.shares_memory(span._scratch, shared.scratch)
-            assert all(a is b for a, b in zip(span._taken, shared.taken))
-        psi = _signed_zero_rows(rng, hi - lo, dim)
-        diag = rng.normal(size=(hi - lo, dim))
-        drive = rng.normal(size=(hi - lo, 1))
-        expected = psi * diag - _sequential_flip_sum(psi, n, False) * drive
-        span.state[:] = psi
-        span.apply(diag, drive)
-        assert span.state.tobytes() == expected.tobytes(), (lo, hi)
-    forms = {hi - lo: kernel.rows(lo, hi)._views is None for lo, hi in spans}
-    assert forms == {3: False, 2: False, 1: True}
+    for shapes in ([(11, False)] * 3, [(5, False), (2, True), (4, True)]):
+        kernel = module._Kernel.allocate(*zip(*shapes))
+        batch = kernel._batch
+        for lo, hi in spans * 2:
+            span = kernel.rows(lo, hi)
+            if span._views is None:
+                assert np.shares_memory(span._index, batch.columns)
+                assert np.shares_memory(span._gathered, batch.gathered)
+            else:
+                assert np.shares_memory(span._scratch, batch.scratch)
+                assert span._taken is batch.taken
+            rows = [_signed_zero_rows(rng, 1, 1 << (n - half))[0] for n, half in shapes[lo:hi]]
+            diag = [rng.normal(size=row.size) for row in rows]
+            drives = rng.normal(size=hi - lo)
+            expected = [
+                row * d - sequential_flip_sum(row, n, half) * drive
+                for row, d, drive, (n, half) in zip(rows, diag, drives, shapes[lo:hi])
+            ]
+            span.state[:] = np.concatenate(rows)
+            _apply_by_rows(span, lo, diag, drives)
+            assert span.state.tobytes() == np.concatenate(expected).tobytes(), (lo, hi)
+        # the view kernel's spans all add views; the gather kernel's all gather
+        assert {kernel.rows(*span)._views is None for span in spans} == {len(set(shapes)) > 1}
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -256,7 +282,7 @@ def test_taylor_loop_matches_the_reference_bitwise(monkeypatch, n):
     apply = module._Kernel.apply
 
     def recording_apply(kernel, diag, drive):
-        widths.append(kernel.state.shape[0])
+        widths.append(len(kernel.active))
         return apply(kernel, diag, drive)
 
     monkeypatch.setattr(module._Kernel, "apply", recording_apply)
@@ -275,18 +301,16 @@ def test_taylor_loop_matches_the_reference_bitwise(monkeypatch, n):
             psi = rng.normal(size=(rows, dim)).astype(np.complex128)
             if not real:
                 psi.imag = rng.normal(size=(rows, dim))
+            expected = psi.copy()
+            reference_exp_step(expected, tables, [half] * rows, s, h, emax)
             for limit in (0, 1 << 30):
                 monkeypatch.setattr(module, "_GATHER_MAX", limit)
-                results = []
-                for exp_step, schedule in (
-                    (reference_exp_step, (s, h, emax)),
-                    (module._exp_step, (s, *module._substeps(n, s, h, emax))),
-                ):
-                    widths.clear()
-                    out = psi.copy()
-                    exp_step(module._Kernel.allocate(rows, n, half), out, tables, *schedule)
-                    results.append(out.tobytes())
-                assert results[0] == results[1], (half, rows, real, limit)
+                widths.clear()
+                out = psi.ravel().copy()
+                kernel = module._Kernel.allocate([n] * rows, [half] * rows)
+                module._exp_step(kernel, out, tables.ravel(), s,
+                                 *module._substeps(n, s, h, emax))
+                assert out.tobytes() == expected.tobytes(), (half, rows, real, limit)
                 # rows leave the span at their own substep and term
                 assert rows < 8 or min(widths) < rows
 
@@ -295,41 +319,48 @@ def test_taylor_loop_matches_the_reference_bitwise(monkeypatch, n):
 def cfm4_batches(draw):
     """Kept tables of 1-10 spins and 1-8 rows of mixed schedules.
 
-    The tables are random, of the half or the full space. Each row is at
-    tau = 0 or takes 1-7 steps whose exponentials take about 1-4 substeps.
+    The tables are random, each of the half or the full space, of one size
+    or of mixed sizes. Each row is at tau = 0 or takes 1-7 steps whose
+    exponentials take about 1-4 substeps.
     """
-    n = draw(st.integers(1, 10))
-    half = draw(st.booleans())
-    rows = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        sizes = sizes[:1] * len(sizes)
+    halves = [draw(st.booleans()) for _ in sizes]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # |E| about n, so an exponential of length h takes about n h / THETA
     # substeps at any s; each row's length is drawn in units of THETA / n
-    tables = rng.normal(size=(draw(st.integers(1, rows)), 1 << (n - half))) * n / 2
+    tables = [rng.normal(size=1 << (n - half)) * n / 2 for n, half in zip(sizes, halves)]
     schedules = []
-    for _ in range(rows):
+    for _ in range(draw(st.integers(len(sizes), 8))):
         steps = draw(st.integers(1, 7))
-        h = draw(st.sampled_from((0.0, 0.5, 1.5, 2.5))) * THETA / n
+        h = draw(st.sampled_from((0.0, 0.5, 1.5, 2.5))) * THETA / max(sizes)
         schedules.append(qf.AnnealSchedule(2.0 * steps * h, steps))
-    return tables, half, schedules
+    return tables, halves, schedules
 
 
 @settings(max_examples=25, deadline=None)
 @given(cfm4_batches())
 def test_cfm4_loop_matches_the_reference_bitwise(batch):
-    # the whole step loop against its oracle, through both forms of the flip
-    # sum and at schedule blocks of 1, 3 and the package's own number of
-    # steps: the weights and the row order are the same bytes
-    tables, half, schedules = batch
+    # the whole step loop against its row-by-row oracle, through both forms
+    # of the flip sum where the rows share a size, and at schedule blocks of
+    # 1, 3 and the package's own number of steps: each row's weights are
+    # the same bytes, and so are those of the row run alone
+    tables, halves, schedules = batch
     module = importlib.import_module("qa_fairsample.evolve")
+    expected = [w.tobytes() for w in reference_cfm4_weights(tables, halves, schedules)]
     with pytest.MonkeyPatch.context() as patch:
         for limit in (0, 1 << 30):
             patch.setattr(module, "_GATHER_MAX", limit)
-            weights, order = reference_cfm4_weights(tables, half, schedules)
             for block in (1, 3, module._STEP_BLOCK):
                 patch.setattr(module, "_STEP_BLOCK", block)
-                got, got_order = module._cfm4_weights(tables, half, schedules)
-                assert got.tobytes() == weights.tobytes(), (limit, block)
-                assert got_order.tobytes() == order.tobytes(), (limit, block)
+                got = module._cfm4_weights(tables, halves, schedules)
+                assert [w.tobytes() for w in got] == expected, (limit, block)
+    alone = [
+        module._cfm4_weights([tables[r % len(tables)]], [halves[r % len(tables)]], [schedule])[0]
+        for r, schedule in enumerate(schedules)
+    ]
+    assert [w.tobytes() for w in alone] == expected
 
 
 @pytest.mark.parametrize("half", [False, True])
@@ -337,19 +368,18 @@ def test_wide_view_kernel_batches_match_the_reference_bitwise(half):
     # 13 spins on the full and 14 on the half space, 8,192 amplitudes a row:
     # 7 rows of mixed schedules, odd step counts and one at tau = 0 among
     # them, on one view kernel of the 6 moving rows at the package's own
-    # gather limit; the weights and their row order are the same bytes
+    # gather limit; each row's weights are the same bytes
     module = importlib.import_module("qa_fairsample.evolve")
     n = 13 + half
     rng = np.random.default_rng(1313 + half)
-    tables = rng.normal(size=(3, 1 << (n - half))) * 2.0
+    tables = list(rng.normal(size=(3, 1 << (n - half))) * 2.0)
     schedule = qf.AnnealSchedule
     schedules = [schedule(1.0, 3), schedule(0.0, 4), schedule(1.5, 5), schedule(0.5, 1),
                  schedule(1.0, 2), schedule(2.0, 5), schedule(0.7, 3)]
-    assert module._Kernel.allocate(6, n, half)._views is not None
-    weights, order = module._cfm4_weights(tables, half, schedules)
-    expected, expected_order = reference_cfm4_weights(tables, half, schedules)
-    assert weights.tobytes() == expected.tobytes()
-    assert order.tobytes() == expected_order.tobytes()
+    assert module._Kernel.allocate([n] * 6, [half] * 6)._views is not None
+    weights = module._cfm4_weights(tables, [half] * 3, schedules)
+    expected = reference_cfm4_weights(tables, [half] * 3, schedules)
+    assert [w.tobytes() for w in weights] == [w.tobytes() for w in expected]
 
 
 def test_toy_embedding_batch_makes_a_pinned_number_of_kernel_applies(
@@ -725,16 +755,20 @@ def _result_bits(result):
     )
 
 
-def test_mixed_sizes_batch_by_spin_count(toy_source, embedded_models):
-    # N = 5, 6, 5: each result is bitwise its model's in a batch of its own
-    # size, in input order; at 30 steps only the rescaled source misses the
-    # budget, and the raised error names its failure
+def test_mixed_sizes_share_one_loop_bitwise_like_batches_of_one_size(
+    monkeypatch, toy_source, embedded_models
+):
+    # N = 5, 6, 5 in one loop: each result is bitwise its model's in a batch
+    # of its own size, in input order; at 30 steps only the rescaled source
+    # misses the budget, and the raised error names its failure
     rescaled = qf.IsingModel(
         5, tuple((i, j, 2.0 * J) for i, j, J in toy_source.couplings)
     )
     models = (toy_source, embedded_models[1.0].model, rescaled)
     schedule = qf.AnnealSchedule(tau=10.0, steps=30)
+    kernels = _recorded_kernels(monkeypatch)
     mixed = qf.evolve_many(models, schedule, enforce_drift=False)
+    assert [sorted(set(kernel)) for kernel in kernels] == [[(5, True), (6, True)]]
     five = qf.evolve_many(models[::2], schedule, enforce_drift=False)
     six = qf.evolve_many(models[1:2], schedule, enforce_drift=False)
     want = [_result_bits(r) for r in (five[0], six[0], five[1])]
@@ -806,25 +840,56 @@ def test_rows_of_any_schedules_batch_bitwise_like_rows_alone(rows):
     assert [_result_bits(r) for r in batch] == [_result_bits(r) for r in alone]
 
 
+@st.composite
+def shared_batches(draw):
+    """One to four models of 1-12 spins, each connected or split in two,
+    with or without fields, each under its own schedule: tau = 0 and 1-step
+    rows among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 12))
+        first = draw(st.integers(1, n))
+        sizes = (first, n - first) if first < n else (n,)
+        model = _split_model(rng, sizes, draw(st.booleans()))
+        tau = draw(st.sampled_from((0.0, 0.3, 1.0, 2.0)))
+        rows.append((model, qf.AnnealSchedule(tau, draw(st.integers(1, 3)))))
+    return rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(shared_batches())
+def test_rows_of_every_size_share_a_batch_bitwise_like_alone_and_the_oracle(rows):
+    # component rows of every size that gathers share one kernel and loop,
+    # padded to the largest's flips; each model's result is bitwise its own
+    # run's and the full-space oracle's, which runs each component alone
+    models, schedules = zip(*rows)
+    batch = qf.evolve_many(models, schedules, enforce_drift=False)
+    alone = [qf.evolve_many((m,), sch, enforce_drift=False)[0] for m, sch in rows]
+    assert [_result_bits(r) for r in batch] == [_result_bits(r) for r in alone]
+    for (model, schedule), result in zip(rows, batch):
+        (oracle,) = full_space_evolve_many((model,), schedule)
+        assert _result_bits(result) == _result_bits(oracle), model
+
+
 def test_cost_guard_sums_each_rows_own_steps(toy_source, embedded_models, monkeypatch):
-    # 2 x 2 x 16 x 9e4 + 2 x 1 x 32 x 1e4 + 1e4 x 2 x (9e4 + 1e4) = 2.006e9
-    # is over the 2e9 budget: each row and each batch's loop counts its own
-    # steps, and the tau = 0 row, which takes no step, costs none
+    # 2 x 2 x 16 x 99900 + 2 x 1 x 32 x 1e4 + 1e4 x 2 x 99900 = 2.005e9 is
+    # over the 2e9 budget: each row counts its own steps, the one loop its
+    # longest row's, and the tau = 0 row, which takes no step, costs none
     schedule = qf.AnnealSchedule
     models = (toy_source, embedded_models[1.0].model, toy_source, toy_source)
     schedules = (
-        schedule(20.0, 90_000), schedule(20.0, 10_000),
-        schedule(0.0, 10**12), schedule(5.0, 90_000),
+        schedule(20.0, 99_900), schedule(20.0, 10_000),
+        schedule(0.0, 10**12), schedule(5.0, 99_900),
     )
     forbid_integration(monkeypatch)
     with pytest.raises(ModelTooLargeError) as excinfo:
         qf.evolve_many(models, schedules, enforce_drift=False)
     assert str(excinfo.value) == (
         "integration needs 2.01e+09 amplitude-steps "
-        "(2 x 2 rows x 16 amplitudes x 90000 steps + "
+        "(2 x 2 rows x 16 amplitudes x 99900 steps + "
         "2 x 1 rows x 32 amplitudes x 10000 steps + "
-        "10000 x 2 x 90000 steps x 1 loop substeps + "
-        "10000 x 2 x 10000 steps x 1 loop substeps), "
+        "10000 x 2 x 99900 steps x 1 loop substeps), "
         "over the budget of 2e+09"
     )
 
@@ -930,7 +995,7 @@ def test_batch_on_views_matches_rows_alone_on_the_gather(monkeypatch):
     apply = module._Kernel.apply
 
     def recording_apply(kernel, diag, drive):
-        forms.append((kernel.state.shape[0], kernel._views is None))
+        forms.append((len(kernel.active), kernel._views is None))
         return apply(kernel, diag, drive)
 
     monkeypatch.setattr(module._Kernel, "apply", recording_apply)
@@ -1026,7 +1091,7 @@ def test_active_span_shrinking_from_both_ends_keeps_rows_bitwise(
     rows = module._Kernel.rows
 
     def recording_rows(kernel, lo, hi):
-        spans.append((kernel.state.shape[0], lo, hi))
+        spans.append((len(kernel.active), lo, hi))
         return rows(kernel, lo, hi)
 
     monkeypatch.setattr(module._Kernel, "rows", recording_rows)
@@ -1127,41 +1192,93 @@ def test_a_split_model_batches_bitwise_like_alone(toy_source, embedded_models):
     assert [_result_bits(r) for r in batch] == [_result_bits(r) for r in alone]
 
 
-def test_a_wide_split_model_allocates_only_its_components_kernels(monkeypatch):
-    # 15 spins without fields in components of 10 and 5, shaped like the
-    # perfbench wide-state instances: no 15-spin kernel is allocated, and
-    # each component runs on its half space
+def _recorded_kernels(monkeypatch) -> list[list[tuple[int, bool]]]:
+    """The (spins, half) rows of every kernel allocated from now on."""
     module = importlib.import_module("qa_fairsample.evolve")
     kernels = []
     allocate = module._Kernel.allocate.__func__
 
-    def recording_allocate(cls, rows, num_spins, half=False):
-        kernels.append((num_spins, half))
-        return allocate(cls, rows, num_spins, half)
+    def recording_allocate(cls, spins, halves):
+        kernels.append([(int(n), bool(half)) for n, half in zip(spins, halves)])
+        return allocate(cls, spins, halves)
 
     monkeypatch.setattr(module._Kernel, "allocate", classmethod(recording_allocate))
+    return kernels
+
+
+def test_a_wide_split_model_allocates_only_its_components_kernels(monkeypatch):
+    # 15 spins without fields in components of 10 and 5, shaped like the
+    # perfbench wide-state instances: one kernel is allocated, over the fine
+    # and coarse rows of both components, each on its half space, and no
+    # 15-spin row; its loop makes two exponentials per step of the fine rows
+    kernels = _recorded_kernels(monkeypatch)
+    calls = count_calls(monkeypatch, "_exp_step")
     model = _split_model(np.random.default_rng(15), (10, 5), fields=False)
     assert sorted(map(len, _components(model))) == [5, 10]
-    result = qf.evolve(model, qf.AnnealSchedule.for_tau(2.0))
-    assert sorted(kernels) == [(5, True), (10, True)]
+    schedule = qf.AnnealSchedule.for_tau(2.0)
+    result = qf.evolve(model, schedule)
+    assert [sorted(kernel) for kernel in kernels] == [[(5, True)] * 2 + [(10, True)] * 2]
+    assert len(calls) == 2 * schedule.steps
     assert result.final_probabilities.vector.size == 1 << 15
+
+
+def test_split_groups_of_views_keep_loops_of_their_own(monkeypatch):
+    # two zero-field 11-spin trees (4 half rows of 1,024 amplitudes: 45,056
+    # gather elements, over the limit) and a 3-spin model: the 11-spin rows
+    # run on a view kernel of their own, the 3-spin rows on a gather kernel
+    rng = np.random.default_rng(22)
+    models = [_split_model(rng, (11, 11), fields=False), FIXTURE_MODELS["triangle3"]]
+    kernels = _recorded_kernels(monkeypatch)
+    schedule = qf.AnnealSchedule(1.0, 2)
+    batch = qf.evolve_many(models, schedule, enforce_drift=False)
+    assert sorted(kernels) == [[(3, True)] * 2, [(11, True)] * 4]
+    alone = [qf.evolve_many((m,), schedule, enforce_drift=False)[0] for m in models]
+    assert [_result_bits(r) for r in batch] == [_result_bits(r) for r in alone]
+
+
+def test_a_tau_sweep_of_the_bundled_models_runs_one_loop(
+    monkeypatch, capsys, tmp_path, toy_source, toy_template
+):
+    # the source (5 spins) and its embeddings (6 spins) at every tau share
+    # one kernel, whose loop makes two exponentials per step of the longest
+    # row; reproduce fig2, at its 20 taus and three J_F, hands the fine and
+    # coarse rows of its 80 models to one integration
+    kernels = _recorded_kernels(monkeypatch)
+    calls = count_calls(monkeypatch, "_exp_step")
+    embeddings = [("e", toy_template.with_chain_strength(jf)) for jf in (0.5, 1.5)]
+    qf.sweep_tau(toy_source, embeddings, [1.0, 3.0])
+    assert [sorted(set(kernel)) for kernel in kernels] == [[(5, True), (6, True)]]
+    assert len(calls) == 2 * qf.AnnealSchedule.for_tau(3.0).steps
+    module = importlib.import_module("qa_fairsample.evolve")
+    integrations = []
+
+    def uniform_weights(tables, halves, schedules):
+        integrations.append(len(schedules))
+        sizes = [tables[r % len(tables)].size << halves[r % len(tables)]
+                 for r in range(len(schedules))]
+        return [np.full(size, 1.0 / size) for size in sizes]
+
+    monkeypatch.setattr(module, "_cfm4_weights", uniform_weights)
+    assert qf.cli.main(["reproduce", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+    capsys.readouterr()
+    assert integrations == [2 * 20 * 4]
 
 
 def test_cost_guard_counts_component_rows(monkeypatch):
     # a zero-field component of 3 spins (4 kept amplitudes on the half
     # space) and a fielded one of 2 (4 amplitudes): two rows of 4, not one
-    # of 2^5
+    # of 2^5, sharing one loop: 2 x 4 x 100200 x 2 + 1e4 x 2 x 100200 =
+    # 2.0056e9 amplitude-steps
     model = qf.IsingModel(
         5, ((0, 2, 1.0), (2, 4, -1.0), (1, 3, 0.5)), (0.0, 0.25, 0.0, 0.0, 0.0)
     )
     forbid_integration(monkeypatch)
     with pytest.raises(ModelTooLargeError) as excinfo:
-        qf.evolve(model, qf.AnnealSchedule(tau=20.0, steps=60_000))
+        qf.evolve(model, qf.AnnealSchedule(tau=20.0, steps=100_200))
     assert str(excinfo.value) == (
-        "integration needs 2.4e+09 amplitude-steps "
-        "(2 x 1 rows x 4 amplitudes x 60000 steps + "
-        "2 x 1 rows x 4 amplitudes x 60000 steps + "
-        "10000 x 2 x 60000 steps x 1 loop substeps + "
-        "10000 x 2 x 60000 steps x 1 loop substeps), "
+        "integration needs 2.01e+09 amplitude-steps "
+        "(2 x 1 rows x 4 amplitudes x 100200 steps + "
+        "2 x 1 rows x 4 amplitudes x 100200 steps + "
+        "10000 x 2 x 100200 steps x 1 loop substeps), "
         "over the budget of 2e+09"
     )
